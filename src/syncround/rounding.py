@@ -7,6 +7,17 @@ corner algebras where the compressed measurements become exactly
 synchronous.  Every stage reports the residual its backing inequality
 bounds, and the lambda-integrals are evaluated exactly at eigenvalue
 breakpoints (the integrands are piecewise constant at finite dimension).
+
+Cost model of the slice stage at dimension n.  Every slice spans a leading
+block of sigma's eigenbasis V, so each of Alice's elements is rotated once,
+V* A V, an n^3 product per element.  Slice j of rank r then reads its
+corner POVM as the leading r x r block, rounds it with eigendecompositions
+of at most r x r corners (sum over slices of r^3) and reads its residual
+||(A - V_r P V_r*) V_r V_r*||_F^2 = ||V* A V_r - [P; 0]||_F^2 off the same
+rotated block in O(n r).  No slice forms an n x n projector.  The
+joint-distribution check likewise needs one eigendecomposition per operand:
+every threshold projector is a leading eigenvector block, so its distance
+at each breakpoint is read from a prefix sum of eigenvector overlaps.
 """
 
 from __future__ import annotations
@@ -39,14 +50,93 @@ from .strategies import (
 ORTHO_SLACK = 1e-8
 
 
-def _weighted_error(povm_elements, pvm_elements, w: np.ndarray) -> float:
-    """sum_x tau(sigma* (A_x - P_x)^2 sigma) with w = sigma sigma*."""
-    n = w.shape[0]
-    total = 0.0
-    for a, p in zip(povm_elements, pvm_elements):
-        d = a - p
-        total += float(np.trace(d @ d @ w).real) / n
-    return total
+def _spectral_basis(elements: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
+    """Labelled orthonormal basis from sequential spectral rounding.
+
+    The element x = order[0] is thresholded at 1/2 on the whole space, the
+    next one on the complement of what was kept, and so on; the last element
+    takes whatever remains.  Returns the basis vectors as columns and the
+    element each one was assigned to.
+    """
+    n = elements.shape[1]
+    blocks = []
+    labels: list[int] = []
+    basis = None  # None is the identity: the first corner is the whole space
+    for idx, x in enumerate(order):
+        last = idx == len(order) - 1
+        if last:
+            keep = np.eye(n, dtype=complex) if basis is None else basis
+        else:
+            e = elements[x]
+            corner = e if basis is None else basis.conj().T @ e @ basis
+            dec = linalg.eig_hermitian(linalg.hermitize(corner, tol=1e-7))
+            sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
+            keep = dec.eigenvectors[:, sel]
+            rest = dec.eigenvectors[:, ~sel]
+            if basis is not None:
+                keep, rest = basis @ keep, basis @ rest
+        blocks.append(keep)
+        labels.extend([int(x)] * keep.shape[1])
+        if last or rest.shape[1] == 0:
+            break
+        basis = rest
+    return np.concatenate(blocks, axis=1), np.array(labels)
+
+
+def _projectors(vectors: np.ndarray, labels: np.ndarray, outcomes: int) -> np.ndarray:
+    """P_x = V_x V_x* where V_x holds the vectors labelled x."""
+    n = vectors.shape[0]
+    out = np.empty((outcomes, n, n), dtype=complex)
+    for x in range(outcomes):
+        cols = vectors[:, labels == x]
+        out[x] = cols @ cols.conj().T
+    return out
+
+
+def _orthogonalize(elements: np.ndarray, w: np.ndarray | None):
+    """orthogonalize_povm on raw elements with weight w = sigma sigma*.
+
+    w = None is the identity weight of a corner and skips every w product.
+    The masses, epsilon and the greedy scores all come from one product
+    A_a w per element; the error tau((A - P)^2 w) = tau((A - P)(A w - P w))
+    adds one P w per outcome and stays exact near a fixed point, where an
+    expansion in tau(P A w) would leave cancellation noise.  The error is
+    summed one outcome at a time so its temporaries stay at one element's
+    size.
+    """
+    outcomes, n = elements.shape[0], elements.shape[1]
+    aw = elements if w is None else elements @ w
+    masses = np.trace(aw, axis1=1, axis2=2).real / n
+    a2w = float(np.einsum("aij,aji->", elements, aw).real) / n
+    bound = 9.0 * (1.0 - a2w) + ORTHO_SLACK
+
+    def weighted_error(pvm: np.ndarray) -> float:
+        total = 0.0
+        for a, a_w, p in zip(elements, aw, pvm):
+            d = a - p
+            dw = d if w is None else a_w - p @ w
+            total += float(np.einsum("ij,ji->", d, dw).real)
+        return total / n
+
+    vectors, labels = _spectral_basis(
+        elements, np.argsort(-masses, kind="stable")
+    )
+    pvm = _projectors(vectors, labels, outcomes)
+    error = weighted_error(pvm)
+    if error > bound:
+        # Greedy reassignment: with the basis fixed, the weighted error is
+        # separable over basis vectors, so per-vector argmax is optimal.
+        # Re v* w A v = Re v* A w v for Hermitian A and w.
+        scores = np.sum(vectors.conj() * (aw @ vectors), axis=1).real
+        candidate = _projectors(vectors, np.argmax(scores, axis=0), outcomes)
+        cand_error = weighted_error(candidate)
+        if cand_error < error:
+            pvm, error = candidate, cand_error
+    if error > bound:
+        raise BoundViolated(
+            f"orthogonalization error {error:.3e} exceeds 9*eps bound {bound:.3e}"
+        )
+    return pvm, error
 
 
 def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
@@ -59,74 +149,16 @@ def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
     reassignment pass is tried; failing that, BoundViolated is raised.
     """
     sig = linalg.as_matrix(sigma)
-    n = povm.dim
-    w = sig @ sig.conj().T
-    eps = 1.0 - sum(
-        float(np.trace(e @ e @ w).real) / n for e in povm.elements
-    )
-    bound = 9.0 * eps + ORTHO_SLACK
-
-    masses = np.array(
-        [float(np.trace(e @ w).real) / n for e in povm.elements]
-    )
-    order = np.argsort(-masses, kind="stable")
-
-    # Labeled orthonormal basis of the whole space, built corner by corner.
-    vectors: list[np.ndarray] = []
-    labels: list[int] = []
-    basis = np.eye(n, dtype=complex)
-    for idx, x in enumerate(order):
-        if basis.shape[1] == 0:
-            break
-        if idx == len(order) - 1:
-            keep = basis
-            rest = basis[:, :0]
-        else:
-            corner = linalg.hermitize(
-                basis.conj().T @ povm.elements[x] @ basis, tol=1e-7
-            )
-            dec = linalg.eig_hermitian(corner)
-            sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
-            keep = basis @ dec.eigenvectors[:, sel]
-            rest = basis @ dec.eigenvectors[:, ~sel]
-        for k in range(keep.shape[1]):
-            vectors.append(keep[:, k])
-            labels.append(int(x))
-        basis = rest
-
-    def build(labels_now):
-        elements = np.zeros((povm.outcomes, n, n), dtype=complex)
-        for v, x in zip(vectors, labels_now):
-            elements[x] += np.outer(v, v.conj())
-        return elements
-
-    elements = build(labels)
-    error = _weighted_error(povm.elements, elements, w)
-    if error > bound:
-        # Greedy reassignment: with the basis fixed, the weighted error is
-        # separable over basis vectors, so per-vector argmax is optimal.
-        relabeled = []
-        for v in vectors:
-            scores = [
-                float((v.conj() @ w @ e @ v).real) for e in povm.elements
-            ]
-            relabeled.append(int(np.argmax(scores)))
-        candidate = build(relabeled)
-        cand_error = _weighted_error(povm.elements, candidate, w)
-        if cand_error < error:
-            elements, error = candidate, cand_error
-    if error > bound:
-        raise BoundViolated(
-            f"orthogonalization error {error:.3e} exceeds 9*eps bound {bound:.3e}"
-        )
+    elements, error = _orthogonalize(povm.elements, sig @ sig.conj().T)
     return Povm(elements), error
 
 
-def _positive_eigs(name: str, m: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(linalg.hermitize(m))
-    if vals.size and vals[0] < -1e-10:
-        raise NotPositive(f"{name} has eigenvalue {vals[0]:.3e}")
-    return np.clip(vals, 0.0, None)
+def _checked_eig(name: str, m: np.ndarray) -> linalg.SpectralDecomposition:
+    """Eigensystem of a Hermitian m, refusing eigenvalues below -1e-10."""
+    dec = linalg.eig_hermitian(m)
+    if dec.eigenvalues.size and dec.eigenvalues[-1] < -1e-10:
+        raise NotPositive(f"{name} has eigenvalue {dec.eigenvalues[-1]:.3e}")
+    return dec
 
 
 def verify_connes(rho, sigma) -> tuple[float, float]:
@@ -136,35 +168,62 @@ def verify_connes(rho, sigma) -> tuple[float, float]:
     chi_{>=sqrt(lambda)}(sigma)||_2^2, summed exactly over the intervals
     between sorted squared eigenvalues where the integrand is constant;
     rhs = ||rho - sigma||_2 * ||rho + sigma||_2.
+
+    Both spectral projectors at a threshold are leading eigenvector blocks,
+    of ranks k and l, so ||chi(rho) - chi(sigma)||_F^2 = k + l - 2 C[k, l]
+    with C the 2-D prefix sum of the overlaps |V_rho* V_sigma|^2: one
+    eigendecomposition per operand serves every interval.
     """
     r = linalg.hermitize(rho)
     s = linalg.hermitize(sigma)
-    ev_r = _positive_eigs("rho", r)
-    ev_s = _positive_eigs("sigma", s)
+    dec_r = _checked_eig("rho", r)
+    dec_s = _checked_eig("sigma", s)
+    n = r.shape[0]
+    ev_r = np.clip(dec_r.eigenvalues, 0.0, None)
+    ev_s = np.clip(dec_s.eigenvalues, 0.0, None)
     breakpoints = np.sort(np.concatenate(([0.0], ev_r**2, ev_s**2)))
-    lhs = 0.0
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi - lo <= CLUSTER_TOL:
-            continue
-        mid = np.sqrt((lo + hi) / 2.0)
-        diff = linalg.chi_geq(r, mid) - linalg.chi_geq(s, mid)
-        lhs += (hi - lo) * linalg.tau_norm(diff) ** 2
+    lo, hi = breakpoints[:-1], breakpoints[1:]
+    wide = hi - lo > CLUSTER_TOL
+    lo, hi = lo[wide], hi[wide]
+    cut = np.sqrt((lo + hi) / 2.0) - CLUSTER_TOL
+    k_r = np.count_nonzero(dec_r.eigenvalues[None, :] >= cut[:, None], axis=1)
+    k_s = np.count_nonzero(dec_s.eigenvalues[None, :] >= cut[:, None], axis=1)
+    overlap = np.abs(dec_r.eigenvectors.conj().T @ dec_s.eigenvectors) ** 2
+    prefix = np.zeros((n + 1, n + 1))
+    prefix[1:, 1:] = overlap.cumsum(axis=0).cumsum(axis=1)
+    dist2 = k_r + k_s - 2.0 * prefix[k_r, k_s]
+    lhs = float(np.dot(hi - lo, dist2)) / n
     rhs = linalg.tau_norm(r - s) * linalg.tau_norm(r + s)
-    return lhs, rhs
+    return lhs, float(rhs)
 
 
-def _sigma_spectrum(sigma: np.ndarray):
-    """Clustered eigensystem of a positive normalized sigma."""
+def _sigma_eig(sigma) -> linalg.SpectralDecomposition:
+    """Eigensystem of a positive normalized sigma."""
     s = linalg.hermitize(sigma)
-    dec = linalg.eig_hermitian(s)
-    if dec.eigenvalues[-1] < -1e-10:
-        raise NotPositive(f"sigma has eigenvalue {dec.eigenvalues[-1]:.3e}")
+    dec = _checked_eig("sigma", s)
     if abs(linalg.tau(s @ s).real - 1.0) > 1e-9:
         raise NotNormalized(f"tau(sigma^2) = {linalg.tau(s @ s).real!r}")
-    vals = np.clip(dec.eigenvalues, 0.0, None)
+    return dec
+
+
+def _spectral_pieces(eigenvalues: np.ndarray):
+    """Yield the (measure, rank) pieces of the exact slicing of sigma^2.
+
+    With distinct eigenvalues s_1 > ... > s_k of sigma (nonincreasing input,
+    clustered within CLUSTER_TOL), piece j carries Lebesgue measure
+    s_j^2 - s_{j+1}^2 (s_{k+1} = 0) and spans the leading `rank`
+    eigenvectors, those with eigenvalue >= s_j.
+    """
+    vals = np.clip(eigenvalues, 0.0, None)
     clusters = linalg.cluster_indices(vals)
     reps = [float(np.mean(vals[idx])) for idx in clusters]
-    return dec, clusters, reps
+    rank = 0
+    for j, idx in enumerate(clusters):
+        rank += len(idx)
+        s_next = reps[j + 1] if j + 1 < len(clusters) else 0.0
+        measure = reps[j] ** 2 - s_next**2
+        if measure > 0.0:
+            yield measure, rank
 
 
 def projector_slices(sigma) -> list[tuple[float, np.ndarray]]:
@@ -175,29 +234,25 @@ def projector_slices(sigma) -> list[tuple[float, np.ndarray]]:
     eigenvectors with eigenvalue >= s_j; the measure-weighted sum of the
     projectors reconstructs sigma^2.
     """
-    dec, clusters, reps = _sigma_spectrum(sigma)
-    pieces = []
-    used = 0
-    for j, idx in enumerate(clusters):
-        used += len(idx)
-        s_j = reps[j]
-        s_next = reps[j + 1] if j + 1 < len(clusters) else 0.0
-        measure = s_j**2 - s_next**2
-        if measure <= 0.0:
-            continue
-        v = dec.eigenvectors[:, :used]
-        pieces.append((measure, v @ v.conj().T))
-    return pieces
+    dec = _sigma_eig(sigma)
+    v = dec.eigenvectors
+    return [
+        (measure, v[:, :rank] @ v[:, :rank].conj().T)
+        for measure, rank in _spectral_pieces(dec.eigenvalues)
+    ]
 
 
 @dataclass(frozen=True)
 class Slice:
     weight: float
     measure: float
-    projector: np.ndarray
-    basis: np.ndarray
+    basis: np.ndarray  # leading eigenvectors of sigma, a view shared by all slices
     sub_dim: int
     pvms: tuple[Povm, ...]  # per question, on the corner
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
 
 
 @dataclass(frozen=True)
@@ -267,45 +322,31 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
     state is the corner identity; compressed measurements are rounded back
     to PVMs there, making every per-slice correlation synchronous.
     """
-    dec, clusters, reps = _sigma_spectrum(s.sigma)
+    dec = _sigma_eig(s.sigma)
+    v = dec.eigenvectors
     n = s.dim
+    # Alice's elements in sigma's eigenbasis; slice j's corner is the leading
+    # rank x rank block, so no slice touches the n x n operators again.
+    rotated = [v.conj().T @ p.elements @ v for p in s.alice]
     slices = []
     correlations = []
     residual = 0.0
-    used = 0
-    for j, idx in enumerate(clusters):
-        used += len(idx)
-        s_j = reps[j]
-        s_next = reps[j + 1] if j + 1 < len(clusters) else 0.0
-        measure = s_j**2 - s_next**2
-        if measure <= 0.0:
-            continue
-        basis = dec.eigenvectors[:, :used].copy()
-        rank = used
-        projector = basis @ basis.conj().T
-        corner_pvms = []
+    for measure, rank in _spectral_pieces(dec.eigenvalues):
         corner_eye = np.eye(rank, dtype=complex)
-        for povm in s.alice:
-            compressed = Povm(
-                np.array(
-                    [
-                        linalg.hermitize(basis.conj().T @ e @ basis, tol=1e-7)
-                        for e in povm.elements
-                    ]
-                )
-            )
-            pvm, _ = orthogonalize_povm(compressed, corner_eye)
-            corner_pvms.append(pvm)
-        corner_pvms = tuple(corner_pvms)
+        corner_pvms = []
         for x in range(s.n_questions):
-            for a in range(s.n_answers):
-                d = s.alice[x].elements[a] - linalg.expand_corner(
-                    corner_pvms[x].elements[a], basis
-                )
-                dp = d @ projector
-                residual += (
-                    game.mu_x[x] * measure * linalg.tau_norm(dp) ** 2
-                )
+            cols = rotated[x][:, :, :rank]
+            compressed = np.array(
+                [linalg.hermitize(e[:rank], tol=1e-7) for e in cols]
+            )
+            elements, _ = _orthogonalize(compressed, None)
+            corner_pvms.append(Povm(elements))
+            # ||(A - V_r P V_r*) V_r V_r*||_F = ||V* A V_r - [P; 0]||_F
+            d = cols.copy()
+            d[:, :rank] -= elements
+            sq = float(np.vdot(d, d).real)
+            residual += float(game.mu_x[x]) * measure * sq / n
+        corner_pvms = tuple(corner_pvms)
         weight = measure * rank / n
         sub = TracialStrategy(rank, corner_eye, corner_pvms, corner_pvms)
         c_sub = correlation(sub)
@@ -314,9 +355,7 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
             raise MathContractError(
                 f"slice correlation synchronicity {sync_sub:.3e} > 1e-8"
             )
-        slices.append(
-            Slice(weight, measure, projector, basis, rank, corner_pvms)
-        )
+        slices.append(Slice(weight, measure, v[:, :rank], rank, corner_pvms))
         correlations.append(c_sub)
     weights = np.array([sl.weight for sl in slices])
     if abs(weights.sum() - 1.0) > 1e-9:
@@ -374,15 +413,17 @@ def lemma_report(game: Game, s: TracialStrategy) -> dict:
     c_s = correlation(s)
     delta = synchronicity(game, c_s)
     sigma = s.sigma
-    sigma_plus = linalg.polar_decompose(sigma).positive_part
+    polar = linalg.polar_decompose(sigma)
+    u, sigma_plus = polar.isometry_part, polar.positive_part
 
-    # Synchronicity factorization.  Both symmetric strategies are taken at
-    # the positive part sigma+: the factorization through the polar isometry
-    # only bounds the diagonal mass measured there, and the version with the
-    # raw sigma on Alice's side fails numerically for non-normal sigma.
+    # Synchronicity factorization.  Cauchy-Schwarz through sigma = u|sigma|
+    # = |sigma*|u weighs Alice's operators at |sigma*| = u|sigma|u* and
+    # Bob's at |sigma|; at |sigma| on both sides the bound fails for
+    # unbalanced embeddings, where sigma is far from normal.
     sym_a = TracialStrategy(s.dim, sigma, s.alice, s.alice)
     delta_a = synchronicity(game, correlation(sym_a))
-    sym_a_plus = TracialStrategy(s.dim, sigma_plus, s.alice, s.alice)
+    sigma_left = u @ sigma_plus @ u.conj().T
+    sym_a_plus = TracialStrategy(s.dim, sigma_left, s.alice, s.alice)
     delta_a_plus = synchronicity(game, correlation(sym_a_plus))
     sym_b = TracialStrategy(s.dim, sigma_plus, s.bob_left, s.bob_left)
     delta_b = synchronicity(game, correlation(sym_b))

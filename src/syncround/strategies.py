@@ -181,26 +181,31 @@ def embed_tracial(s: TensorStrategy) -> TracialStrategy:
 
 
 def correlation(s: TracialStrategy) -> Correlation:
-    """C(x,y,a,b) = Re tau(sigma* A_a^x sigma B_b^y) with B stored left."""
-    nq, na = s.n_questions, s.n_answers
-    table = np.zeros((nq, nq, na, na))
-    worst_imag = 0.0
+    """C(x,y,a,b) = Re tau(sigma* A_a^x sigma B_b^y) with B stored left.
+
+    tau(L B) = sum_ij (L^T)_ij B_ij / n, so the (x, y) block of the table is
+    one product of the flattened (sigma* A^x sigma)^T = sigma^T (A^x)^T
+    conj(sigma) with the flattened B^y.  Working one question at a time keeps
+    the temporaries at one POVM's size.  At the identity state (every
+    rounded corner) sigma* A sigma is A itself.
+    """
+    nq, na, n = s.n_questions, s.n_answers, s.dim
     sig = s.sigma
-    left = {
-        (x, a): sig.conj().T @ s.alice[x].elements[a] @ sig
-        for x in range(nq)
-        for a in range(na)
-    }
-    for x in range(nq):
-        for y in range(nq):
-            for a in range(na):
-                for b in range(na):
-                    val = linalg.tau(left[(x, a)] @ s.bob_left[y].elements[b])
-                    worst_imag = max(worst_imag, abs(val.imag))
-                    table[x, y, a, b] = val.real
+    identity = np.array_equal(sig, np.eye(n))
+    sig_t, sig_c = sig.T, sig.conj()
+    vals = np.empty((nq, nq, na, na), dtype=complex)
+    for x, povm in enumerate(s.alice):
+        left_t = povm.elements.swapaxes(1, 2)
+        if not identity:
+            left_t = sig_t @ left_t @ sig_c
+        flat = left_t.reshape(na, n * n)
+        for y, bob in enumerate(s.bob_left):
+            vals[x, y] = flat @ bob.elements.reshape(na, n * n).T
+    vals /= n
+    worst_imag = float(np.max(np.abs(vals.imag)))
     if worst_imag > CORR_IMAG_HARD:
         raise NonRealCorrelation(f"imaginary residue {worst_imag:.3e}")
-    return Correlation(table)
+    return Correlation(vals.real)
 
 
 def _check_alphabets(game: Game, nq: int, na: int):
@@ -230,7 +235,7 @@ def synchronicity(game: Game, c: Correlation) -> float:
     off = ~np.eye(na, dtype=bool)
     total = 0.0
     for x in range(game.n_questions):
-        total += game.mu_x[x] * float(c.table[x, x][off].sum())
+        total += float(game.mu_x[x]) * float(c.table[x, x][off].sum())
     return total
 
 

@@ -21,6 +21,7 @@ from syncround.rounding import (
 from syncround.soundness import aggregate_slice_povms, dominated_factorization
 from syncround.strategies import (
     Povm,
+    TensorStrategy,
     correlation,
     deterministic_strategy,
     embed_tracial,
@@ -151,6 +152,60 @@ def test_lemma_suite():
         "lemma-suite",
         worst_slack >= -1e-8 and elapsed < 120,
         f"min slack {worst_slack:.3e} (tol -1e-8), {elapsed:.1f}s (< 120s)",
+    )
+
+
+def rank_deficient_strategy(dims, rank, seed):
+    """random_strategy with its coefficient matrix truncated to `rank`."""
+    s = random_strategy(dims, (3, 3), seed)
+    u, sv, vh = np.linalg.svd(s.state.reshape(dims))
+    sv[rank:] = 0.0
+    state = ((u[:, : len(sv)] * sv) @ vh[: len(sv)]).reshape(-1)
+    state /= np.linalg.norm(state)
+    return TensorStrategy(s.dim_a, s.dim_b, state, s.alice, s.bob)
+
+
+def _worst_lemma_slack(game, strategies):
+    worst = np.inf
+    for s in strategies:
+        for entry in lemma_report(game, embed_tracial(s)).values():
+            worst = min(worst, entry["slack"])
+    return worst
+
+
+def test_lemma_suite_unbalanced():
+    """Both lemma inequalities hold when dim_a != dim_b."""
+    game = k3_game()
+    start = time.perf_counter()
+    worst = {}
+    for dims in ((1, 5), (5, 1), (3, 7)):
+        worst[dims] = _worst_lemma_slack(
+            game, (random_strategy(dims, (3, 3), seed) for seed in range(60))
+        )
+    elapsed = time.perf_counter() - start
+    report(
+        "lemma-suite-unbalanced",
+        min(worst.values()) >= -1e-8 and elapsed < 60,
+        ", ".join(f"{d}: min slack {v:.3e}" for d, v in worst.items())
+        + f" (tol -1e-8), {elapsed:.1f}s (< 60s)",
+    )
+
+
+def test_lemma_suite_rank_deficient():
+    """Both lemma inequalities hold when the state has low Schmidt rank."""
+    game = k3_game()
+    start = time.perf_counter()
+    cases = [
+        rank_deficient_strategy(dims, rank, seed)
+        for dims, rank in (((5, 5), 2), ((4, 6), 1), ((6, 4), 3))
+        for seed in range(20)
+    ]
+    worst = _worst_lemma_slack(game, cases)
+    elapsed = time.perf_counter() - start
+    report(
+        "lemma-suite-rank-deficient",
+        worst >= -1e-8 and elapsed < 60,
+        f"min slack {worst:.3e} (tol -1e-8), {elapsed:.1f}s (< 60s)",
     )
 
 

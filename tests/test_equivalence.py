@@ -1,0 +1,361 @@
+"""Pin the spectral rewrites against the direct algorithms they replaced.
+
+The reference functions below are the straightforward per-slice,
+per-breakpoint and per-entry computations: compress each corner with an
+n x n projector and expand it back for the residual, rebuild both spectral
+projectors at every breakpoint, and evaluate every correlation entry as
+its own trace.  The library computes the same quantities from one
+eigenbasis rotation, one overlap prefix sum and one matrix product; the
+two must agree to 1e-10.
+"""
+
+import numpy as np
+import pytest
+
+from syncround import linalg
+from syncround.errors import BoundViolated, NotPositive
+from syncround.games import k3_game
+from syncround.linalg import CLUSTER_TOL
+from syncround.rounding import (
+    orthogonalize_povm,
+    projectivize,
+    slice_strategies,
+    symmetrize,
+    verify_connes,
+)
+from syncround.strategies import (
+    Povm,
+    TensorStrategy,
+    correlation,
+    embed_tracial,
+    entangled_coloring_strategy,
+    perturb_strategy,
+    random_strategy,
+)
+
+TOL = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# reference algorithms
+
+
+def reference_correlation(s):
+    """One trace per entry: C[x, y, a, b] = Re tau(sigma* A sigma B)."""
+    nq, na = s.n_questions, s.n_answers
+    table = np.zeros((nq, nq, na, na))
+    sig = s.sigma
+    for x in range(nq):
+        for y in range(nq):
+            for a in range(na):
+                for b in range(na):
+                    left = sig.conj().T @ s.alice[x].elements[a] @ sig
+                    val = linalg.tau(left @ s.bob_left[y].elements[b])
+                    table[x, y, a, b] = val.real
+    return table
+
+
+def reference_connes(rho, sigma):
+    """Two spectral projectors per breakpoint interval."""
+    r = linalg.hermitize(rho)
+    s = linalg.hermitize(sigma)
+    evs = []
+    for name, m in (("rho", r), ("sigma", s)):
+        vals = np.linalg.eigvalsh(m)
+        if vals[0] < -1e-10:
+            raise NotPositive(f"{name} has eigenvalue {vals[0]:.3e}")
+        evs.append(np.clip(vals, 0.0, None))
+    breakpoints = np.sort(np.concatenate(([0.0], evs[0] ** 2, evs[1] ** 2)))
+    lhs = 0.0
+    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
+        if hi - lo <= CLUSTER_TOL:
+            continue
+        mid = np.sqrt((lo + hi) / 2.0)
+        diff = linalg.chi_geq(r, mid) - linalg.chi_geq(s, mid)
+        lhs += (hi - lo) * linalg.tau_norm(diff) ** 2
+    return lhs, linalg.tau_norm(r - s) * linalg.tau_norm(r + s)
+
+
+def reference_orthogonalize(povm, sigma):
+    """Sequential spectral rounding with rank-one accumulation and one
+    weighted trace per element.  Returns (pvm, error, relabeled)."""
+    n = povm.dim
+    w = sigma @ sigma.conj().T
+
+    def weighted_error(pvm):
+        return sum(
+            float(np.trace((a - p) @ (a - p) @ w).real) / n
+            for a, p in zip(povm.elements, pvm)
+        )
+
+    eps = 1.0 - sum(float(np.trace(e @ e @ w).real) / n for e in povm.elements)
+    bound = 9.0 * eps + 1e-8
+    masses = [float(np.trace(e @ w).real) / n for e in povm.elements]
+    order = np.argsort(-np.array(masses), kind="stable")
+    vectors, labels = [], []
+    basis = np.eye(n, dtype=complex)
+    for idx, x in enumerate(order):
+        if basis.shape[1] == 0:
+            break
+        if idx == len(order) - 1:
+            keep, rest = basis, basis[:, :0]
+        else:
+            corner = linalg.hermitize(
+                basis.conj().T @ povm.elements[x] @ basis, tol=1e-7
+            )
+            dec = linalg.eig_hermitian(corner)
+            sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
+            keep = basis @ dec.eigenvectors[:, sel]
+            rest = basis @ dec.eigenvectors[:, ~sel]
+        for k in range(keep.shape[1]):
+            vectors.append(keep[:, k])
+            labels.append(int(x))
+        basis = rest
+
+    def build(labels_now):
+        out = np.zeros((povm.outcomes, n, n), dtype=complex)
+        for v, x in zip(vectors, labels_now):
+            out[x] += np.outer(v, v.conj())
+        return out
+
+    pvm = build(labels)
+    error = weighted_error(pvm)
+    relabeled_path = error > bound
+    if relabeled_path:
+        relabeled = [
+            int(np.argmax([float((v.conj() @ w @ e @ v).real) for e in povm.elements]))
+            for v in vectors
+        ]
+        candidate = build(relabeled)
+        cand_error = weighted_error(candidate)
+        if cand_error < error:
+            pvm, error = candidate, cand_error
+    if error > bound:
+        raise BoundViolated(f"error {error:.3e} exceeds {bound:.3e}")
+    return pvm, error, relabeled_path
+
+
+def reference_slices(s, game):
+    """Per slice: an n x n projector, compress, round, expand, residual."""
+    dec = linalg.eig_hermitian(linalg.hermitize(s.sigma))
+    vals = np.clip(dec.eigenvalues, 0.0, None)
+    clusters = linalg.cluster_indices(vals)
+    reps = [float(np.mean(vals[idx])) for idx in clusters]
+    n = s.dim
+    pieces = []
+    residual = 0.0
+    used = 0
+    for j, idx in enumerate(clusters):
+        used += len(idx)
+        s_next = reps[j + 1] if j + 1 < len(clusters) else 0.0
+        measure = reps[j] ** 2 - s_next**2
+        if measure <= 0.0:
+            continue
+        basis = dec.eigenvectors[:, :used].copy()
+        projector = basis @ basis.conj().T
+        pvms = []
+        for povm in s.alice:
+            compressed = Povm(
+                np.array(
+                    [
+                        linalg.hermitize(basis.conj().T @ e @ basis, tol=1e-7)
+                        for e in povm.elements
+                    ]
+                )
+            )
+            pvms.append(reference_orthogonalize(compressed, np.eye(used))[0])
+        for x in range(s.n_questions):
+            for a in range(s.n_answers):
+                d = s.alice[x].elements[a] - linalg.expand_corner(pvms[x][a], basis)
+                residual += (
+                    game.mu_x[x] * measure * linalg.tau_norm(d @ projector) ** 2
+                )
+        pieces.append((measure * used / n, measure, used, pvms))
+    return pieces, residual
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def rank_deficient_strategy(dims, rank, seed):
+    """random_strategy with its coefficient matrix truncated to `rank`."""
+    s = random_strategy(dims, (3, 3), seed)
+    u, sv, vh = np.linalg.svd(s.state.reshape(dims))
+    sv[rank:] = 0.0
+    state = ((u[:, : len(sv)] * sv) @ vh[: len(sv)]).reshape(-1)
+    state /= np.linalg.norm(state)
+    return TensorStrategy(s.dim_a, s.dim_b, state, s.alice, s.bob)
+
+
+def tensor_cases():
+    cases = {
+        "entangled-k3": entangled_coloring_strategy(3),
+        "perturbed-k3": perturb_strategy(entangled_coloring_strategy(3), 5e-2, 7),
+        "rank-2": rank_deficient_strategy((5, 5), 2, 4),
+        "rank-1-unbalanced": rank_deficient_strategy((3, 6), 1, 5),
+    }
+    for dims in ((6, 6), (12, 12), (4, 9), (9, 4), (1, 5), (5, 1)):
+        for seed in range(2):
+            cases[f"random-{dims[0]}x{dims[1]}-{seed}"] = random_strategy(
+                dims, (3, 3), seed
+            )
+    return cases
+
+
+TENSOR_CASES = tensor_cases()
+
+
+def projective_symmetric(s):
+    game = k3_game()
+    sym, _ = symmetrize(embed_tracial(s), game)
+    proj, _ = projectivize(sym, game)
+    return proj
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_CASES))
+def test_correlation_matches_entrywise(name):
+    embedded = embed_tracial(TENSOR_CASES[name])
+    for s in (embedded, projective_symmetric(TENSOR_CASES[name])):
+        np.testing.assert_allclose(
+            correlation(s).table, reference_correlation(s), rtol=0, atol=TOL
+        )
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_CASES))
+def test_slices_match_compress_expand(name):
+    game = k3_game()
+    s = projective_symmetric(TENSOR_CASES[name])
+    dec = slice_strategies(s, game)
+    pieces, residual = reference_slices(s, game)
+    assert len(dec.slices) == len(pieces)
+    for sl, (weight, measure, rank, pvms) in zip(dec.slices, pieces):
+        assert sl.sub_dim == rank
+        assert abs(sl.weight - weight) <= TOL
+        assert abs(sl.measure - measure) <= TOL
+        for got, want in zip(sl.pvms, pvms):
+            np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
+    assert abs(dec.diagnostics["slice_residual"] - residual) <= TOL
+
+
+def test_slice_basis_is_shared_view():
+    game = k3_game()
+    s = projective_symmetric(random_strategy((6, 6), (3, 3), 0))
+    dec = slice_strategies(s, game)
+    last = dec.slices[-1].basis
+    for sl in dec.slices:
+        assert np.shares_memory(sl.basis, last)
+        np.testing.assert_allclose(
+            sl.projector, sl.basis @ sl.basis.conj().T, rtol=0, atol=0
+        )
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_CASES))
+def test_orthogonalize_matches_reference(name):
+    s = embed_tracial(TENSOR_CASES[name])
+    sigma = linalg.polar_decompose(s.sigma).positive_part
+    for povm in s.alice:
+        noised = Povm(0.97 * povm.elements + 0.03 * np.eye(s.dim) / 3)
+        for candidate in (povm, noised):
+            for weight in (sigma, s.sigma, np.eye(s.dim)):
+                got, err = orthogonalize_povm(candidate, weight)
+                want, want_err, _ = reference_orthogonalize(candidate, weight)
+                np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
+                assert abs(err - want_err) <= TOL
+
+
+def skewed_povm_case(seed):
+    """A generic 3-outcome POVM on C^2 or C^3 with a skewed weight sigma."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    g = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    g[0] *= rng.uniform(0, 4)
+    pos = g @ g.conj().swapaxes(1, 2)
+    vals, vecs = np.linalg.eigh(pos.sum(axis=0))
+    root_inv = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    elements = root_inv @ pos @ root_inv
+    sigma = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    sigma = sigma * rng.uniform(0, 3, size=n)
+    return Povm((elements + elements.conj().swapaxes(1, 2)) / 2), sigma
+
+
+# Seeds whose first rounding misses the 9-epsilon bound: the greedy
+# reassignment rescues the first four and not the last two.
+RELABEL_SEEDS = (3699, 5053, 7296, 9490, 0, 1)
+
+
+@pytest.mark.parametrize("seed", RELABEL_SEEDS)
+def test_orthogonalize_relabel_path_matches_reference(seed):
+    povm, sigma = skewed_povm_case(seed)
+    try:
+        want, want_err, relabeled = reference_orthogonalize(povm, sigma)
+    except BoundViolated:
+        with pytest.raises(BoundViolated):
+            orthogonalize_povm(povm, sigma)
+        assert seed in RELABEL_SEEDS[4:]
+        return
+    assert relabeled
+    got, err = orthogonalize_povm(povm, sigma)
+    np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
+    assert abs(err - want_err) <= TOL
+
+
+def positive_with_spectrum(rng, spectrum):
+    n = len(spectrum)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q = np.linalg.qr(g)[0]
+    return (q * np.asarray(spectrum, dtype=float)) @ q.conj().T
+
+
+def connes_cases():
+    rng = np.random.default_rng(21)
+    cases = []
+    for n in (1, 2, 5, 9, 16):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = g @ g.conj().T / n
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = h @ h.conj().T / n
+        cases += [(a, b), (a, a), (a, 2.0 * a), (a, np.zeros((n, n)))]
+    repeated = [2.0, 2.0, 2.0, 1.0, 1.0, 0.5]
+    zeros = [1.5, 0.7, 0.0, 0.0, 0.0, 0.0]
+    both = [1.0, 1.0, 0.0, 0.0, 0.3, 0.3]
+    for sa, sb in (
+        (repeated, repeated),
+        (repeated, zeros),
+        (zeros, zeros),
+        (both, repeated),
+        (both, both),
+        ([1.0] * 6, [1.0] * 6),
+    ):
+        cases.append(
+            (positive_with_spectrum(rng, sa), positive_with_spectrum(rng, sb))
+        )
+    # Shared eigenbasis: every breakpoint of one operand is one of the other.
+    q = positive_with_spectrum(rng, [3.0, 2.0, 1.0, 0.0])
+    cases.append((q, q @ q))
+    cases.append((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    return cases
+
+
+CONNES_CASES = connes_cases()
+
+
+@pytest.mark.parametrize("case", range(len(CONNES_CASES)))
+def test_connes_matches_breakpoint_loop(case):
+    rho, sigma = CONNES_CASES[case]
+    lhs, rhs = verify_connes(rho, sigma)
+    ref_lhs, ref_rhs = reference_connes(rho, sigma)
+    assert abs(lhs - ref_lhs) <= TOL
+    assert abs(rhs - ref_rhs) <= TOL
+    assert lhs <= rhs + 1e-8
+
+
+def test_connes_rejects_negative_operand():
+    with pytest.raises(NotPositive):
+        verify_connes(np.diag([1.0, -1e-3]), np.eye(2))
+    with pytest.raises(NotPositive):
+        verify_connes(np.eye(2), np.diag([1.0, -1e-3]))

@@ -348,3 +348,21 @@ def test_measurement_substitution_trivial_case():
     s = embed_tracial(entangled_coloring_strategy(3))
     rep = lemma_report(g, s)
     assert rep["measurementtocoorlation"]["lhs"] <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# output types
+
+
+def test_outputs_are_plain_floats():
+    g = k3_game()
+    for s in (
+        perturb_strategy(entangled_coloring_strategy(3), 1e-2, 3),
+        random_strategy((2, 4), (3, 3), 1),
+    ):
+        dec = round_correlation(g, s)
+        for key, value in dec.diagnostics.items():
+            assert type(value) is float, key
+    rng = np.random.default_rng(6)
+    for v in verify_connes(random_positive(rng, 4), random_positive(rng, 4)):
+        assert type(v) is float
