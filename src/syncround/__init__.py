@@ -24,7 +24,6 @@ from .strategies import (
     random_strategy,
     synchronicity,
     tensor_correlation,
-    winning_probability,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "random_strategy",
     "synchronicity",
     "tensor_correlation",
-    "winning_probability",
 ]
 
 __version__ = "0.1.0"

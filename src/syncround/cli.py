@@ -1,10 +1,16 @@
 """Command-line front end.
 
 Subcommands: evaluate, sync, round, lemmas, sweep, soundness-demo.
-Exit codes: 0 ok, 2 parse error, 3 validation failure, 4 math-contract
-violation.  Every command is deterministic given (inputs, flags, seed);
-real wall-clock timings are only written when --timing is passed, so sweep
-CSVs are byte-reproducible by default.
+Exit codes: 0 ok, 2 parse error or unreadable/unwritable file, 3
+validation failure, 4 math-contract violation.  Every command is
+deterministic given (inputs, flags, seed); real wall-clock timings are only
+written when --timing is passed, so sweep CSVs are byte-reproducible by
+default.
+
+Each command runs the rounding pipeline at most once per strategy and reads
+every earlier stage (embedding, input correlation, synchronicity) from the
+decomposition it returns.  Sweep tasks run one after another in (eta, seed)
+order, and the CSV rows already written are flushed when a task fails.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,7 +37,6 @@ from .strategies import (
     TensorStrategy,
     correlation,
     embed_tracial,
-    random_strategy,
     perturb_strategy,
     synchronicity,
     winning_probability_from_correlation,
@@ -125,18 +129,14 @@ CSV_HEADER = "eta,seed,delta,distance,slices,slack_min,wall_ms"
 
 def _sweep_task(game, base, eta, task_seed, timing):
     start = time.perf_counter()
-    perturbed = perturb_strategy(base, eta, task_seed)
-    embedded = embed_tracial(perturbed)
-    c = correlation(embedded)
-    delta = synchronicity(game, c)
-    dec = round_correlation(game, perturbed)
-    slacks = [e["slack"] for e in lemma_report(game, embedded).values()]
+    dec = round_correlation(game, perturb_strategy(base, eta, task_seed))
+    slacks = [e["slack"] for e in lemma_report(game, dec.embedded).values()]
     wall_ms = int(round((time.perf_counter() - start) * 1000)) if timing else 0
     return {
-        "eta": float(eta),
+        "eta": eta,
         "seed": task_seed,
-        "delta": float(delta),
-        "distance": float(dec.diagnostics["distance"]),
+        "delta": dec.diagnostics["delta_in"],
+        "distance": dec.diagnostics["distance"],
         "slices": len(dec.slices),
         "slack_min": float(min(slacks)),
         "wall_ms": wall_ms,
@@ -162,58 +162,30 @@ def fit_envelope(deltas, distances) -> dict:
     return fit
 
 
-def _load_sweep_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = io._parse_json(fh.read())
-    io._check_schema(obj, io.SWEEP_SCHEMA)
-    return obj
-
-
 def cmd_sweep(args) -> int:
-    if args.config:
-        cfg = _load_sweep_config(args.config)
-        game_spec = cfg.get("game", "k3")
-        strategy_spec = cfg.get("strategy", "k3-entangled")
-        etas = [float(e) for e in cfg.get("etas", [])]
-        trials = int(cfg.get("trials", 1))
-        seed = int(cfg.get("seed", 0))
-        csv_path = cfg.get("csv", args.csv)
-        out_path = cfg.get("out", args.out)
-    else:
-        game_spec = args.game
-        strategy_spec = args.strategy
-        etas = [float(e) for e in args.eta.split(",")] if args.eta else []
-        trials = args.trials
-        seed = args.seed
-        csv_path = args.csv
-        out_path = args.out
-    if not etas or any(e <= 0 for e in etas) or sorted(etas) != etas:
-        raise ValidationError("eta grid must be strictly positive and sorted")
+    # Each field a --config file sets takes the place of the matching flag.
+    cfg = io.load_path(args.config, "sweep") if args.config else {}
+    flag_grid = args.eta.split(",") if args.eta else []
+    etas = io.eta_grid(cfg.get("etas", flag_grid))
+    trials = cfg.get("trials", args.trials)
+    seed = cfg.get("seed", args.seed)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    csv_path = cfg.get("csv", args.csv)
+    out_path = cfg.get("out", args.out)
 
-    game = _resolve_game(game_spec)
-    base = _resolve_strategy(strategy_spec)
-    tasks = [
-        (eta, seed + 1000 * ei + t)
-        for ei, eta in enumerate(etas)
-        for t in range(trials)
-    ]
-    workers = int(os.environ.get("SYNCROUND_THREADS", "0")) or min(
-        4, os.cpu_count() or 1
-    )
+    game = _resolve_game(cfg.get("game", args.game))
+    base = _resolve_strategy(cfg.get("strategy", args.strategy))
+    # One task after another, so rows come out in (eta, seed) order of the
+    # sorted grid; a thread pool measured slower on these small-matrix tasks.
     rows = []
     try:
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [
-                pool.submit(_sweep_task, game, base, eta, s, args.timing)
-                for eta, s in tasks
-            ]
-            for fut in futures:
-                rows.append(fut.result())
+        for ei, eta in enumerate(etas):
+            for t in range(trials):
+                task_seed = seed + 1000 * ei + t
+                rows.append(_sweep_task(game, base, eta, task_seed, args.timing))
     finally:
         # Partial results are still flushed if a task or interrupt aborts us.
-        rows.sort(key=lambda r: (r["eta"], r["seed"]))
         lines = [CSV_HEADER]
         for r in rows:
             lines.append(
@@ -318,6 +290,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"validation error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

@@ -25,10 +25,6 @@ class AsymmetryExceedsTolerance(ValidationError):
     """Matrix is too far from Hermitian to hermitize."""
 
 
-class RankMismatch(ValidationError):
-    """Corner basis does not match the projector rank."""
-
-
 class InvalidProbability(ValidationError):
     """Probability parameter outside [0, 1]."""
 

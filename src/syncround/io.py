@@ -9,6 +9,9 @@ byte-identical for canonicalized files.
 from __future__ import annotations
 
 import json
+import math
+from functools import partial
+from operator import index
 
 import numpy as np
 
@@ -28,9 +31,13 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"{name} is not a JSON number")
+
+
 def _parse_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -43,7 +50,23 @@ def _require(obj: dict, field: str):
     return obj[field]
 
 
+def _convert(value, kind, field: str):
+    """kind(value), as a ParseError naming the field when kind refuses it.
+
+    Integers go through operator.index, which refuses 3.9 instead of
+    truncating it."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed {field}: {exc}") from exc
+
+
+_floats = partial(np.asarray, dtype=float)
+
+
 def _check_schema(obj: dict, expected: str):
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object, found {type(obj).__name__}")
     schema = _require(obj, "schema")
     if schema != expected:
         raise SchemaVersionMismatch(
@@ -56,14 +79,17 @@ def encode_matrix(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
-def decode_matrix(data) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed matrix: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ParseError("matrix entries must be [re, im] pairs")
+def _decode_pairs(data, ndim: int, what: str) -> np.ndarray:
+    arr = _convert(data, _floats, what)
+    if arr.ndim != ndim or arr.shape[-1] != 2:
+        raise ParseError(f"{what} entries must be [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{what} has entries that are not finite")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def decode_matrix(data) -> np.ndarray:
+    return _decode_pairs(data, 3, "matrix")
 
 
 def encode_vector(v) -> list:
@@ -71,10 +97,7 @@ def encode_vector(v) -> list:
 
 
 def decode_vector(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ParseError("vector entries must be [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return _decode_pairs(data, 2, "vector")
 
 
 def game_to_dict(game: Game) -> dict:
@@ -90,10 +113,10 @@ def game_to_dict(game: Game) -> dict:
 def game_from_dict(obj: dict) -> Game:
     _check_schema(obj, GAME_SCHEMA)
     game = Game(
-        tuple(_require(obj, "questions")),
-        tuple(_require(obj, "answers")),
-        np.asarray(_require(obj, "mu"), dtype=float),
-        np.asarray(_require(obj, "win"), dtype=bool),
+        _convert(_require(obj, "questions"), tuple, "questions"),
+        _convert(_require(obj, "answers"), tuple, "answers"),
+        _convert(_require(obj, "mu"), _floats, "mu"),
+        _convert(_require(obj, "win"), partial(np.asarray, dtype=bool), "win"),
     )
     violations = validate_game(game)
     if violations:
@@ -114,11 +137,13 @@ def strategy_to_dict(s: TensorStrategy) -> dict:
 
 def _decode_povms(data, dim: int, side: str) -> tuple[Povm, ...]:
     povms = []
-    for qi, mats in enumerate(data):
-        elements = np.array([decode_matrix(m) for m in mats])
-        povm = Povm(elements)
-        if povm.dim != dim:
-            raise ValidationError(f"{side}[{qi}] has dim {povm.dim}, expected {dim}")
+    for qi, mats in enumerate(_convert(data, list, side)):
+        elements = [decode_matrix(m) for m in _convert(mats, list, f"{side}[{qi}]")]
+        if not elements or any(e.shape != (dim, dim) for e in elements):
+            raise ValidationError(
+                f"{side}[{qi}] needs one or more elements of shape {dim}x{dim}"
+            )
+        povm = Povm(np.array(elements))
         violations = povm.validate()
         if violations:
             raise ValidationError(
@@ -130,8 +155,8 @@ def _decode_povms(data, dim: int, side: str) -> tuple[Povm, ...]:
 
 def strategy_from_dict(obj: dict) -> TensorStrategy:
     _check_schema(obj, STRATEGY_SCHEMA)
-    dim_a = int(_require(obj, "dim_a"))
-    dim_b = int(_require(obj, "dim_b"))
+    dim_a = _convert(_require(obj, "dim_a"), index, "dim_a")
+    dim_b = _convert(_require(obj, "dim_b"), index, "dim_b")
     state = decode_vector(_require(obj, "state"))
     if state.size != dim_a * dim_b:
         raise ValidationError(
@@ -143,6 +168,10 @@ def strategy_from_dict(obj: dict) -> TensorStrategy:
     bob = _decode_povms(_require(obj, "bob"), dim_b, "bob")
     if len(alice) != len(bob):
         raise ValidationError("alice and bob have different question counts")
+    if not alice:
+        raise ValidationError("strategy has no questions")
+    if len({p.outcomes for p in alice + bob}) != 1:
+        raise ValidationError("POVMs have different answer counts")
     return TensorStrategy(dim_a, dim_b, state, alice, bob)
 
 
@@ -170,12 +199,39 @@ def decomposition_to_dict(dec: RoundingDecomposition) -> dict:
     }
 
 
+def eta_grid(values) -> list[float]:
+    """A sweep's perturbation grid: nonempty, finite, positive and sorted."""
+    if not isinstance(values, list):
+        raise ParseError("etas must be a list of numbers")
+    etas = [_convert(e, float, "eta") for e in values]
+    if not etas or not all(0 < e < math.inf for e in etas) or sorted(etas) != etas:
+        raise ValidationError(
+            "eta grid must be nonempty, finite, strictly positive and sorted"
+        )
+    return etas
+
+
+def sweep_from_dict(obj: dict) -> dict:
+    """The fields a sweep config sets, null counting as unset; trials and
+    seed must be integers, and eta_grid checks the etas."""
+    _check_schema(obj, SWEEP_SCHEMA)
+    cfg = {field: value for field, value in obj.items() if value is not None}
+    for field in ("game", "strategy", "csv", "out"):
+        if not isinstance(cfg.get(field, ""), str):
+            raise ParseError(f"sweep {field} must be a string")
+    for field in ("trials", "seed"):
+        if field in cfg:
+            cfg[field] = _convert(cfg[field], index, field)
+    return cfg
+
+
 def loads(text: str, kind: str):
     obj = _parse_json(text)
     loaders = {
         "game": game_from_dict,
         "strategy": strategy_from_dict,
         "correlation": correlation_from_dict,
+        "sweep": sweep_from_dict,
     }
     return loaders[kind](obj)
 

@@ -2,7 +2,7 @@
 
 Everything downstream (games, strategies, rounding) is built on these:
 Hermitian eigendecomposition, polar decomposition, spectral step functions,
-the normalized-trace norm, and corner compression.  The trace is always the
+the normalized-trace norm and corner expansion.  The trace is always the
 *normalized* trace tau = Tr/dim, so that ||I||_2 = 1.
 """
 
@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AsymmetryExceedsTolerance,
-    ConvergenceFailure,
-    NotPositive,
-    RankMismatch,
-)
+from .errors import AsymmetryExceedsTolerance, ConvergenceFailure, NotPositive
 
 # Eigenvalues closer than this are treated as a single cluster everywhere
 # (chi_geq inclusion, spectral breakpoints, slice extraction).
@@ -140,21 +135,9 @@ def chi_geq(h, t: float) -> np.ndarray:
     return v @ v.conj().T
 
 
-def compress_corner(m, projector, basis) -> np.ndarray:
-    """Compress m to the corner spanned by basis (orthonormal range of P)."""
-    a = as_matrix(m)
-    p = as_matrix(projector)
-    b = np.asarray(basis, dtype=complex)
-    rank = int(round(float(np.trace(p).real)))
-    if b.ndim != 2 or b.shape[0] != a.shape[0] or b.shape[1] != rank:
-        raise RankMismatch(
-            f"basis shape {b.shape} does not match projector rank {rank}"
-        )
-    return b.conj().T @ a @ b
-
-
 def expand_corner(x, basis) -> np.ndarray:
-    """Inverse of compress_corner on the corner: embed B x B* into the host."""
+    """Embed a corner operator x into the host as B x B*, for B an
+    orthonormal basis of the corner; it inverts x = B* m B on the corner."""
     b = np.asarray(basis, dtype=complex)
     return b @ np.asarray(x, dtype=complex) @ b.conj().T
 

@@ -8,6 +8,12 @@ synchronous.  Every stage reports the residual its backing inequality
 bounds, and the lambda-integrals are evaluated exactly at eigenvalue
 breakpoints (the integrands are piecewise constant at finite dimension).
 
+round_correlation is the one pipeline.  Each stage takes its input
+correlation from the stage before, and the decomposition keeps the
+embedded strategy, its correlation and the symmetric stage, so the CLI,
+the lemma report and the soundness demo continue from them instead of
+embedding, correlating or polar-decomposing a second time.
+
 Cost model of the slice stage at dimension n.  Every slice spans a leading
 block of sigma's eigenbasis V, so each of Alice's elements is rotated once,
 V* A V, an n^3 product per element.  Slice j of rank r then reads its
@@ -250,10 +256,6 @@ class Slice:
     sub_dim: int
     pvms: tuple[Povm, ...]  # per question, on the corner
 
-    @property
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
 
 @dataclass(frozen=True)
 class RoundingDecomposition:
@@ -261,16 +263,21 @@ class RoundingDecomposition:
     correlations: tuple[Correlation, ...]
     mixed: Correlation
     diagnostics: dict
+    # Earlier stages, set by round_correlation and None on a bare
+    # slice_strategies result.  symmetric is (sigma+, {A}), whose sigma+
+    # the slices cut.
+    embedded: TracialStrategy | None
+    c_in: Correlation | None
+    symmetric: TracialStrategy | None
 
 
-def symmetrize(s: TracialStrategy, game: Game):
+def symmetrize(s: TracialStrategy, game: Game, c_in: Correlation):
     """Replace the strategy by the symmetric one (sigma+, {A}).
 
-    Returns the new strategy plus a report with the input/output
-    synchronicities and the mu-weighted correlation distance; the factor-2
-    synchronicity bound is enforced.
+    c_in is the correlation of s.  Returns the new strategy, its correlation
+    and a report with the input/output synchronicities and the mu-weighted
+    correlation distance; the factor-2 synchronicity bound is enforced.
     """
-    c_in = correlation(s)
     delta_in = synchronicity(game, c_in)
     sigma_plus = linalg.polar_decompose(s.sigma).positive_part
     out = TracialStrategy(s.dim, sigma_plus, s.alice, s.alice)
@@ -286,17 +293,17 @@ def symmetrize(s: TracialStrategy, game: Game):
         "delta_out": delta_out,
         "distance": correlation_distance(game, c_in, c_out),
     }
-    return out, report
+    return out, c_out, report
 
 
-def projectivize(s: TracialStrategy, game: Game):
+def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
     """Round each question's POVM to a PVM in the sigma-weighted norm.
 
-    Requires a symmetric strategy with positive sigma; the output is
-    symmetric and projective.
+    Requires a symmetric strategy with positive sigma and its correlation
+    c_in; returns the symmetric projective strategy, its correlation and a
+    report like symmetrize's plus the weighted rounding error gamma.
     """
     sigma = linalg.hermitize(s.sigma)
-    c_in = correlation(s)
     pvms = []
     errors = []
     for povm in s.alice:
@@ -312,7 +319,7 @@ def projectivize(s: TracialStrategy, game: Game):
         "distance": correlation_distance(game, c_in, c_out),
         "gamma": float(np.dot(game.mu_x, errors)),
     }
-    return out, report
+    return out, c_out, report
 
 
 def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
@@ -369,23 +376,25 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
         "slice_residual": residual,
     }
     return RoundingDecomposition(
-        tuple(slices), tuple(correlations), mixed, diagnostics
+        tuple(slices), tuple(correlations), mixed, diagnostics, None, None, None
     )
 
 
 def round_correlation(game: Game, s: TensorStrategy) -> RoundingDecomposition:
     """Full pipeline: embed -> symmetrize -> projectivize -> slice.
 
-    The returned diagnostics carry the input synchronicity, every stage's
+    Each stage's correlation is computed once and handed to the next.  The
+    returned diagnostics carry the input synchronicity, every stage's
     residual and the final mu-weighted distance between the input
-    correlation and the synchronous mixture.
+    correlation and the synchronous mixture; the decomposition also keeps
+    the embedded strategy, its correlation and the symmetric stage.
     """
     if not is_synchronous_game(game):
         raise NotSynchronousGame("rounding requires a synchronous game")
     embedded = embed_tracial(s)
     c_in = correlation(embedded)
-    sym, sym_report = symmetrize(embedded, game)
-    proj, proj_report = projectivize(sym, game)
+    sym, c_sym, sym_report = symmetrize(embedded, game, c_in)
+    proj, _, proj_report = projectivize(sym, game, c_sym)
     dec = slice_strategies(proj, game)
     diagnostics = dict(dec.diagnostics)
     diagnostics.update(
@@ -400,7 +409,7 @@ def round_correlation(game: Game, s: TensorStrategy) -> RoundingDecomposition:
         }
     )
     return RoundingDecomposition(
-        dec.slices, dec.correlations, dec.mixed, diagnostics
+        dec.slices, dec.correlations, dec.mixed, diagnostics, embedded, c_in, sym
     )
 
 

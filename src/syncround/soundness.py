@@ -16,16 +16,12 @@ import numpy as np
 from . import linalg
 from .errors import DominationViolated, NotPovm, ValidationError
 from .games import Game
-from .rounding import RoundingDecomposition, Slice, round_correlation
-from .strategies import (
-    Povm,
-    TensorStrategy,
-    TracialStrategy,
-    correlation,
-    embed_tracial,
-    synchronicity,
-    winning_probability_from_correlation,
-)
+from .rounding import round_correlation
+from .strategies import Povm, TensorStrategy, winning_probability_from_correlation
+
+# Unused here: perfbench's tracer test lists this module among the places
+# that bind correlation.
+from .strategies import correlation  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -126,23 +122,21 @@ def aggregate_slice_povms(
 
 
 def soundness_transfer_demo(
-    game: Game,
-    inst: SoundnessInstance,
-    s: TensorStrategy,
-    slice_oracle: Callable[[Slice], list[Povm]] | None = None,
+    game: Game, inst: SoundnessInstance, s: TensorStrategy
 ) -> dict:
     """Toy end-to-end soundness transfer.
 
-    Rounds the strategy, queries the oracle for per-slice auxiliary
-    measurement families (default: the slice's own corner PVMs), aggregates
-    them into a single POVM family and evaluates the transferred
-    expectation against the kappa reference.  No hard assertion is made:
-    the bound's constants are unspecified, so raw values are reported.
+    Rounds the strategy, takes each slice's own corner PVMs as its
+    auxiliary measurement family, aggregates them into a single POVM family
+    and evaluates the transferred expectation against the kappa reference.
+    The embedding, input correlation and symmetric stage all come from the
+    one rounding run.  No hard assertion is made: the bound's constants are
+    unspecified, so raw values are reported.
     """
     inst.validate(game.n_questions, game.n_answers)
-    embedded = embed_tracial(s)
-    c_in = correlation(embedded)
-    delta = synchronicity(game, c_in)
+    dec = round_correlation(game, s)
+    embedded, c_in = dec.embedded, dec.c_in
+    delta = dec.diagnostics["delta_in"]
     omega = winning_probability_from_correlation(game, c_in)
 
     # Marginal synchronicity condition under rho's X-marginal.
@@ -153,17 +147,11 @@ def soundness_transfer_demo(
         sum(rho_x[x] * c_in.table[x, x][off].sum() for x in range(game.n_questions))
     )
 
-    dec = round_correlation(game, s)
-    if slice_oracle is None:
-        slice_oracle = lambda sl: list(sl.pvms)
-    slice_data = [
-        (sl.measure, sl.basis, slice_oracle(sl)) for sl in dec.slices
-    ]
+    slice_data = [(sl.measure, sl.basis, list(sl.pvms)) for sl in dec.slices]
     # H lives on the symmetric-positive stage whose slices were computed.
-    sigma_plus = linalg.polar_decompose(embedded.sigma).positive_part
+    sigma_plus = dec.symmetric.sigma
     families = aggregate_slice_povms(sigma_plus, slice_data)
 
-    n = embedded.dim
     transferred = 0.0
     for x in range(game.n_questions):
         for y in range(len(inst.aux_questions)):

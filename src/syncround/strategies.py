@@ -106,12 +106,6 @@ class TracialStrategy:
     def n_answers(self) -> int:
         return self.alice[0].outcomes
 
-    def is_symmetric(self) -> bool:
-        return all(
-            np.allclose(a.elements, b.elements, atol=1e-12)
-            for a, b in zip(self.alice, self.bob_left)
-        )
-
 
 @dataclass(frozen=True)
 class Correlation:
@@ -220,10 +214,6 @@ def winning_probability_from_correlation(game: Game, c: Correlation) -> float:
     _check_alphabets(game, c.table.shape[0], c.table.shape[2])
     weighted = game.mu[:, :, None, None] * game.win * c.table
     return float(weighted.sum())
-
-
-def winning_probability(game: Game, s: TracialStrategy) -> float:
-    return winning_probability_from_correlation(game, correlation(s))
 
 
 def synchronicity(game: Game, c: Correlation) -> float:

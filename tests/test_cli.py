@@ -1,13 +1,16 @@
 """Unit tests for the command-line interface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from syncround import io
-from syncround.cli import main
+from syncround import cli, io
+from syncround.cli import CSV_HEADER, main
+from syncround.errors import MathContractError
 from syncround.games import Game, k3_game
+from syncround.strategies import entangled_coloring_strategy
 
 
 def run(capsys, *args):
@@ -193,3 +196,85 @@ def test_soundness_demo(capsys):
     report = dict(line.split() for line in out.strip().splitlines())
     assert float(report["omega"]) == pytest.approx(1.0, abs=1e-9)
     assert float(report["transferred_expectation"]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_sweep_flushes_finished_rows_when_a_task_fails(capsys, tmp_path, monkeypatch):
+    argv = ["sweep", "--eta", "1e-3,1e-2", "--trials", "2", "--seed", "0", "--csv"]
+    full_path = tmp_path / "full.csv"
+    assert run(capsys, *argv, str(full_path))[0] == 0
+    real = cli.round_correlation
+    calls = []
+
+    def fails_on_third(game, s):
+        calls.append(s)
+        if len(calls) == 3:
+            raise MathContractError("injected failure")
+        return real(game, s)
+
+    monkeypatch.setattr(cli, "round_correlation", fails_on_third)
+    partial_path = tmp_path / "partial.csv"
+    code, _, err = run(capsys, *argv, str(partial_path))
+    assert code == 4
+    assert "injected failure" in err
+    lines = partial_path.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert lines == full_path.read_text().splitlines()[:3]
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0.001", "0"], ["0.001", "1"]]
+
+
+def _strategy_text(**fields):
+    obj = io.strategy_to_dict(entangled_coloring_strategy(3))
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def _sweep_text(**fields):
+    return json.dumps({"schema": "syncround.sweep/1", "etas": [0.1], **fields})
+
+
+_EYE, _ZERO = io.encode_matrix(np.eye(3)), io.encode_matrix(np.zeros((3, 3)))
+_GOOD = io.strategy_to_dict(entangled_coloring_strategy(3))
+ROUND = ["round", "--game", "k3", "--strategy", "FILE"]
+SWEEP = ["sweep", "--config", "FILE"]
+
+# (argv with FILE standing for the written input, input text, exit code)
+BAD_INPUTS = {
+    "state-is-string": (ROUND, _strategy_text(state="abc"), 2),
+    "dim-is-not-int": (ROUND, _strategy_text(dim_a="x"), 2),
+    "dim-is-fractional": (ROUND, _strategy_text(dim_a=3.9), 2),
+    "alice-is-int": (ROUND, _strategy_text(alice=5), 2),
+    "top-level-int": (ROUND, "5", 2),
+    "game-top-level-int": (["round", "--game", "FILE", "--strategy", "k3-entangled"], "5", 2),
+    "no-questions": (ROUND, _strategy_text(alice=[], bob=[]), 3),
+    "nan-literal": (ROUND, _strategy_text(state=[[math.nan, 0.0]] * 9), 2),
+    "overflowing-number": (
+        ROUND, _strategy_text(state=[[1.0, 0.0]] * 9).replace("1.0", "1e400", 1), 2
+    ),
+    "answer-counts-differ": (ROUND, _strategy_text(bob=[[_EYE, _ZERO]] + _GOOD["bob"][1:]), 3),
+    "non-square-element": (
+        ROUND,
+        _strategy_text(alice=[[io.encode_matrix(np.ones((3, 2)))]] + _GOOD["alice"][1:]),
+        3,
+    ),
+    "no-outcomes": (ROUND, _strategy_text(alice=[[]] * 3), 3),
+    "eta-not-a-number": (["sweep", "--eta", "abc"], None, 2),
+    "eta-nan": (["sweep", "--eta", "nan"], None, 3),
+    "config-etas-not-numbers": (SWEEP, _sweep_text(etas=["abc"]), 2),
+    "config-etas-not-a-list": (SWEEP, _sweep_text(etas=5), 2),
+    "config-trials-not-a-number": (SWEEP, _sweep_text(trials="x"), 2),
+    "config-top-level-int": (SWEEP, "7", 2),
+    "config-game-not-a-string": (SWEEP, _sweep_text(game=5), 2),
+    "config-missing": (["sweep", "--config", "missing.json"], None, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_without_traceback(capsys, tmp_path, monkeypatch, name):
+    argv, text, expected = BAD_INPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "input.json").write_text(text)
+    argv = [str(tmp_path / "input.json") if a == "FILE" else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == expected, err
+    assert "Traceback" not in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from syncround import linalg
-from syncround.errors import AsymmetryExceedsTolerance, NotPositive, RankMismatch
+from syncround.errors import AsymmetryExceedsTolerance, NotPositive
 
 
 def random_hermitian(rng, n):
@@ -146,37 +146,12 @@ def test_chi_geq_is_projector():
         np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
 
 
-def test_compress_corner_examples():
-    p = np.diag([1.0, 0.0])
-    b = np.array([[1.0], [0.0]])
-    np.testing.assert_allclose(linalg.compress_corner(np.eye(2), p, b), [[1.0]])
-    p2 = np.diag([0.0, 1.0])
-    b2 = np.array([[0.0], [1.0]])
-    np.testing.assert_allclose(
-        linalg.compress_corner(np.diag([3.0, 5.0]), p2, b2), [[5.0]]
-    )
-
-
-def test_compress_corner_full_rank_is_conjugation():
-    rng = np.random.default_rng(4)
-    m = random_hermitian(rng, 3)
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    np.testing.assert_allclose(
-        linalg.compress_corner(m, np.eye(3), q), q.conj().T @ m @ q, atol=1e-12
-    )
-
-
-def test_compress_corner_rank_mismatch():
-    with pytest.raises(RankMismatch):
-        linalg.compress_corner(np.eye(2), np.eye(2), np.array([[1.0], [0.0]]))
-
-
 def test_expand_corner_inverts_compress():
     rng = np.random.default_rng(5)
     m = random_hermitian(rng, 4)
     b = np.linalg.qr(rng.normal(size=(4, 2)))[0]
     p = b @ b.conj().T
-    x = linalg.compress_corner(m, p, b)
+    x = b.conj().T @ m @ b
     np.testing.assert_allclose(
         linalg.expand_corner(x, b), p @ m @ p, atol=1e-10
     )

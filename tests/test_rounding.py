@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from syncround import linalg
+from syncround import cli, linalg, rounding, soundness, strategies
 from syncround.games import k3_game
 from syncround.rounding import (
     lemma_report,
@@ -196,7 +196,7 @@ def test_slices_reconstruct_sigma_squared():
 
 def test_symmetrize_fixed_point():
     s = embed_tracial(entangled_coloring_strategy(3))
-    out, report = symmetrize(s, k3_game())
+    out, _, report = symmetrize(s, k3_game(), correlation(s))
     assert report["distance"] <= 1e-10
     assert report["delta_out"] <= 1e-10
     np.testing.assert_allclose(out.sigma, s.sigma, atol=1e-10)
@@ -207,8 +207,9 @@ def test_symmetrize_bound_on_perturbed_family():
     base = entangled_coloring_strategy(3)
     for eta in (1e-3, 1e-2, 1e-1):
         s = embed_tracial(perturb_strategy(base, eta, 5))
-        out, report = symmetrize(s, g)
-        assert out.is_symmetric()
+        out, _, report = symmetrize(s, g, correlation(s))
+        for a, b in zip(out.alice, out.bob_left):
+            np.testing.assert_array_equal(a.elements, b.elements)
         assert report["delta_out"] <= 2 * report["delta_in"] + 1e-8
         # distance envelope ~ sqrt(delta)
         assert report["distance"] <= 20 * np.sqrt(report["delta_in"]) + 1e-8
@@ -217,8 +218,8 @@ def test_symmetrize_bound_on_perturbed_family():
 def test_projectivize_projective_fixed_point():
     g = k3_game()
     s = embed_tracial(entangled_coloring_strategy(3))
-    sym, _ = symmetrize(s, g)
-    out, report = projectivize(sym, g)
+    sym, c_sym, _ = symmetrize(s, g, correlation(s))
+    out, _, report = projectivize(sym, g, c_sym)
     assert report["distance"] <= 1e-10
     assert report["gamma"] <= 1e-10
     for pvm in out.alice:
@@ -232,7 +233,7 @@ def test_projectivize_noised_input():
         Povm(0.99 * p.elements + 0.01 * np.eye(3) / 3) for p in s.alice
     )
     noisy = TracialStrategy(3, s.sigma, noised, noised)
-    out, report = projectivize(noisy, g)
+    out, _, report = projectivize(noisy, g, correlation(noisy))
     for pvm in out.alice:
         assert pvm.is_projective(1e-8)
         assert pvm.validate() == []
@@ -278,8 +279,8 @@ def test_slice_correlations_synchronous_on_perturbed():
     base = entangled_coloring_strategy(3)
     for seed in range(10):
         s = embed_tracial(perturb_strategy(base, 1e-2, seed))
-        sym, _ = symmetrize(s, g)
-        proj, _ = projectivize(sym, g)
+        sym, c_sym, _ = symmetrize(s, g, correlation(s))
+        proj, _, _ = projectivize(sym, g, c_sym)
         dec = slice_strategies(proj, g)
         for c in dec.correlations:
             assert synchronicity(g, c) <= 1e-8
@@ -366,3 +367,49 @@ def test_outputs_are_plain_floats():
     rng = np.random.default_rng(6)
     for v in verify_connes(random_positive(rng, 4), random_positive(rng, 4)):
         assert type(v) is float
+
+
+# ---------------------------------------------------------------------------
+# each stage computed once
+
+
+def spy(monkeypatch, module, name):
+    """Record (args, result) of every call to module.name, wherever the
+    package has the function bound."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for mod in (linalg, strategies, rounding, soundness, cli):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_sweep_task_embeds_once(monkeypatch):
+    embeds = spy(monkeypatch, strategies, "embed_tracial")
+    cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
+    assert len(embeds) == 1
+
+
+def test_round_correlation_correlates_the_embedding_once(monkeypatch):
+    embeds = spy(monkeypatch, strategies, "embed_tracial")
+    correlations = spy(monkeypatch, strategies, "correlation")
+    dec = round_correlation(k3_game(), random_strategy((4, 6), (3, 3), 2))
+    ((_, embedded),) = embeds
+    assert dec.embedded is embedded
+    assert sum(args[0] is embedded for args, _ in correlations) == 1
+
+
+def test_soundness_demo_embeds_and_polarizes_once(monkeypatch):
+    embeds = spy(monkeypatch, strategies, "embed_tracial")
+    polars = spy(monkeypatch, linalg, "polar_decompose")
+    g = k3_game()
+    s = perturb_strategy(entangled_coloring_strategy(3), 1e-2, 4)
+    soundness.soundness_transfer_demo(g, soundness.identity_consistency_instance(g), s)
+    assert len(embeds) == 1
+    assert len(polars) == 1
