@@ -178,11 +178,14 @@ def cmd_sweep(args) -> int:
     base = _resolve_strategy(cfg.get("strategy", args.strategy))
     # One task after another, so rows come out in (eta, seed) order of the
     # sorted grid; a thread pool measured slower on these small-matrix tasks.
+    # Each eta gets its own run of seeds: the stride is at least the number
+    # of trials, so no two tasks share a seed.
+    stride = max(1000, trials)
     rows = []
     try:
         for ei, eta in enumerate(etas):
             for t in range(trials):
-                task_seed = seed + 1000 * ei + t
+                task_seed = seed + stride * ei + t
                 rows.append(_sweep_task(game, base, eta, task_seed, args.timing))
     finally:
         # Partial results are still flushed if a task or interrupt aborts us.

@@ -64,6 +64,13 @@ def _convert(value, kind, field: str):
 _floats = partial(np.asarray, dtype=float)
 
 
+def _labels(value) -> tuple:
+    """A JSON array as a tuple; tuple() would split a string into letters."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, found {type(value).__name__}")
+    return tuple(value)
+
+
 def _check_schema(obj: dict, expected: str):
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, found {type(obj).__name__}")
@@ -113,8 +120,8 @@ def game_to_dict(game: Game) -> dict:
 def game_from_dict(obj: dict) -> Game:
     _check_schema(obj, GAME_SCHEMA)
     game = Game(
-        _convert(_require(obj, "questions"), tuple, "questions"),
-        _convert(_require(obj, "answers"), tuple, "answers"),
+        _convert(_require(obj, "questions"), _labels, "questions"),
+        _convert(_require(obj, "answers"), _labels, "answers"),
         _convert(_require(obj, "mu"), _floats, "mu"),
         _convert(_require(obj, "win"), partial(np.asarray, dtype=bool), "win"),
     )

@@ -20,6 +20,9 @@ CLUSTER_TOL = 1e-12
 
 HERMITIZE_TOL = 1e-9
 
+# Asymmetry tolerance of a compressed corner V* A V before it is rounded.
+CORNER_TOL = 1e-7
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a square complex matrix and reject non-finite entries."""
@@ -58,6 +61,31 @@ def hermitize(m, tol: float = HERMITIZE_TOL) -> np.ndarray:
             f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
         )
     return (a + a.conj().T) / 2.0
+
+
+def check_leading_blocks(m, ranks, tol: float) -> None:
+    """hermitize's test on every leading block m[..., :r, :r], r in ranks.
+
+    m is a stack of square matrices.  The Frobenius norms of each block E
+    and of E - E* come from the diagonals of the 2-D prefix sums of |m|^2
+    and |m - m*|^2, one pass over m instead of one hermitize call per
+    block.
+    """
+    a = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has NaN or Inf entries")
+    last = np.asarray(ranks, dtype=int) - 1
+
+    def block_norms(x: np.ndarray) -> np.ndarray:
+        prefix = (x.real**2 + x.imag**2).cumsum(axis=-2).cumsum(axis=-1)
+        return np.sqrt(prefix[..., last, last])
+
+    asym = block_norms(a - a.conj().swapaxes(-1, -2))
+    bad = asym > tol * (1.0 + block_norms(a))
+    if bad.any():
+        raise AsymmetryExceedsTolerance(
+            f"asymmetry {asym[bad].max():.3e} exceeds tolerance {tol:.3e}"
+        )
 
 
 @dataclass(frozen=True)

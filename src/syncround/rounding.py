@@ -14,13 +14,19 @@ embedded strategy, its correlation and the symmetric stage, so the CLI,
 the lemma report and the soundness demo continue from them instead of
 embedding, correlating or polar-decomposing a second time.
 
-Cost model of the slice stage at dimension n.  Every slice spans a leading
-block of sigma's eigenbasis V, so each of Alice's elements is rotated once,
-V* A V, an n^3 product per element.  Slice j of rank r then reads its
-corner POVM as the leading r x r block, rounds it with eigendecompositions
-of at most r x r corners (sum over slices of r^3) and reads its residual
-||(A - V_r P V_r*) V_r V_r*||_F^2 = ||V* A V_r - [P; 0]||_F^2 off the same
-rotated block in O(n r).  No slice forms an n x n projector.  The
+Cost model of the slice stage at dimension n, with nq questions of na
+answers.  Every slice spans a leading block of sigma's eigenbasis V, so
+each of Alice's elements is rotated once, V* A V, and factored once,
+V* A V = F F* with F of width k (the element's rank): nq na products and
+eigendecompositions of n^3 each.  The asymmetry of every leading block is
+read from prefix sums over the rotated elements, one pass per element.
+Slice j of rank r reads its corner POVM as the leading r x r block, whose
+factor is the leading r rows of F; rounding it takes, per question, na - 1
+eigendecompositions of k x k Gram matrices and O(r k (r + k)) products,
+instead of eigendecompositions of r x r corners (sum over slices of r^3).
+Its residual ||(A - V_r P V_r*) V_r V_r*||_F^2 = ||V* A V_r - [P; 0]||_F^2
+is read off the same rotated block in O(n r), and its correlation is one
+product over all question pairs.  No slice forms an n x n projector.  The
 joint-distribution check likewise needs one eigendecomposition per operand:
 every threshold projector is a leading eigenvector block, so its distance
 at each breakpoint is read from a prefix sum of eigenvector overlaps.
@@ -41,7 +47,7 @@ from .errors import (
     NotSynchronousGame,
 )
 from .games import Game, is_synchronous_game
-from .linalg import CLUSTER_TOL
+from .linalg import CLUSTER_TOL, CORNER_TOL
 from .strategies import (
     Correlation,
     Povm,
@@ -75,7 +81,7 @@ def _spectral_basis(elements: np.ndarray, order) -> tuple[np.ndarray, np.ndarray
         else:
             e = elements[x]
             corner = e if basis is None else basis.conj().T @ e @ basis
-            dec = linalg.eig_hermitian(linalg.hermitize(corner, tol=1e-7))
+            dec = linalg.eig_hermitian(linalg.hermitize(corner, tol=CORNER_TOL))
             sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
             keep = dec.eigenvectors[:, sel]
             rest = dec.eigenvectors[:, ~sel]
@@ -99,20 +105,19 @@ def _projectors(vectors: np.ndarray, labels: np.ndarray, outcomes: int) -> np.nd
     return out
 
 
-def _orthogonalize(elements: np.ndarray, w: np.ndarray | None):
-    """orthogonalize_povm on raw elements with weight w = sigma sigma*.
+def _within_bound(elements, aw, w, pvm, full_basis):
+    """Hold a rounding pvm of the elements to the 9-epsilon bound at weight w.
 
-    w = None is the identity weight of a corner and skips every w product.
-    The masses, epsilon and the greedy scores all come from one product
-    A_a w per element; the error tau((A - P)^2 w) = tau((A - P)(A w - P w))
-    adds one P w per outcome and stays exact near a fixed point, where an
-    expansion in tau(P A w) would leave cancellation noise.  The error is
+    aw holds the products A_a w; w = None is the identity weight of a corner
+    and skips every w product.  The error tau((A - P)^2 w) = tau((A - P)(A w
+    - P w)) adds one P w per outcome and stays exact near a fixed point,
+    where an expansion in tau(P A w) would leave cancellation noise; it is
     summed one outcome at a time so its temporaries stay at one element's
-    size.
+    size.  If the error exceeds 9 epsilon, one greedy reassignment of the
+    basis full_basis() returns is tried; failing that, BoundViolated is
+    raised.  Returns the PVM and its error.
     """
-    outcomes, n = elements.shape[0], elements.shape[1]
-    aw = elements if w is None else elements @ w
-    masses = np.trace(aw, axis1=1, axis2=2).real / n
+    n = elements.shape[1]
     a2w = float(np.einsum("aij,aji->", elements, aw).real) / n
     bound = 9.0 * (1.0 - a2w) + ORTHO_SLACK
 
@@ -124,17 +129,14 @@ def _orthogonalize(elements: np.ndarray, w: np.ndarray | None):
             total += float(np.einsum("ij,ji->", d, dw).real)
         return total / n
 
-    vectors, labels = _spectral_basis(
-        elements, np.argsort(-masses, kind="stable")
-    )
-    pvm = _projectors(vectors, labels, outcomes)
     error = weighted_error(pvm)
     if error > bound:
         # Greedy reassignment: with the basis fixed, the weighted error is
         # separable over basis vectors, so per-vector argmax is optimal.
         # Re v* w A v = Re v* A w v for Hermitian A and w.
+        vectors = full_basis()
         scores = np.sum(vectors.conj() * (aw @ vectors), axis=1).real
-        candidate = _projectors(vectors, np.argmax(scores, axis=0), outcomes)
+        candidate = _projectors(vectors, np.argmax(scores, axis=0), len(elements))
         cand_error = weighted_error(candidate)
         if cand_error < error:
             pvm, error = candidate, cand_error
@@ -153,10 +155,57 @@ def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
     the last element takes the remainder.  If the resulting error exceeds
     the 9-epsilon orthogonalization bound, one greedy eigenvector
     reassignment pass is tried; failing that, BoundViolated is raised.
+    The masses, epsilon and the greedy scores all come from one product
+    A_a w per element, w = sigma sigma*.
     """
     sig = linalg.as_matrix(sigma)
-    elements, error = _orthogonalize(povm.elements, sig @ sig.conj().T)
-    return Povm(elements), error
+    w = sig @ sig.conj().T
+    elements = povm.elements
+    aw = elements @ w
+    masses = np.trace(aw, axis1=1, axis2=2).real / povm.dim
+    vectors, labels = _spectral_basis(
+        elements, np.argsort(-masses, kind="stable")
+    )
+    pvm = _projectors(vectors, labels, povm.outcomes)
+    pvm, error = _within_bound(elements, aw, w, pvm, lambda: vectors)
+    return Povm(pvm), error
+
+
+def _rank_factor(h: np.ndarray) -> np.ndarray:
+    """F with F F* = h for a positive h, eigenvalues <= CLUSTER_TOL dropped."""
+    dec = _checked_eig("POVM element", h)
+    keep = dec.eigenvalues > CLUSTER_TOL
+    return dec.eigenvectors[:, keep] * np.sqrt(dec.eigenvalues[keep])
+
+
+def _round_corner(blocks: np.ndarray, factors) -> tuple[np.ndarray, float]:
+    """orthogonalize_povm at the identity weight for a corner E_a = G_a G_a*.
+
+    blocks holds the r x r corner elements E_a and factors[a] a rank factor
+    whose leading r rows are G_a.  With Q the columns kept so far, the
+    eigenvectors of E_a compressed to the complement of Q are N u / sqrt(l)
+    for the eigenpairs (l, u) of the Gram matrix N* N, N = G_a - Q Q* G_a,
+    whose nonzero spectrum is the compressed corner's.  So each threshold
+    at 1/2 is one k_a x k_a eigendecomposition, and the last outcome takes
+    I - Q Q*.  Only a rounding that misses the bound builds the full basis,
+    the one _spectral_basis gives, for the greedy reassignment.
+    """
+    r = blocks.shape[1]
+    order = np.argsort(-np.trace(blocks, axis1=1, axis2=2).real, kind="stable")
+    pvm = np.empty(blocks.shape, dtype=complex)
+    kept = np.empty((r, 0), dtype=complex)
+    for x in order[:-1]:
+        g = factors[x][:r]
+        g = g - kept @ (kept.conj().T @ g)
+        dec = linalg.eig_hermitian(g.conj().T @ g)
+        sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
+        cols = g @ (dec.eigenvectors[:, sel] / np.sqrt(dec.eigenvalues[sel]))
+        pvm[x] = cols @ cols.conj().T
+        kept = np.concatenate((kept, cols), axis=1)
+    pvm[order[-1]] = np.eye(r) - kept @ kept.conj().T
+    return _within_bound(
+        blocks, blocks, None, pvm, lambda: _spectral_basis(blocks, order)[0]
+    )
 
 
 def _checked_eig(name: str, m: np.ndarray) -> linalg.SpectralDecomposition:
@@ -332,22 +381,24 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
     dec = _sigma_eig(s.sigma)
     v = dec.eigenvectors
     n = s.dim
+    pieces = list(_spectral_pieces(dec.eigenvalues))
     # Alice's elements in sigma's eigenbasis; slice j's corner is the leading
     # rank x rank block, so no slice touches the n x n operators again.
-    rotated = [v.conj().T @ p.elements @ v for p in s.alice]
+    rotated = v.conj().T @ np.array([p.elements for p in s.alice]) @ v
+    linalg.check_leading_blocks(rotated, [rank for _, rank in pieces], CORNER_TOL)
+    herm = (rotated + rotated.conj().swapaxes(-1, -2)) / 2.0
+    # The leading rank rows of an element's rank factor factor its corner.
+    factors = [[_rank_factor(h) for h in elements] for elements in herm]
     slices = []
     correlations = []
     residual = 0.0
-    for measure, rank in _spectral_pieces(dec.eigenvalues):
+    for measure, rank in pieces:
         corner_eye = np.eye(rank, dtype=complex)
         corner_pvms = []
         for x in range(s.n_questions):
-            cols = rotated[x][:, :, :rank]
-            compressed = np.array(
-                [linalg.hermitize(e[:rank], tol=1e-7) for e in cols]
-            )
-            elements, _ = _orthogonalize(compressed, None)
+            elements, _ = _round_corner(herm[x][:, :rank, :rank], factors[x])
             corner_pvms.append(Povm(elements))
+            cols = rotated[x][:, :, :rank]
             # ||(A - V_r P V_r*) V_r V_r*||_F = ||V* A V_r - [P; 0]||_F
             d = cols.copy()
             d[:, :rank] -= elements

@@ -179,22 +179,27 @@ def correlation(s: TracialStrategy) -> Correlation:
 
     tau(L B) = sum_ij (L^T)_ij B_ij / n, so the (x, y) block of the table is
     one product of the flattened (sigma* A^x sigma)^T = sigma^T (A^x)^T
-    conj(sigma) with the flattened B^y.  Working one question at a time keeps
-    the temporaries at one POVM's size.  At the identity state (every
-    rounded corner) sigma* A sigma is A itself.
+    conj(sigma) with the flattened B^y.  At the identity state (every
+    rounded corner) sigma* A sigma is A itself, and the whole table is one
+    product of all of Alice's flattened elements with all of Bob's.  Any
+    other state is worked one question at a time, which keeps the
+    temporaries at one POVM's size.
     """
     nq, na, n = s.n_questions, s.n_answers, s.dim
     sig = s.sigma
-    identity = np.array_equal(sig, np.eye(n))
-    sig_t, sig_c = sig.T, sig.conj()
-    vals = np.empty((nq, nq, na, na), dtype=complex)
-    for x, povm in enumerate(s.alice):
-        left_t = povm.elements.swapaxes(1, 2)
-        if not identity:
-            left_t = sig_t @ left_t @ sig_c
-        flat = left_t.reshape(na, n * n)
-        for y, bob in enumerate(s.bob_left):
-            vals[x, y] = flat @ bob.elements.reshape(na, n * n).T
+    if np.array_equal(sig, np.eye(n)):
+        left = np.array([p.elements.swapaxes(1, 2) for p in s.alice])
+        right = np.array([p.elements for p in s.bob_left])
+        vals = left.reshape(nq * na, n * n) @ right.reshape(nq * na, n * n).T
+        vals = vals.reshape(nq, na, nq, na).transpose(0, 2, 1, 3)
+    else:
+        sig_t, sig_c = sig.T, sig.conj()
+        vals = np.empty((nq, nq, na, na), dtype=complex)
+        for x, povm in enumerate(s.alice):
+            left_t = sig_t @ povm.elements.swapaxes(1, 2) @ sig_c
+            flat = left_t.reshape(na, n * n)
+            for y, bob in enumerate(s.bob_left):
+                vals[x, y] = flat @ bob.elements.reshape(na, n * n).T
     vals /= n
     worst_imag = float(np.max(np.abs(vals.imag)))
     if worst_imag > CORR_IMAG_HARD:

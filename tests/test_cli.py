@@ -222,8 +222,39 @@ def test_sweep_flushes_finished_rows_when_a_task_fails(capsys, tmp_path, monkeyp
     assert [line.split(",")[:2] for line in lines[1:]] == [["0.001", "0"], ["0.001", "1"]]
 
 
+def stubbed_sweep_seeds(capsys, monkeypatch, *argv):
+    """The task seeds a sweep hands out, with every task stubbed."""
+    seeds = []
+
+    def stub_task(game, base, eta, task_seed, timing):
+        seeds.append(task_seed)
+        return {
+            "eta": eta, "seed": task_seed, "delta": 0.0, "distance": 0.0,
+            "slices": 1, "slack_min": 0.0, "wall_ms": 0,
+        }
+
+    monkeypatch.setattr(cli, "_sweep_task", stub_task)
+    assert run(capsys, "sweep", "--eta", "1e-3,1e-2", *argv)[0] == 0
+    return seeds
+
+
+def test_sweep_seeds_stay_distinct_past_a_thousand_trials(capsys, monkeypatch):
+    seeds = stubbed_sweep_seeds(capsys, monkeypatch, "--trials", "1001")
+    assert len(seeds) == 2002
+    assert len(set(seeds)) == 2002
+    # Up to a thousand trials the etas stay a thousand seeds apart.
+    seeds = stubbed_sweep_seeds(capsys, monkeypatch, "--trials", "2", "--seed", "5")
+    assert seeds == [5, 6, 1005, 1006]
+
+
 def _strategy_text(**fields):
     obj = io.strategy_to_dict(entangled_coloring_strategy(3))
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def _game_text(**fields):
+    obj = io.game_to_dict(k3_game())
     obj.update(fields)
     return json.dumps(obj)
 
@@ -235,6 +266,7 @@ def _sweep_text(**fields):
 _EYE, _ZERO = io.encode_matrix(np.eye(3)), io.encode_matrix(np.zeros((3, 3)))
 _GOOD = io.strategy_to_dict(entangled_coloring_strategy(3))
 ROUND = ["round", "--game", "k3", "--strategy", "FILE"]
+EVALUATE = ["evaluate", "--game", "FILE", "--strategy", "k3-entangled"]
 SWEEP = ["sweep", "--config", "FILE"]
 
 # (argv with FILE standing for the written input, input text, exit code)
@@ -257,6 +289,8 @@ BAD_INPUTS = {
         3,
     ),
     "no-outcomes": (ROUND, _strategy_text(alice=[[]] * 3), 3),
+    "questions-is-string": (EVALUATE, _game_text(questions="abc"), 2),
+    "answers-is-string": (EVALUATE, _game_text(answers="abc"), 2),
     "eta-not-a-number": (["sweep", "--eta", "abc"], None, 2),
     "eta-nan": (["sweep", "--eta", "nan"], None, 3),
     "config-etas-not-numbers": (SWEEP, _sweep_text(etas=["abc"]), 2),

@@ -12,11 +12,13 @@ two must agree to 1e-10.
 import numpy as np
 import pytest
 
-from syncround import linalg
-from syncround.errors import BoundViolated, NotPositive
+from syncround import linalg, rounding
+from syncround.errors import AsymmetryExceedsTolerance, BoundViolated, NotPositive
 from syncround.games import k3_game
 from syncround.linalg import CLUSTER_TOL
 from syncround.rounding import (
+    _rank_factor,
+    _round_corner,
     orthogonalize_povm,
     projectivize,
     slice_strategies,
@@ -76,9 +78,13 @@ def reference_connes(rho, sigma):
     return lhs, linalg.tau_norm(r - s) * linalg.tau_norm(r + s)
 
 
-def reference_orthogonalize(povm, sigma):
+def reference_orthogonalize(povm, sigma, slack=1e-8):
     """Sequential spectral rounding with rank-one accumulation and one
-    weighted trace per element.  Returns (pvm, error, relabeled)."""
+    weighted trace per element.  Returns (pvm, error, relabeled).
+
+    slack is the library's ORTHO_SLACK; tests lower it to force the greedy
+    reassignment and BoundViolated at the identity weight, where the
+    9-epsilon bound otherwise holds on every POVM tried."""
     n = povm.dim
     w = sigma @ sigma.conj().T
 
@@ -89,7 +95,7 @@ def reference_orthogonalize(povm, sigma):
         )
 
     eps = 1.0 - sum(float(np.trace(e @ e @ w).real) / n for e in povm.elements)
-    bound = 9.0 * eps + 1e-8
+    bound = 9.0 * eps + slack
     masses = [float(np.trace(e @ w).real) / n for e in povm.elements]
     order = np.argsort(-np.array(masses), kind="stable")
     vectors, labels = [], []
@@ -227,10 +233,19 @@ def test_correlation_matches_entrywise(name):
         )
 
 
-@pytest.mark.parametrize("name", sorted(TENSOR_CASES))
+# Larger corners for the slice test.  In the rank-deficient one the corners
+# reach r = 12, past the rank 8 of two of each PVM's three elements.
+SLICE_CASES = {
+    **TENSOR_CASES,
+    "random-24x24-0": random_strategy((24, 24), (3, 3), 0),
+    "rank-12-24x48": rank_deficient_strategy((24, 48), 12, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_CASES))
 def test_slices_match_compress_expand(name):
     game = k3_game()
-    s = projective_symmetric(TENSOR_CASES[name])
+    s = projective_symmetric(SLICE_CASES[name])
     dec = slice_strategies(s, game)
     pieces, residual = reference_slices(s, game)
     assert len(dec.slices) == len(pieces)
@@ -300,6 +315,105 @@ def test_orthogonalize_relabel_path_matches_reference(seed):
     got, err = orthogonalize_povm(povm, sigma)
     np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
     assert abs(err - want_err) <= TOL
+
+
+def round_corner(povm):
+    """The slice-corner rounding on a whole POVM (corner = whole space)."""
+    blocks = np.array([linalg.hermitize(e) for e in povm.elements])
+    return _round_corner(blocks, [_rank_factor(h) for h in blocks])
+
+
+def relabel_slack(povm):
+    """An ORTHO_SLACK that puts the identity-weight bound 1e-6 under the
+    plain rounding's error, so the greedy reassignment must run."""
+    _, err, relabeled = reference_orthogonalize(povm, np.eye(povm.dim))
+    assert not relabeled
+    nine_eps = 9.0 * (1.0 - sum(linalg.tau(e @ e).real for e in povm.elements))
+    return err - nine_eps - 1e-6
+
+
+@pytest.mark.parametrize("seed", RELABEL_SEEDS)
+def test_corner_rounding_matches_reference(seed, monkeypatch):
+    povm, _ = skewed_povm_case(seed)
+    n = povm.dim
+    # The library's slack, a forced reassignment that then rescues or
+    # refuses the rounding, and a bound no rounding meets.
+    for slack in (rounding.ORTHO_SLACK, relabel_slack(povm), -10.0):
+        monkeypatch.setattr(rounding, "ORTHO_SLACK", slack)
+        try:
+            want, want_err, _ = reference_orthogonalize(povm, np.eye(n), slack)
+        except BoundViolated:
+            with pytest.raises(BoundViolated):
+                round_corner(povm)
+            continue
+        got, err = round_corner(povm)
+        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+        assert abs(err - want_err) <= TOL
+
+
+def test_forced_reassignment_both_rescues_and_refuses(monkeypatch):
+    outcomes = set()
+    for seed in RELABEL_SEEDS:
+        povm, _ = skewed_povm_case(seed)
+        monkeypatch.setattr(rounding, "ORTHO_SLACK", relabel_slack(povm))
+        try:
+            round_corner(povm)
+            outcomes.add("rescued")
+        except BoundViolated:
+            outcomes.add("refused")
+    assert outcomes == {"rescued", "refused"}
+
+
+def corner_perturbed(s, scale):
+    """s with an anti-Hermitian scale * [[0, 1], [-1, 0]] added to the
+    leading 2 x 2 block of one of Alice's elements in sigma's eigenbasis;
+    scale = 1 puts that block's asymmetry at 1e-7 (1 + ||block||_F)."""
+    v = linalg.eig_hermitian(linalg.hermitize(s.sigma)).eigenvectors
+    elements = s.alice[1].elements.copy()
+    block = (v.conj().T @ elements[2] @ v)[:2, :2]
+    k = np.zeros((s.dim, s.dim), dtype=complex)
+    k[0, 1], k[1, 0] = 1.0, -1.0
+    t = scale * 1e-7 * (1.0 + np.linalg.norm(block)) / (2.0 * np.sqrt(2.0))
+    elements[2] += t * (v @ k @ v.conj().T)
+    alice = (s.alice[0], Povm(elements), *s.alice[2:])
+    return type(s)(s.dim, s.sigma, alice, s.bob_left)
+
+
+def test_corner_asymmetry_check_matches_per_block_hermitize():
+    game = k3_game()
+    s = projective_symmetric(random_strategy((24, 24), (3, 3), 0))
+    passing = corner_perturbed(s, 0.3)
+    slice_strategies(passing, game)
+    reference_slices(passing, game)
+    failing = corner_perturbed(s, 3.0)
+    with pytest.raises(AsymmetryExceedsTolerance):
+        slice_strategies(failing, game)
+    with pytest.raises(AsymmetryExceedsTolerance):
+        reference_slices(failing, game)
+
+
+def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
+    game = k3_game()
+    s = projective_symmetric(random_strategy((24, 24), (3, 3), 0))
+    n, nq, na = s.dim, s.n_questions, s.n_answers
+    real = linalg.eig_hermitian
+    sizes = []
+
+    def recording(h):
+        sizes.append(len(h))
+        return real(h)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", recording)
+    dec = slice_strategies(s, game)
+    max_rank = max(
+        int(round(np.trace(e).real)) for p in s.alice for e in p.elements
+    )
+    assert max_rank < n
+    # sigma once, then one rank factor per element of Alice's
+    assert sizes.count(n) == 1 + nq * na
+    others = [k for k in sizes if k != n]
+    assert len(others) == len(dec.slices) * nq * (na - 1)
+    assert max(others) <= max_rank
 
 
 def positive_with_spectrum(rng, spectrum):
