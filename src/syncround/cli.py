@@ -171,6 +171,8 @@ def cmd_sweep(args) -> int:
     seed = cfg.get("seed", args.seed)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     csv_path = cfg.get("csv", args.csv)
     out_path = cfg.get("out", args.out)
 

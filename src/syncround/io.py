@@ -4,16 +4,27 @@ One diffable format: complex numbers as [re, im] pairs, matrices as
 row-major nested arrays, every file carrying a schema tag.  Saving is
 canonical (sorted keys, fixed separators), so save(load(f)) is
 byte-identical for canonicalized files.
+
+Files are parsed by orjson when it is installed (``pip install
+'syncround[fast]'``), which reads a large strategy about twice as fast.
+The stdlib json module stays the authority: whatever orjson refuses is
+parsed again by json, whose result or error stands.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from functools import partial
 from operator import index
 
 import numpy as np
+
+try:
+    import orjson
+except ImportError:
+    orjson = None
 
 from .errors import ParseError, SchemaVersionMismatch, ValidationError
 from .games import Game, validate_game
@@ -35,13 +46,61 @@ def _reject_constant(name: str):
     raise ParseError(f"{name} is not a JSON number")
 
 
-def _parse_json(text: str):
+# orjson recurses once per nesting level with no limit of its own and
+# overflows the C stack near 130,000 levels, so it only sees documents whose
+# brackets empty out within _FAST_PASSES passes (at most 2 * _FAST_PASSES
+# levels; syncround's own files nest 6 deep).  Before brackets are counted,
+# every byte but brackets, quotes and the characters that may follow a
+# backslash is dropped, then strings and escapes are cut out.  That
+# tokenizes like a JSON parser up to the parser's first error, so no parser
+# nests deeper than the count, valid document or not.
+_FAST_PASSES = 16
+_ESCAPED = b"\\/bfnrtu"
+_DROP = bytes(c for c in range(256) if c not in b'[]{}"' + _ESCAPED)
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"|\\.')
+
+
+def _nests_shallowly(data: bytes) -> bool:
+    s = _STRING.sub(b"", data.translate(None, _DROP)).translate(None, _ESCAPED)
+    for _ in range(_FAST_PASSES):
+        if not s:
+            return True
+        s = s.replace(b"[]", b"").replace(b"{}", b"")
+    return not s
+
+
+def _parse_json(data: bytes | str):
+    """A JSON document, given as text or as a file's UTF-8 bytes.
+
+    Bytes go to orjson first when it is installed; a document it refuses
+    (NaN and Infinity literals, overflowing numbers, a BOM, lone
+    surrogates, any syntax error) is parsed again by json, and that result
+    or error stands.  json reads bytes decoded, with newlines translated as
+    a text-mode read of the file would, so error positions stay the same.
+    """
+    if isinstance(data, bytes):
+        if orjson is not None and _nests_shallowly(data):
+            try:
+                return orjson.loads(data)
+            except orjson.JSONDecodeError:
+                pass
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"invalid UTF-8 at byte {exc.start}: {exc.reason}"
+            ) from exc
+        data = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(data, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer with more digits than int() takes
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nests too deeply to parse") from exc
 
 
 def _require(obj: dict, field: str):
@@ -51,23 +110,37 @@ def _require(obj: dict, field: str):
 
 
 def _convert(value, kind, field: str):
-    """kind(value), as a ParseError naming the field when kind refuses it.
-
-    Integers go through operator.index, which refuses 3.9 instead of
-    truncating it."""
+    """kind(value), as a ParseError naming the field when kind refuses it."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed {field}: {exc}") from exc
 
 
+# orjson reads integers outside the signed 64-bit range as floats where json
+# keeps them as ints, so every number used as such is refused beyond it.
+_INT64_BOUND = 2**63
+
+
+def _int64(value, field: str) -> int:
+    """An integer field; operator.index refuses 3.9 instead of truncating it."""
+    n = _convert(value, index, field)
+    if not -_INT64_BOUND <= n < _INT64_BOUND:
+        raise ParseError(f"{field} is outside the signed 64-bit range")
+    return n
+
+
 _floats = partial(np.asarray, dtype=float)
 
 
 def _labels(value) -> tuple:
-    """A JSON array as a tuple; tuple() would split a string into letters."""
+    """A JSON array as a tuple; tuple() would split a string into letters.
+    Numeric labels stay within the signed 64-bit range, as integers do."""
     if not isinstance(value, list):
         raise TypeError(f"expected a JSON array, found {type(value).__name__}")
+    for v in value:
+        if isinstance(v, (int, float)) and not -_INT64_BOUND <= v < _INT64_BOUND:
+            raise ValueError(f"label {v!r} is outside the signed 64-bit range")
     return tuple(value)
 
 
@@ -162,8 +235,8 @@ def _decode_povms(data, dim: int, side: str) -> tuple[Povm, ...]:
 
 def strategy_from_dict(obj: dict) -> TensorStrategy:
     _check_schema(obj, STRATEGY_SCHEMA)
-    dim_a = _convert(_require(obj, "dim_a"), index, "dim_a")
-    dim_b = _convert(_require(obj, "dim_b"), index, "dim_b")
+    dim_a = _int64(_require(obj, "dim_a"), "dim_a")
+    dim_b = _int64(_require(obj, "dim_b"), "dim_b")
     state = decode_vector(_require(obj, "state"))
     if state.size != dim_a * dim_b:
         raise ValidationError(
@@ -228,24 +301,28 @@ def sweep_from_dict(obj: dict) -> dict:
             raise ParseError(f"sweep {field} must be a string")
     for field in ("trials", "seed"):
         if field in cfg:
-            cfg[field] = _convert(cfg[field], index, field)
+            cfg[field] = _int64(cfg[field], field)
     return cfg
 
 
-def loads(text: str, kind: str):
-    obj = _parse_json(text)
-    loaders = {
-        "game": game_from_dict,
-        "strategy": strategy_from_dict,
-        "correlation": correlation_from_dict,
-        "sweep": sweep_from_dict,
-    }
-    return loaders[kind](obj)
+_LOADERS = {
+    "game": game_from_dict,
+    "strategy": strategy_from_dict,
+    "correlation": correlation_from_dict,
+    "sweep": sweep_from_dict,
+}
+
+
+def loads(text: str | bytes, kind: str):
+    """Load a JSON document given as text or as UTF-8 bytes."""
+    return _LOADERS[kind](_parse_json(text))
 
 
 def load_path(path: str, kind: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), kind)
+    # The file's bytes are dropped once parsed, before the arrays are built.
+    with open(path, "rb") as fh:
+        obj = _parse_json(fh.read())
+    return _LOADERS[kind](obj)
 
 
 def save_path(path: str, obj: dict) -> None:

@@ -22,8 +22,8 @@ eigendecompositions of n^3 each.  The asymmetry of every leading block is
 read from prefix sums over the rotated elements, one pass per element.
 Slice j of rank r reads its corner POVM as the leading r x r block, whose
 factor is the leading r rows of F; rounding it takes, per question, na - 1
-eigendecompositions of k x k Gram matrices and O(r k (r + k)) products,
-instead of eigendecompositions of r x r corners (sum over slices of r^3).
+eigendecompositions of min(r, k) x min(r, k) Gram matrices and
+O(r k (r + k)) products.
 Its residual ||(A - V_r P V_r*) V_r V_r*||_F^2 = ||V* A V_r - [P; 0]||_F^2
 is read off the same rotated block in O(n r), and its correlation is one
 product over all question pairs.  No slice forms an n x n projector.  The
@@ -182,13 +182,15 @@ def _round_corner(blocks: np.ndarray, factors) -> tuple[np.ndarray, float]:
     """orthogonalize_povm at the identity weight for a corner E_a = G_a G_a*.
 
     blocks holds the r x r corner elements E_a and factors[a] a rank factor
-    whose leading r rows are G_a.  With Q the columns kept so far, the
-    eigenvectors of E_a compressed to the complement of Q are N u / sqrt(l)
-    for the eigenpairs (l, u) of the Gram matrix N* N, N = G_a - Q Q* G_a,
-    whose nonzero spectrum is the compressed corner's.  So each threshold
-    at 1/2 is one k_a x k_a eigendecomposition, and the last outcome takes
-    I - Q Q*.  Only a rounding that misses the bound builds the full basis,
-    the one _spectral_basis gives, for the greedy reassignment.
+    whose leading r rows are G_a, of width k_a.  With Q the columns kept so
+    far, E_a compressed to the complement of Q is N N*, N = G_a - Q Q* G_a.
+    When r < k_a its eigenvectors come from that r x r matrix directly;
+    otherwise they are N u / sqrt(l) for the eigenpairs (l, u) of the k_a x
+    k_a Gram matrix N* N, which has the same nonzero spectrum.  So each
+    threshold at 1/2 is one min(r, k_a)-sized eigendecomposition, and the
+    last outcome takes I - Q Q*.  Only a rounding that misses the bound
+    builds the full basis, the one _spectral_basis gives, for the greedy
+    reassignment.
     """
     r = blocks.shape[1]
     order = np.argsort(-np.trace(blocks, axis1=1, axis2=2).real, kind="stable")
@@ -197,9 +199,13 @@ def _round_corner(blocks: np.ndarray, factors) -> tuple[np.ndarray, float]:
     for x in order[:-1]:
         g = factors[x][:r]
         g = g - kept @ (kept.conj().T @ g)
-        dec = linalg.eig_hermitian(g.conj().T @ g)
-        sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
-        cols = g @ (dec.eigenvectors[:, sel] / np.sqrt(dec.eigenvalues[sel]))
+        if r < g.shape[1]:
+            dec = linalg.eig_hermitian(g @ g.conj().T)
+            cols = dec.eigenvectors[:, dec.eigenvalues >= 0.5 - CLUSTER_TOL]
+        else:
+            dec = linalg.eig_hermitian(g.conj().T @ g)
+            sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
+            cols = g @ (dec.eigenvectors[:, sel] / np.sqrt(dec.eigenvalues[sel]))
         pvm[x] = cols @ cols.conj().T
         kept = np.concatenate((kept, cols), axis=1)
     pvm[order[-1]] = np.eye(r) - kept @ kept.conj().T

@@ -263,6 +263,23 @@ def _sweep_text(**fields):
     return json.dumps({"schema": "syncround.sweep/1", "etas": [0.1], **fields})
 
 
+def _with_dim_a(literal):
+    """The k3-entangled strategy with dim_a spelt as the given JSON literal."""
+    return _strategy_text().replace('"dim_a": 3', f'"dim_a": {literal}', 1)
+
+
+def _with_entry(literal):
+    """The k3-entangled strategy with Alice's first matrix entry spelt as literal."""
+    alice = json.loads(json.dumps(_GOOD["alice"]))
+    alice[0][0][0][0][0] = 0.123456789
+    return _strategy_text(alice=alice).replace("0.123456789", literal, 1)
+
+
+def _with_duplicate(text, field, value):
+    """text with field repeated after the others, holding value."""
+    return text[:-1] + f", {json.dumps(field)}: {json.dumps(value)}}}"
+
+
 _EYE, _ZERO = io.encode_matrix(np.eye(3)), io.encode_matrix(np.zeros((3, 3)))
 _GOOD = io.strategy_to_dict(entangled_coloring_strategy(3))
 ROUND = ["round", "--game", "k3", "--strategy", "FILE"]
@@ -299,16 +316,44 @@ BAD_INPUTS = {
     "config-top-level-int": (SWEEP, "7", 2),
     "config-game-not-a-string": (SWEEP, _sweep_text(game=5), 2),
     "config-missing": (["sweep", "--config", "missing.json"], None, 2),
+    "infinity-literal": (ROUND, _strategy_text(state=[[math.inf, 0.0]] * 9), 2),
+    "overflowing-dim": (ROUND, _with_dim_a("1e400"), 2),
+    "dim-20-digits": (ROUND, _with_dim_a("12345678901234567890"), 2),
+    "dim-30-digits": (ROUND, _with_dim_a("123456789012345678901234567890"), 2),
+    "dim-5000-digits": (ROUND, _with_dim_a("1" * 5000), 2),
+    "entry-20-digits": (ROUND, _with_entry("12345678901234567890"), 3),
+    "entry-30-digits": (ROUND, _with_entry("123456789012345678901234567890"), 3),
+    "duplicate-key-last-good": (ROUND, _with_duplicate(_strategy_text(dim_a="x"), "dim_a", 3), 0),
+    "duplicate-key-last-bad": (ROUND, _with_duplicate(_strategy_text(), "dim_a", "x"), 2),
+    "utf8-bom": (ROUND, "\ufeff" + _strategy_text(), 2),
+    "lone-surrogate-label": (EVALUATE, _game_text(questions=["\ud800", "1", "2"]), 0),
+    "label-30-digits": (EVALUATE, _game_text(questions=[10**30, 1, 2]), 2),
+    "not-utf8": (ROUND, b"\xff" + _strategy_text().encode(), 2),
+    "nested-200000-deep": (ROUND, "[" * 200_000 + "]" * 200_000, 2),
+    "seed-negative": (["sweep", "--eta", "0.1", "--seed", "-1"], None, 3),
+    "config-seed-negative": (SWEEP, _sweep_text(seed=-1), 3),
+    "config-seed-30-digits": (SWEEP, _sweep_text(seed=10**30), 2),
 }
 
 
-@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-def test_bad_input_exits_without_traceback(capsys, tmp_path, monkeypatch, name):
+def check_bad_input(capsys, tmp_path, monkeypatch, name):
     argv, text, expected = BAD_INPUTS[name]
     monkeypatch.chdir(tmp_path)
     if text is not None:
-        (tmp_path / "input.json").write_text(text)
+        data = text if isinstance(text, bytes) else text.encode()
+        (tmp_path / "input.json").write_bytes(data)
     argv = [str(tmp_path / "input.json") if a == "FILE" else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == expected, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_without_traceback(capsys, tmp_path, monkeypatch, name):
+    check_bad_input(capsys, tmp_path, monkeypatch, name)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_alike_on_the_stdlib_parser(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.setattr(io, "orjson", None)
+    check_bad_input(capsys, tmp_path, monkeypatch, name)

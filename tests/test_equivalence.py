@@ -405,15 +405,18 @@ def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
 
     monkeypatch.setattr(linalg, "eig_hermitian", recording)
     dec = slice_strategies(s, game)
-    max_rank = max(
-        int(round(np.trace(e).real)) for p in s.alice for e in p.elements
-    )
-    assert max_rank < n
+    ranks = {int(round(np.trace(e).real)) for p in s.alice for e in p.elements}
+    (k,) = ranks  # every element has the same factor width
+    assert k < n
     # sigma once, then one rank factor per element of Alice's
     assert sizes.count(n) == 1 + nq * na
-    others = [k for k in sizes if k != n]
-    assert len(others) == len(dec.slices) * nq * (na - 1)
-    assert max(others) <= max_rank
+    grams = [m for m in sizes if m != n]
+    per_slice = nq * (na - 1)
+    assert len(grams) == len(dec.slices) * per_slice
+    # each Gram input is the smaller of the r x r corner and the k x k Gram
+    for j, sl in enumerate(dec.slices):
+        assert max(grams[j * per_slice:(j + 1) * per_slice]) <= min(sl.sub_dim, k)
+    assert min(sl.sub_dim for sl in dec.slices) < k
 
 
 def positive_with_spectrum(rng, spectrum):

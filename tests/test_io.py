@@ -1,5 +1,7 @@
 """Unit tests for JSON serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,93 @@ def test_matrix_codec_complex_round_trip():
 def test_decode_matrix_rejects_malformed():
     with pytest.raises(ParseError):
         io.decode_matrix([[1.0, 2.0], [3.0, 4.0]])
+
+
+# ---------------------------------------------------------------------------
+# The orjson fast path against the stdlib json parser, the authority.
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def parse_both(monkeypatch, data: bytes):
+    """data parsed by io as it stands, then with orjson hidden."""
+    fast = io._parse_json(data)
+    with monkeypatch.context() as m:
+        m.setattr(io, "orjson", None)
+        return fast, io._parse_json(data)
+
+
+def test_parsers_agree_bit_for_bit_on_a_d96_strategy(tmp_path, monkeypatch):
+    path = tmp_path / "s96.json"
+    io.save_path(str(path), io.strategy_to_dict(random_strategy((96, 96), (3, 3), 0)))
+    assert io._nests_shallowly(path.read_bytes())
+    fast = io.load_path(str(path), "strategy")
+    with monkeypatch.context() as m:
+        m.setattr(io, "orjson", None)
+        slow = io.load_path(str(path), "strategy")
+    np.testing.assert_array_equal(bits(fast.state), bits(slow.state))
+    for p, q in zip(fast.alice + fast.bob, slow.alice + slow.bob):
+        np.testing.assert_array_equal(bits(p.elements), bits(q.elements))
+
+
+def test_parsers_agree_bit_for_bit_on_random_doubles(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    values = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(float)
+    extremes = [
+        5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0,
+    ]
+    values = np.concatenate((values[np.isfinite(values)], extremes))
+    texts = {
+        "shortest": json.dumps(values.tolist()),
+        # 25 significant digits, more than any double needs
+        "long": "[" + ",".join(f"{v:.24e}" for v in values[:20_000]) + "]",
+        # integers past 64 bits: orjson reads floats, json ints
+        "integers": json.dumps([int(v) * 10**20 for v in rng.integers(1, 2**62, 1000)]),
+    }
+    for name, text in texts.items():
+        fast, slow = parse_both(monkeypatch, text.encode())
+        np.testing.assert_array_equal(
+            bits(np.asarray(fast, dtype=float)), bits(np.asarray(slow, dtype=float)), name
+        )
+
+
+def test_duplicate_keys_keep_the_last_on_both_parsers(monkeypatch):
+    fast, slow = parse_both(monkeypatch, b'{"a": 1, "b": 2, "a": 3}')
+    assert fast == slow == {"a": 3, "b": 2}
+
+
+@pytest.mark.parametrize(
+    "text, shallow",
+    [
+        ('{"schema": "x", "m": [[[1.5, -2e-3]]], "t": [true, false, null]}', True),
+        ("[" * 16 + "]" * 16, True),
+        ('["]", "\\"]", "\\\\", "\\u005d"]', True),
+        ("[" * 17 + "]" * 17, False),
+        ('{"a":' * 17 + "1" + "}" * 17, False),
+        # brackets inside strings never hide nesting
+        ("[" * 40 + '"' + "]" * 40 + '"' + "]" * 40, False),
+        ('["\\"]",' * 40 + "0" + "]" * 40, False),
+        ("[" * 40 + '"\\x""' + "]" * 40, False),
+        ('["unterminated', False),
+        ("[" * 200_000 + "]" * 200_000, False),
+    ],
+)
+def test_orjson_sees_only_shallow_documents(text, shallow):
+    # orjson 3.8 has no nesting limit and overflows the C stack near
+    # 130,000 levels, so deeper documents must reach json instead.
+    assert io._nests_shallowly(text.encode()) is shallow
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_error_positions_count_lines_as_text_mode_did(tmp_path, newline):
+    path = tmp_path / "bad.json"
+    path.write_bytes(newline.join([b"{", b'"schema": "syncround.game/1",', b"}"]))
+    with pytest.raises(ParseError) as fast:
+        io.load_path(str(path), "game")
+    with pytest.raises(ParseError) as text_mode:
+        io.loads(path.read_text(encoding="utf-8"), "game")
+    assert str(fast.value) == str(text_mode.value)
+    assert "line 3 column 1" in str(fast.value)
