@@ -7,7 +7,6 @@ from .rounding import (
     RoundingDecomposition,
     lemma_report,
     orthogonalize_povm,
-    projector_slices,
     round_correlation,
     slice_strategies,
     verify_connes,
@@ -34,7 +33,6 @@ __all__ = [
     "RoundingDecomposition",
     "lemma_report",
     "orthogonalize_povm",
-    "projector_slices",
     "round_correlation",
     "slice_strategies",
     "verify_connes",

@@ -261,7 +261,12 @@ def correlation_to_dict(c: Correlation) -> dict:
 
 def correlation_from_dict(obj: dict) -> Correlation:
     _check_schema(obj, CORRELATION_SCHEMA)
-    c = Correlation(np.asarray(_require(obj, "table"), dtype=float))
+    table = _convert(_require(obj, "table"), _floats, "table")
+    shape = table.shape
+    square = len(shape) == 4 and shape[0] == shape[1] and shape[2] == shape[3]
+    if not square or table.size == 0:
+        raise ValidationError(f"table shape {shape} is not (q, q, a, a)")
+    c = Correlation(table)
     violations = c.validate()
     if violations:
         raise ValidationError("invalid correlation: " + ", ".join(violations))

@@ -1,9 +1,9 @@
 """Dense complex-matrix primitives.
 
 Everything downstream (games, strategies, rounding) is built on these:
-Hermitian eigendecomposition, polar decomposition, spectral step functions,
-the normalized-trace norm and corner expansion.  The trace is always the
-*normalized* trace tau = Tr/dim, so that ||I||_2 = 1.
+Hermitian eigendecomposition, polar decomposition with its eigenbasis,
+spectral clustering and the normalized-trace norm.  The trace is always
+the *normalized* trace tau = Tr/dim, so that ||I||_2 = 1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 from .errors import AsymmetryExceedsTolerance, ConvergenceFailure, NotPositive
 
 # Eigenvalues closer than this are treated as a single cluster everywhere
-# (chi_geq inclusion, spectral breakpoints, slice extraction).
+# (spectral breakpoints, slice extraction, rounding thresholds), and
+# singular values at or below it (relative to max(1, s_0)) as zero.
 CLUSTER_TOL = 1e-12
 
 HERMITIZE_TOL = 1e-9
@@ -95,10 +96,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
 
 def eig_hermitian(h) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, nonincreasing order."""
@@ -127,17 +124,22 @@ def cluster_indices(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.nda
 
 @dataclass(frozen=True)
 class PolarParts:
-    """sigma = isometry_part @ positive_part with u a partial isometry."""
+    """sigma = isometry_part @ positive_part with u a partial isometry.
+    positive_part = V diag(s) V* with V = eigenbasis; singular_values is s,
+    nonincreasing, with its values on the kernel of u set to zero."""
 
     isometry_part: np.ndarray
     positive_part: np.ndarray
+    eigenbasis: np.ndarray
+    singular_values: np.ndarray
 
 
 def polar_decompose(m) -> PolarParts:
-    """Polar decomposition m = u * sqrt(m* m).
+    """Polar decomposition m = u * sqrt(m* m), from one SVD.
 
     The partial isometry u is m @ pinv(positive_part), extended by zero on
     the kernel of the positive part, so u*u is the support projector.
+    Singular values at or below CLUSTER_TOL * max(1, s_0) count as kernel.
     """
     a = as_matrix(m)
     try:
@@ -148,26 +150,7 @@ def polar_decompose(m) -> PolarParts:
     cutoff = CLUSTER_TOL * max(1.0, s[0] if s.size else 0.0)
     support = s > cutoff
     isometry = u_svd[:, support] @ vh[support, :]
-    return PolarParts(isometry_part=isometry, positive_part=positive)
-
-
-def chi_geq(h, t: float) -> np.ndarray:
-    """Orthogonal projector onto eigenvectors of h with eigenvalue >= t.
-
-    Eigenvalues within CLUSTER_TOL of t are included, so a cluster sitting
-    on the threshold is never split.
-    """
-    dec = eig_hermitian(hermitize(h))
-    mask = dec.eigenvalues >= t - CLUSTER_TOL
-    v = dec.eigenvectors[:, mask]
-    return v @ v.conj().T
-
-
-def expand_corner(x, basis) -> np.ndarray:
-    """Embed a corner operator x into the host as B x B*, for B an
-    orthonormal basis of the corner; it inverts x = B* m B on the corner."""
-    b = np.asarray(basis, dtype=complex)
-    return b @ np.asarray(x, dtype=complex) @ b.conj().T
+    return PolarParts(isometry, positive, vh.conj().T, np.where(support, s, 0.0))
 
 
 def pseudo_inv_sqrt(a, cutoff: float | None = None) -> np.ndarray:

@@ -14,22 +14,27 @@ embedded strategy, its correlation and the symmetric stage, so the CLI,
 the lemma report and the soundness demo continue from them instead of
 embedding, correlating or polar-decomposing a second time.
 
+Every stage after symmetrize works in the eigenbasis V of the symmetric
+state sigma+, from the polar decomposition's one SVD: sigma+ is the
+diagonal of its singular values and Alice's elements are rotated once,
+V* A V.  Correlations, weights and residuals are normalized traces, so
+the basis does not change them.
+
 Cost model of the slice stage at dimension n, with nq questions of na
-answers.  Every slice spans a leading block of sigma's eigenbasis V, so
-each of Alice's elements is rotated once, V* A V, and factored once,
-V* A V = F F* with F of width k (the element's rank): nq na products and
+answers.  Every slice spans a leading block of coordinates and sigma's
+spectrum is its diagonal, so each of Alice's elements is only factored
+once, A = F F* with F of width k (the element's rank): nq na
 eigendecompositions of n^3 each.  The asymmetry of every leading block is
-read from prefix sums over the rotated elements, one pass per element.
-Slice j of rank r reads its corner POVM as the leading r x r block, whose
-factor is the leading r rows of F; rounding it takes, per question, na - 1
-eigendecompositions of min(r, k) x min(r, k) Gram matrices and
-O(r k (r + k)) products.
-Its residual ||(A - V_r P V_r*) V_r V_r*||_F^2 = ||V* A V_r - [P; 0]||_F^2
-is read off the same rotated block in O(n r), and its correlation is one
-product over all question pairs.  No slice forms an n x n projector.  The
-joint-distribution check likewise needs one eigendecomposition per operand:
-every threshold projector is a leading eigenvector block, so its distance
-at each breakpoint is read from a prefix sum of eigenvector overlaps.
+read from prefix sums, one pass per element.  Slice j of rank r reads its
+corner POVM as the leading r x r block, whose factor is the leading r rows
+of F; rounding it takes, per question, na - 1 eigendecompositions of
+min(r, k) x min(r, k) Gram matrices and O(r k (r + k)) products.  Its
+residual ||A[:, :r] - [P; 0]||_F^2 is read off the same columns in O(n r),
+and its correlation is one product over all question pairs.  No slice
+forms an n x n projector.  The joint-distribution check likewise needs one
+eigendecomposition per operand: every threshold projector is a leading
+eigenvector block, so its distance at each breakpoint is read from a
+prefix sum of eigenvector overlaps.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .errors import (
     NotPositive,
     NotNormalized,
     NotSynchronousGame,
+    ValidationError,
 )
 from .games import Game, is_synchronous_game
 from .linalg import CLUSTER_TOL, CORNER_TOL
@@ -258,24 +264,14 @@ def verify_connes(rho, sigma) -> tuple[float, float]:
     return lhs, float(rhs)
 
 
-def _sigma_eig(sigma) -> linalg.SpectralDecomposition:
-    """Eigensystem of a positive normalized sigma."""
-    s = linalg.hermitize(sigma)
-    dec = _checked_eig("sigma", s)
-    if abs(linalg.tau(s @ s).real - 1.0) > 1e-9:
-        raise NotNormalized(f"tau(sigma^2) = {linalg.tau(s @ s).real!r}")
-    return dec
-
-
-def _spectral_pieces(eigenvalues: np.ndarray):
+def _spectral_pieces(vals: np.ndarray):
     """Yield the (measure, rank) pieces of the exact slicing of sigma^2.
 
-    With distinct eigenvalues s_1 > ... > s_k of sigma (nonincreasing input,
-    clustered within CLUSTER_TOL), piece j carries Lebesgue measure
-    s_j^2 - s_{j+1}^2 (s_{k+1} = 0) and spans the leading `rank`
-    eigenvectors, those with eigenvalue >= s_j.
+    With distinct eigenvalues s_1 > ... > s_k of sigma (nonnegative,
+    nonincreasing input, clustered within CLUSTER_TOL), piece j carries
+    Lebesgue measure s_j^2 - s_{j+1}^2 (s_{k+1} = 0) and spans the leading
+    `rank` eigenvectors, those with eigenvalue >= s_j.
     """
-    vals = np.clip(eigenvalues, 0.0, None)
     clusters = linalg.cluster_indices(vals)
     reps = [float(np.mean(vals[idx])) for idx in clusters]
     rank = 0
@@ -287,28 +283,11 @@ def _spectral_pieces(eigenvalues: np.ndarray):
             yield measure, rank
 
 
-def projector_slices(sigma) -> list[tuple[float, np.ndarray]]:
-    """Exact spectral slicing of sigma^2 into (measure, projector) pieces.
-
-    With distinct eigenvalues s_1 > ... > s_k of sigma, piece j carries
-    Lebesgue measure s_j^2 - s_{j+1}^2 (s_{k+1} = 0) and projects onto the
-    eigenvectors with eigenvalue >= s_j; the measure-weighted sum of the
-    projectors reconstructs sigma^2.
-    """
-    dec = _sigma_eig(sigma)
-    v = dec.eigenvectors
-    return [
-        (measure, v[:, :rank] @ v[:, :rank].conj().T)
-        for measure, rank in _spectral_pieces(dec.eigenvalues)
-    ]
-
-
 @dataclass(frozen=True)
 class Slice:
     weight: float
     measure: float
-    basis: np.ndarray  # leading eigenvectors of sigma, a view shared by all slices
-    sub_dim: int
+    sub_dim: int  # the corner is the leading sub_dim coordinates
     pvms: tuple[Povm, ...]  # per question, on the corner
 
 
@@ -319,8 +298,8 @@ class RoundingDecomposition:
     mixed: Correlation
     diagnostics: dict
     # Earlier stages, set by round_correlation and None on a bare
-    # slice_strategies result.  symmetric is (sigma+, {A}), whose sigma+
-    # the slices cut.
+    # slice_strategies result.  symmetric is (sigma+, {A}) in sigma+'s
+    # eigenbasis V, whose diagonal sigma+ the slices cut.
     embedded: TracialStrategy | None
     c_in: Correlation | None
     symmetric: TracialStrategy | None
@@ -329,13 +308,18 @@ class RoundingDecomposition:
 def symmetrize(s: TracialStrategy, game: Game, c_in: Correlation):
     """Replace the strategy by the symmetric one (sigma+, {A}).
 
-    c_in is the correlation of s.  Returns the new strategy, its correlation
-    and a report with the input/output synchronicities and the mu-weighted
-    correlation distance; the factor-2 synchronicity bound is enforced.
+    c_in is the correlation of s.  The result is written in sigma+'s
+    eigenbasis V: its state is diag(singular values) and Alice's elements
+    are V* A V.  Returns it, its correlation and a report with the
+    input/output synchronicities and the mu-weighted correlation distance;
+    the factor-2 synchronicity bound is enforced.
     """
     delta_in = synchronicity(game, c_in)
-    sigma_plus = linalg.polar_decompose(s.sigma).positive_part
-    out = TracialStrategy(s.dim, sigma_plus, s.alice, s.alice)
+    polar = linalg.polar_decompose(s.sigma)
+    v = polar.eigenbasis
+    rotated = v.conj().T @ np.array([p.elements for p in s.alice]) @ v
+    alice = tuple(Povm(elements) for elements in rotated)
+    out = TracialStrategy(s.dim, np.diag(polar.singular_values), alice, alice)
     c_out = correlation(out)
     delta_out = synchronicity(game, c_out)
     if delta_out > 2.0 * delta_in + 1e-8:
@@ -380,20 +364,28 @@ def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
 def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
     """Decompose a symmetric projective strategy into synchronous corners.
 
-    Each spectral slice of sigma hosts a corner sub-strategy whose tracial
-    state is the corner identity; compressed measurements are rounded back
-    to PVMs there, making every per-slice correlation synchronous.
+    s is in its state's eigenbasis, as symmetrize leaves it: sigma is real,
+    diagonal, nonnegative and nonincreasing.  Each spectral slice, a leading
+    block of coordinates, hosts a corner sub-strategy whose tracial state is
+    the corner identity; compressed measurements are rounded back to PVMs
+    there, making every per-slice correlation synchronous.
     """
-    dec = _sigma_eig(s.sigma)
-    v = dec.eigenvectors
+    spectrum = np.diagonal(s.sigma)
+    if not np.array_equal(s.sigma, np.diag(spectrum)) or np.any(spectrum.imag):
+        raise ValidationError("slicing needs a real diagonal sigma")
+    spectrum = spectrum.real
+    if np.any(spectrum < 0) or np.any(np.diff(spectrum) > 0):
+        raise ValidationError("slicing needs a nonnegative nonincreasing sigma")
+    norm = float(np.mean(spectrum**2))
+    if abs(norm - 1.0) > 1e-9:
+        raise NotNormalized(f"tau(sigma^2) = {norm!r}")
     n = s.dim
-    pieces = list(_spectral_pieces(dec.eigenvalues))
-    # Alice's elements in sigma's eigenbasis; slice j's corner is the leading
-    # rank x rank block, so no slice touches the n x n operators again.
-    rotated = v.conj().T @ np.array([p.elements for p in s.alice]) @ v
-    linalg.check_leading_blocks(rotated, [rank for _, rank in pieces], CORNER_TOL)
-    herm = (rotated + rotated.conj().swapaxes(-1, -2)) / 2.0
-    # The leading rank rows of an element's rank factor factor its corner.
+    pieces = list(_spectral_pieces(spectrum))
+    # Slice j's corner is the leading rank x rank block, so no slice touches
+    # the n x n operators again.
+    alice = np.array([p.elements for p in s.alice])
+    linalg.check_leading_blocks(alice, [rank for _, rank in pieces], CORNER_TOL)
+    herm = (alice + alice.conj().swapaxes(-1, -2)) / 2.0
     factors = [[_rank_factor(h) for h in elements] for elements in herm]
     slices = []
     correlations = []
@@ -404,8 +396,8 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
         for x in range(s.n_questions):
             elements, _ = _round_corner(herm[x][:, :rank, :rank], factors[x])
             corner_pvms.append(Povm(elements))
-            cols = rotated[x][:, :, :rank]
-            # ||(A - V_r P V_r*) V_r V_r*||_F = ||V* A V_r - [P; 0]||_F
+            cols = alice[x][:, :, :rank]
+            # ||(A - P) Pi_r||_F = ||A[:, :rank] - [P; 0]||_F
             d = cols.copy()
             d[:, :rank] -= elements
             sq = float(np.vdot(d, d).real)
@@ -419,7 +411,7 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
             raise MathContractError(
                 f"slice correlation synchronicity {sync_sub:.3e} > 1e-8"
             )
-        slices.append(Slice(weight, measure, v[:, :rank], rank, corner_pvms))
+        slices.append(Slice(weight, measure, rank, corner_pvms))
         correlations.append(c_sub)
     weights = np.array([sl.weight for sl in slices])
     if abs(weights.sum() - 1.0) > 1e-9:

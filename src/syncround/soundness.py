@@ -74,49 +74,43 @@ def dominated_factorization(a, b, cutoff: float | None = None) -> np.ndarray:
 
 
 def aggregate_slice_povms(
-    sigma, slices: list[tuple[float, np.ndarray, list[Povm]]]
+    spectrum, slices: list[tuple[float, int, list[Povm]]]
 ) -> list[Povm]:
     """Combine per-slice corner POVM families into one family on the host.
 
-    slices is a list of (measure, basis, per-question corner POVMs); the
-    output family H satisfies sigma H sigma = sum of measure-weighted
-    expanded slice families on the support of sigma, with the identity
-    deficit on ker(sigma) assigned to answer 0.
+    All in sigma's eigenbasis, sigma = diag(s): slices is a list of
+    (measure, rank, per-question corner POVMs), each corner the leading
+    rank x rank block.  H satisfies sigma H sigma = the measure-weighted sum
+    T of the zero-padded corners on the support s_i^2 > 1e-10 max s^2 (that
+    of pseudo_inv_sqrt(sigma^2)), so H_ij = T_ij / (s_i s_j) there; the
+    identity deficit on the kernel is assigned to answer 0.
     """
-    sig = linalg.hermitize(sigma)
-    n = sig.shape[0]
+    s = np.asarray(spectrum, dtype=float)
+    n = s.size
     n_questions = len(slices[0][2])
     outcomes = slices[0][2][0].outcomes
-    sig_sq = sig @ sig
-    root_inv = linalg.pseudo_inv_sqrt(sig_sq)
-    support = root_inv @ sig_sq @ root_inv
-    kernel = np.eye(n) - support
+    s2 = s**2
+    support = s2 > 1e-10 * s2.max()
+    inv = np.where(support, 1.0, 0.0) / np.where(support, s, 1.0)
+    kernel = np.diag(np.where(support, 0.0, 1.0))
+    scale, unscale = np.outer(inv, inv), np.outer(s, s)
 
     families = []
     for y in range(n_questions):
-        targets = []
-        for b in range(outcomes):
-            acc = np.zeros((n, n), dtype=complex)
-            for measure, basis, corner in slices:
-                acc += measure * linalg.expand_corner(
-                    corner[y].elements[b], basis
-                )
-            targets.append(acc)
-        elements = [root_inv @ t @ root_inv for t in targets]
-        elements[0] = elements[0] + kernel
-        family = Povm(np.array(elements))
+        targets = np.zeros((outcomes, n, n), dtype=complex)
+        for measure, rank, corner in slices:
+            targets[:, :rank, :rank] += measure * corner[y].elements
+        elements = targets * scale
+        elements[0] += kernel
+        family = Povm(elements)
         if family.validate():
             raise NotPovm(f"aggregated family for question {y} is not a POVM")
-        for b in range(outcomes):
-            # sigma annihilates the kernel completion, so the identity
-            # holds for b = 0 as well.
-            recon = sig @ family.elements[b] @ sig
-            if linalg.frobenius(recon - targets[b]) > 1e-8 * (
-                1.0 + linalg.frobenius(sig_sq)
-            ):
-                raise NotPovm(
-                    f"sigma H sigma reconstruction failed at (y={y}, b={b})"
-                )
+        # sigma annihilates the kernel completion, so the identity holds
+        # for b = 0 as well.
+        error = np.linalg.norm(unscale * family.elements - targets, axis=(1, 2))
+        if np.any(error > 1e-8 * (1.0 + np.linalg.norm(s2))):
+            b = int(np.argmax(error))
+            raise NotPovm(f"sigma H sigma reconstruction failed at (y={y}, b={b})")
         families.append(family)
     return families
 
@@ -129,13 +123,13 @@ def soundness_transfer_demo(
     Rounds the strategy, takes each slice's own corner PVMs as its
     auxiliary measurement family, aggregates them into a single POVM family
     and evaluates the transferred expectation against the kappa reference.
-    The embedding, input correlation and symmetric stage all come from the
-    one rounding run.  No hard assertion is made: the bound's constants are
+    The input correlation and the symmetric stage come from the one
+    rounding run.  No hard assertion is made: the bound's constants are
     unspecified, so raw values are reported.
     """
     inst.validate(game.n_questions, game.n_answers)
     dec = round_correlation(game, s)
-    embedded, c_in = dec.embedded, dec.c_in
+    c_in = dec.c_in
     delta = dec.diagnostics["delta_in"]
     omega = winning_probability_from_correlation(game, c_in)
 
@@ -147,10 +141,13 @@ def soundness_transfer_demo(
         sum(rho_x[x] * c_in.table[x, x][off].sum() for x in range(game.n_questions))
     )
 
-    slice_data = [(sl.measure, sl.basis, list(sl.pvms)) for sl in dec.slices]
-    # H lives on the symmetric-positive stage whose slices were computed.
-    sigma_plus = dec.symmetric.sigma
-    families = aggregate_slice_povms(sigma_plus, slice_data)
+    slice_data = [(sl.measure, sl.sub_dim, list(sl.pvms)) for sl in dec.slices]
+    # H lives on the symmetric stage whose slices were computed, in sigma+'s
+    # eigenbasis V: sigma+ = diag(s) and Alice's elements are V* A V.
+    sym = dec.symmetric
+    s = np.diagonal(sym.sigma).real
+    families = aggregate_slice_povms(s, slice_data)
+    weight = np.outer(s, s)
 
     transferred = 0.0
     for x in range(game.n_questions):
@@ -162,13 +159,10 @@ def soundness_transfer_demo(
                 if not block:
                     continue
                 h = sum(families[y].elements[b] for b in block)
-                val = linalg.tau(
-                    sigma_plus.conj().T
-                    @ embedded.alice[x].elements[a]
-                    @ sigma_plus
-                    @ h
-                )
-                transferred += rho[x, y] * float(val.real)
+                # tau(sigma+ A sigma+ H) = sum_ij s_i A_ij s_j H_ji / n
+                left = weight * sym.alice[x].elements[a]
+                val = np.sum(left * h.T).real / sym.dim
+                transferred += rho[x, y] * float(val)
 
     return {
         "omega": omega,

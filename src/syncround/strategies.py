@@ -20,7 +20,6 @@ from .games import Game, is_synchronous_game
 
 POVM_SUM_TOL = 1e-9
 POVM_EIG_FLOOR = -1e-10
-PROJECTIVE_TOL = 1e-9
 CORR_IMAG_HARD = 1e-7
 
 
@@ -57,11 +56,6 @@ class Povm:
         if np.max(np.abs(total - np.eye(self.dim))) > POVM_SUM_TOL:
             violations.append("SumNotIdentity")
         return violations
-
-    def is_projective(self, tol: float = PROJECTIVE_TOL) -> bool:
-        return all(
-            linalg.frobenius(e @ e - e) <= tol for e in self.elements
-        )
 
 
 @dataclass(frozen=True)
@@ -179,16 +173,19 @@ def correlation(s: TracialStrategy) -> Correlation:
 
     tau(L B) = sum_ij (L^T)_ij B_ij / n, so the (x, y) block of the table is
     one product of the flattened (sigma* A^x sigma)^T = sigma^T (A^x)^T
-    conj(sigma) with the flattened B^y.  At the identity state (every
-    rounded corner) sigma* A sigma is A itself, and the whole table is one
-    product of all of Alice's flattened elements with all of Bob's.  Any
-    other state is worked one question at a time, which keeps the
-    temporaries at one POVM's size.
+    conj(sigma) with the flattened B^y.  At a diagonal state d (every stage
+    after symmetrize, which works in sigma+'s eigenbasis, and every rounded
+    corner) that left factor is d_i (A^x)^T_ij conj(d_j), an O(n^2) scaling,
+    and the whole table is one product of all of Alice's scaled elements
+    with all of Bob's.  Any other state is worked one question at a time,
+    which keeps the temporaries at one POVM's size.
     """
     nq, na, n = s.n_questions, s.n_answers, s.dim
     sig = s.sigma
-    if np.array_equal(sig, np.eye(n)):
+    d = np.diagonal(sig)
+    if np.array_equal(sig, np.diag(d)):
         left = np.array([p.elements.swapaxes(1, 2) for p in s.alice])
+        left *= np.outer(d, d.conj())
         right = np.array([p.elements for p in s.bob_left])
         vals = left.reshape(nq * na, n * n) @ right.reshape(nq * na, n * n).T
         vals = vals.reshape(nq, na, nq, na).transpose(0, 2, 1, 3)

@@ -8,20 +8,22 @@ import time
 
 import numpy as np
 
+from reference import expand_corner, is_projective
 from syncround import linalg
 from syncround.cli import main as cli_main
 from syncround.games import edge_game, k3_game
 from syncround.rounding import (
     lemma_report,
     orthogonalize_povm,
-    projector_slices,
     round_correlation,
+    slice_strategies,
     verify_connes,
 )
 from syncround.soundness import aggregate_slice_povms, dominated_factorization
 from syncround.strategies import (
     Povm,
     TensorStrategy,
+    TracialStrategy,
     correlation,
     deterministic_strategy,
     embed_tracial,
@@ -49,15 +51,36 @@ def normalized_sigma(rng, n):
     return s / linalg.tau_norm(s)
 
 
+def _diagonal_pvms(n):
+    """Triangle-game PVMs that commute with every diagonal state."""
+    pvms = []
+    for x in range(3):
+        elements = np.zeros((3, n, n), dtype=complex)
+        for i in range(n):
+            elements[(i + x) % 3, i, i] = 1.0
+        pvms.append(Povm(elements))
+    return pvms
+
+
 def test_identity_suite():
     """Spectral slices of sigma integrate back to sigma squared."""
+    game = k3_game()
     rng = np.random.default_rng(100)
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 17))
         sigma = normalized_sigma(rng, n)
-        total = sum(m * p for m, p in projector_slices(sigma))
+        # slice_strategies cuts sigma in its eigenbasis V; P_r = V_r V_r*
+        polar = linalg.polar_decompose(sigma)
+        v = polar.eigenbasis
+        pvms = _diagonal_pvms(n)
+        s = TracialStrategy(n, np.diag(polar.singular_values), pvms, pvms)
+        slices = slice_strategies(s, game).slices
+        total = sum(
+            sl.measure * v[:, : sl.sub_dim] @ v[:, : sl.sub_dim].conj().T
+            for sl in slices
+        )
         worst = max(worst, float(np.max(np.abs(total - sigma @ sigma))))
     elapsed = time.perf_counter() - start
     report(
@@ -118,7 +141,7 @@ def test_orthogonalization_suite():
             float(np.trace(e @ e @ w).real) / dim for e in povm.elements
         )
         out, err = orthogonalize_povm(povm, sigma)
-        all_valid = all_valid and out.validate() == [] and out.is_projective(1e-8)
+        all_valid = all_valid and out.validate() == [] and is_projective(out, 1e-8)
         worst_excess = max(worst_excess, err - 9 * eps)
         if weight == 0.0 or i % 7 == 0:
             pvm = _noised_pvm(rng, dim, outcomes, 0.0)
@@ -286,19 +309,17 @@ def test_rounding_trend():
 
 
 def _two_slice_fixture():
-    sigma = np.diag([1.0, 0.5])
-    sigma = sigma / linalg.tau_norm(sigma)
-    s1, s2 = np.diag(sigma).real
-    basis1 = np.array([[1.0], [0.0]], dtype=complex)
-    basis2 = np.eye(2, dtype=complex)
+    spectrum = np.array([1.0, 0.5])
+    spectrum = spectrum / np.sqrt(np.mean(spectrum**2))
+    s1, s2 = spectrum
     corner1 = [Povm(np.array([[[1.0 + 0j]], [[0.0 + 0j]]]))]
     eye2 = np.zeros((2, 2, 2), dtype=complex)
     eye2[0, 0, 0] = 1.0
     eye2[1, 1, 1] = 1.0
     corner2 = [Povm(eye2)]
-    return sigma, [
-        (s1**2 - s2**2, basis1, corner1),
-        (s2**2, basis2, corner2),
+    return spectrum, [
+        (s1**2 - s2**2, 1, corner1),
+        (s2**2, 2, corner2),
     ]
 
 
@@ -319,14 +340,15 @@ def test_soundness_machinery():
         worst_recon = max(
             worst_recon, linalg.frobenius(root @ c @ root - b)
         )
-    sigma, slices = _two_slice_fixture()
-    families = aggregate_slice_povms(sigma, slices)
+    spectrum, slices = _two_slice_fixture()
+    sigma = np.diag(spectrum)
+    families = aggregate_slice_povms(spectrum, slices)
     povm_ok = all(f.validate() == [] for f in families)
     worst_fixture = 0.0
     for b in range(2):
         target = sum(
-            m * linalg.expand_corner(corner[0].elements[b], basis)
-            for m, basis, corner in slices
+            m * expand_corner(corner[0].elements[b], np.eye(2)[:, :rank])
+            for m, rank, corner in slices
         )
         recon = sigma @ families[0].elements[b] @ sigma
         worst_fixture = max(worst_fixture, linalg.frobenius(recon - target))

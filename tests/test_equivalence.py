@@ -12,6 +12,7 @@ two must agree to 1e-10.
 import numpy as np
 import pytest
 
+from reference import chi_geq, expand_corner
 from syncround import linalg, rounding
 from syncround.errors import AsymmetryExceedsTolerance, BoundViolated, NotPositive
 from syncround.games import k3_game
@@ -73,7 +74,7 @@ def reference_connes(rho, sigma):
         if hi - lo <= CLUSTER_TOL:
             continue
         mid = np.sqrt((lo + hi) / 2.0)
-        diff = linalg.chi_geq(r, mid) - linalg.chi_geq(s, mid)
+        diff = chi_geq(r, mid) - chi_geq(s, mid)
         lhs += (hi - lo) * linalg.tau_norm(diff) ** 2
     return lhs, linalg.tau_norm(r - s) * linalg.tau_norm(r + s)
 
@@ -141,10 +142,21 @@ def reference_orthogonalize(povm, sigma, slack=1e-8):
     return pvm, error, relabeled_path
 
 
+def sigma_frame(sigma):
+    """sigma's eigenvalues and eigenvectors, nonincreasing.  A diagonal
+    sigma, as symmetrize returns it, keeps the coordinate frame: eigh would
+    reverse the order inside a degenerate cluster (for sigma = I it returns
+    the reversal permutation)."""
+    if np.array_equal(sigma, np.diag(np.diagonal(sigma))):
+        return np.diagonal(sigma).real, np.eye(len(sigma), dtype=complex)
+    dec = linalg.eig_hermitian(linalg.hermitize(sigma))
+    return dec.eigenvalues, dec.eigenvectors
+
+
 def reference_slices(s, game):
     """Per slice: an n x n projector, compress, round, expand, residual."""
-    dec = linalg.eig_hermitian(linalg.hermitize(s.sigma))
-    vals = np.clip(dec.eigenvalues, 0.0, None)
+    eigenvalues, eigenvectors = sigma_frame(s.sigma)
+    vals = np.clip(eigenvalues, 0.0, None)
     clusters = linalg.cluster_indices(vals)
     reps = [float(np.mean(vals[idx])) for idx in clusters]
     n = s.dim
@@ -157,7 +169,7 @@ def reference_slices(s, game):
         measure = reps[j] ** 2 - s_next**2
         if measure <= 0.0:
             continue
-        basis = dec.eigenvectors[:, :used].copy()
+        basis = eigenvectors[:, :used].copy()
         projector = basis @ basis.conj().T
         pvms = []
         for povm in s.alice:
@@ -172,7 +184,7 @@ def reference_slices(s, game):
             pvms.append(reference_orthogonalize(compressed, np.eye(used))[0])
         for x in range(s.n_questions):
             for a in range(s.n_answers):
-                d = s.alice[x].elements[a] - linalg.expand_corner(pvms[x][a], basis)
+                d = s.alice[x].elements[a] - expand_corner(pvms[x][a], basis)
                 residual += (
                     game.mu_x[x] * measure * linalg.tau_norm(d @ projector) ** 2
                 )
@@ -224,10 +236,19 @@ def projective_symmetric(s):
 # tests
 
 
+def complex_diagonal_state(s):
+    """s at a seeded complex diagonal state, normalized."""
+    rng = np.random.default_rng(s.dim)
+    d = rng.normal(size=s.dim) + 1j * rng.normal(size=s.dim)
+    d /= np.sqrt(np.mean(np.abs(d) ** 2))
+    return type(s)(s.dim, np.diag(d), s.alice, s.bob_left)
+
+
 @pytest.mark.parametrize("name", sorted(TENSOR_CASES))
 def test_correlation_matches_entrywise(name):
     embedded = embed_tracial(TENSOR_CASES[name])
-    for s in (embedded, projective_symmetric(TENSOR_CASES[name])):
+    symmetric = projective_symmetric(TENSOR_CASES[name])
+    for s in (embedded, symmetric, complex_diagonal_state(embedded)):
         np.testing.assert_allclose(
             correlation(s).table, reference_correlation(s), rtol=0, atol=TOL
         )
@@ -256,15 +277,6 @@ def test_slices_match_compress_expand(name):
         for got, want in zip(sl.pvms, pvms):
             np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
     assert abs(dec.diagnostics["slice_residual"] - residual) <= TOL
-
-
-def test_slice_basis_is_shared_view():
-    game = k3_game()
-    s = projective_symmetric(random_strategy((6, 6), (3, 3), 0))
-    dec = slice_strategies(s, game)
-    last = dec.slices[-1].basis
-    for sl in dec.slices:
-        assert np.shares_memory(sl.basis, last)
 
 
 @pytest.mark.parametrize("name", sorted(TENSOR_CASES))
@@ -368,7 +380,7 @@ def corner_perturbed(s, scale):
     """s with an anti-Hermitian scale * [[0, 1], [-1, 0]] added to the
     leading 2 x 2 block of one of Alice's elements in sigma's eigenbasis;
     scale = 1 puts that block's asymmetry at 1e-7 (1 + ||block||_F)."""
-    v = linalg.eig_hermitian(linalg.hermitize(s.sigma)).eigenvectors
+    _, v = sigma_frame(s.sigma)
     elements = s.alice[1].elements.copy()
     block = (v.conj().T @ elements[2] @ v)[:2, :2]
     k = np.zeros((s.dim, s.dim), dtype=complex)
@@ -408,8 +420,8 @@ def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
     ranks = {int(round(np.trace(e).real)) for p in s.alice for e in p.elements}
     (k,) = ranks  # every element has the same factor width
     assert k < n
-    # sigma once, then one rank factor per element of Alice's
-    assert sizes.count(n) == 1 + nq * na
+    # one rank factor per element of Alice's; sigma is read off its diagonal
+    assert sizes.count(n) == nq * na
     grams = [m for m in sizes if m != n]
     per_slice = nq * (na - 1)
     assert len(grams) == len(dec.slices) * per_slice

@@ -99,6 +99,23 @@ def test_unnormalized_correlation_rejected():
         io.correlation_from_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        ('"abc"', ParseError),
+        ("[[[[0.5, 0.5], [0.0]]]]", ParseError),  # ragged
+        ("[1, 2]", ValidationError),
+        ("[[[[1.0]]], [[[1.0]]]]", ValidationError),  # (2, 1, 1, 1)
+        ("[[[[0.5, 0.5]]]]", ValidationError),  # (1, 1, 1, 2)
+        ("[]", ValidationError),
+    ],
+)
+def test_malformed_correlation_table_refused(table, error):
+    text = f'{{"schema": "syncround.correlation/1", "table": {table}}}'
+    with pytest.raises(error):
+        io.loads(text, "correlation")
+
+
 def test_unnormalized_state_rejected():
     s = random_strategy((2, 2), (2, 2), 1)
     obj = io.strategy_to_dict(s)

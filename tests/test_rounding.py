@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from reference import is_projective, projector_slices
 from syncround import cli, linalg, rounding, soundness, strategies
+from syncround.errors import NotNormalized, ValidationError
 from syncround.games import k3_game
 from syncround.rounding import (
     lemma_report,
     orthogonalize_povm,
-    projector_slices,
     round_correlation,
     slice_strategies,
     symmetrize,
@@ -101,7 +102,7 @@ def test_orthogonalize_binary_beats_threshold_oracle():
             sigma = normalized_sigma(rng, dim)
             out, err = orthogonalize_povm(povm, sigma)
             assert out.validate() == []
-            assert out.is_projective(1e-8)
+            assert is_projective(out, 1e-8)
             best = brute_force_best_threshold_error(povm, sigma)
             assert err <= best + 1e-10
 
@@ -149,45 +150,97 @@ def test_connes_inequality_random():
 
 
 # ---------------------------------------------------------------------------
-# projector_slices
+# spectral slices
+
+
+def diagonal_strategy(spectrum):
+    """A symmetric projective strategy for the triangle game at a diagonal
+    state: answer a to question x on the coordinates i = a - x mod 3."""
+    n = len(spectrum)
+    pvms = []
+    for x in range(3):
+        elements = np.zeros((3, n, n), dtype=complex)
+        for i in range(n):
+            elements[(i + x) % 3, i, i] = 1.0
+        pvms.append(Povm(elements))
+    return TracialStrategy(n, np.diag(spectrum), pvms, pvms)
+
+
+def slice_pieces(spectrum):
+    """(measure, rank) of each slice slice_strategies cuts."""
+    dec = slice_strategies(diagonal_strategy(spectrum), k3_game())
+    return [(sl.measure, sl.sub_dim) for sl in dec.slices]
 
 
 def test_slices_identity_sigma():
-    pieces = projector_slices(np.eye(5))
-    assert len(pieces) == 1
-    measure, proj = pieces[0]
+    ((measure, rank),) = slice_pieces(np.ones(5))
     assert measure == pytest.approx(1.0)
-    np.testing.assert_allclose(proj, np.eye(5), atol=1e-12)
+    assert rank == 5
 
 
 def test_slices_two_level_example():
-    sigma = np.diag([1.0, 0.5])
-    sigma = sigma / linalg.tau_norm(sigma)  # tau(sigma^2) = 1
+    spectrum = np.array([1.0, 0.5])
+    spectrum = spectrum / np.sqrt(np.mean(spectrum**2))  # tau(sigma^2) = 1
     scale = 2.0 / (1.0 + 0.25)
-    pieces = projector_slices(sigma)
-    assert len(pieces) == 2
-    np.testing.assert_allclose(pieces[0][1], np.diag([1.0, 0.0]), atol=1e-12)
+    pieces = slice_pieces(spectrum)
+    assert [rank for _, rank in pieces] == [1, 2]
     assert pieces[0][0] == pytest.approx(0.75 * scale)
-    np.testing.assert_allclose(pieces[1][1], np.eye(2), atol=1e-12)
     assert pieces[1][0] == pytest.approx(0.25 * scale)
 
 
 def test_slices_rank_one():
-    sigma = np.diag([np.sqrt(2.0), 0.0])
-    pieces = projector_slices(sigma)
-    assert len(pieces) == 1
-    assert pieces[0][0] == pytest.approx(2.0)
-    np.testing.assert_allclose(pieces[0][1], np.diag([1.0, 0.0]), atol=1e-12)
+    ((measure, rank),) = slice_pieces(np.array([np.sqrt(2.0), 0.0]))
+    assert measure == pytest.approx(2.0)
+    assert rank == 1
 
 
 def test_slices_reconstruct_sigma_squared():
+    # sigma's eigenbasis and spectrum from the polar decomposition, slices
+    # from slice_strategies, projectors rebuilt in the host frame
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(2, 10))
         sigma = normalized_sigma(rng, n)
-        pieces = projector_slices(sigma)
-        total = sum(m * p for m, p in pieces)
+        polar = linalg.polar_decompose(sigma)
+        v = polar.eigenbasis
+        pieces = slice_pieces(polar.singular_values)
+        total = sum(m * v[:, :r] @ v[:, :r].conj().T for m, r in pieces)
         np.testing.assert_allclose(total, sigma @ sigma, atol=1e-9)
+        want = projector_slices(sigma)
+        assert len(pieces) == len(want)
+        for (m, r), (want_m, want_p) in zip(pieces, want):
+            assert m == pytest.approx(want_m, abs=1e-10)
+            np.testing.assert_allclose(
+                v[:, :r] @ v[:, :r].conj().T, want_p, atol=1e-9
+            )
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        np.array([[1.0, 0.1], [0.1, 1.0]]) / np.sqrt(1.01),  # not diagonal
+        np.diag([0.5, np.sqrt(1.75)]),  # increasing
+        np.diag([1j, 1.0]),  # not real
+        np.diag([np.sqrt(2.0 - 1e-6), -1e-3]),  # negative
+    ],
+)
+def test_slice_strategies_refuses_sigma_outside_its_eigenbasis(sigma):
+    # every sigma here has tau(sigma* sigma) = 1
+    s = diagonal_strategy(np.ones(2))
+    with pytest.raises(ValidationError, match="slicing needs"):
+        slice_strategies(TracialStrategy(2, sigma, s.alice, s.alice), k3_game())
+
+
+def test_slice_strategies_refuses_unnormalized_sigma():
+    with pytest.raises(NotNormalized):
+        slice_pieces(np.array([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("dims", [(1, 5), (24, 48)])
+def test_rank_deficient_state_gives_no_kernel_slice(dims):
+    dec = round_correlation(k3_game(), random_strategy(dims, (3, 3), 0))
+    assert min(sl.measure for sl in dec.slices) >= 1e-20
+    assert max(sl.sub_dim for sl in dec.slices) == min(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +252,7 @@ def test_symmetrize_fixed_point():
     out, _, report = symmetrize(s, k3_game(), correlation(s))
     assert report["distance"] <= 1e-10
     assert report["delta_out"] <= 1e-10
+    # sigma = I, so the eigenbasis frame leaves the state unchanged
     np.testing.assert_allclose(out.sigma, s.sigma, atol=1e-10)
 
 
@@ -223,7 +277,7 @@ def test_projectivize_projective_fixed_point():
     assert report["distance"] <= 1e-10
     assert report["gamma"] <= 1e-10
     for pvm in out.alice:
-        assert pvm.is_projective()
+        assert is_projective(pvm)
 
 
 def test_projectivize_noised_input():
@@ -235,7 +289,7 @@ def test_projectivize_noised_input():
     noisy = TracialStrategy(3, s.sigma, noised, noised)
     out, _, report = projectivize(noisy, g, correlation(noisy))
     for pvm in out.alice:
-        assert pvm.is_projective(1e-8)
+        assert is_projective(pvm, 1e-8)
         assert pvm.validate() == []
     assert np.isfinite(report["delta_out"])
     assert report["distance"] <= 1.0
@@ -250,11 +304,8 @@ def test_slice_strategies_flat_spectrum():
     assert sl.weight == pytest.approx(1.0)
     assert sl.sub_dim == 3
     for pvm, orig in zip(sl.pvms, s.alice):
-        # corner PVMs live in the slice's eigenbasis; expand before comparing
-        expanded = np.array(
-            [linalg.expand_corner(e, sl.basis) for e in pvm.elements]
-        )
-        np.testing.assert_allclose(expanded, orig.elements, atol=1e-9)
+        # sigma = I is diagonal, so the corner is the whole coordinate space
+        np.testing.assert_allclose(pvm.elements, orig.elements, atol=1e-9)
     assert dec.diagnostics["slice_residual"] <= 1e-10
 
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from reference import expand_corner, host_aggregate
 from syncround import linalg
 from syncround.errors import DominationViolated, ValidationError
 from syncround.games import k3_game
+from syncround.rounding import round_correlation
 from syncround.soundness import (
     SoundnessInstance,
     aggregate_slice_povms,
@@ -17,6 +19,7 @@ from syncround.strategies import (
     Povm,
     entangled_coloring_strategy,
     perturb_strategy,
+    random_strategy,
 )
 
 
@@ -94,24 +97,28 @@ def basis_pvm(dim):
 
 
 def two_slice_fixture():
-    """sigma = diag-type two-level spectrum with diagonal corner POVMs."""
-    sigma = np.diag([1.0, 0.5])
-    sigma = sigma / linalg.tau_norm(sigma)
-    s1, s2 = np.diag(sigma).real
-    basis1 = np.array([[1.0], [0.0]], dtype=complex)
-    basis2 = np.eye(2, dtype=complex)
+    """A two-level spectrum with diagonal corner POVMs, in sigma's
+    eigenbasis: (spectrum, [(measure, rank, corner POVMs)])."""
+    spectrum = np.array([1.0, 0.5])
+    spectrum = spectrum / np.sqrt(np.mean(spectrum**2))
+    s1, s2 = spectrum
     corner1 = [Povm(np.array([[[1.0 + 0j]], [[0.0 + 0j]]]))]
     corner2 = [basis_pvm(2)]
     slices = [
-        (s1**2 - s2**2, basis1, corner1),
-        (s2**2, basis2, corner2),
+        (s1**2 - s2**2, 1, corner1),
+        (s2**2, 2, corner2),
     ]
-    return sigma, slices
+    return spectrum, slices
+
+
+def padded(x, n):
+    """A corner operator zero-padded to the leading block of C^n."""
+    return expand_corner(x, np.eye(n)[:, : len(x)])
 
 
 def test_aggregate_single_slice_identity_sigma():
     pvm = basis_pvm(3)
-    families = aggregate_slice_povms(np.eye(3), [(1.0, np.eye(3, dtype=complex), [pvm])])
+    families = aggregate_slice_povms(np.ones(3), [(1.0, 3, [pvm])])
     np.testing.assert_allclose(families[0].elements, pvm.elements, atol=1e-9)
 
 
@@ -119,23 +126,21 @@ def test_aggregate_degenerate_all_mass_on_one_outcome():
     # corner family puts the corner identity on outcome 0
     elements = np.zeros((2, 3, 3), dtype=complex)
     elements[0] = np.eye(3)
-    families = aggregate_slice_povms(
-        np.eye(3), [(1.0, np.eye(3, dtype=complex), [Povm(elements)])]
-    )
+    families = aggregate_slice_povms(np.ones(3), [(1.0, 3, [Povm(elements)])])
     np.testing.assert_allclose(families[0].elements[0], np.eye(3), atol=1e-9)
     np.testing.assert_allclose(families[0].elements[1], 0, atol=1e-9)
 
 
 def test_aggregate_two_slice_reconstruction():
-    sigma, slices = two_slice_fixture()
-    families = aggregate_slice_povms(sigma, slices)
+    spectrum, slices = two_slice_fixture()
+    sigma = np.diag(spectrum)
+    families = aggregate_slice_povms(spectrum, slices)
     assert len(families) == 1
     family = families[0]
     assert family.validate() == []
     for b in range(2):
         target = sum(
-            m * linalg.expand_corner(corner[0].elements[b], basis)
-            for m, basis, corner in slices
+            m * padded(corner[0].elements[b], 2) for m, _, corner in slices
         )
         recon = sigma @ family.elements[b] @ sigma
         assert linalg.frobenius(recon - target) <= 1e-8
@@ -143,13 +148,34 @@ def test_aggregate_two_slice_reconstruction():
 
 def test_aggregate_kernel_deficit_goes_to_outcome_zero():
     # rank-deficient sigma: the kernel completion lands on outcome 0
-    sigma = np.diag([np.sqrt(2.0), 0.0])
-    basis = np.array([[1.0], [0.0]], dtype=complex)
     corner = [Povm(np.array([[[1.0 + 0j]], [[0.0 + 0j]]]))]
-    families = aggregate_slice_povms(sigma, [(2.0, basis, corner)])
+    families = aggregate_slice_povms(
+        np.array([np.sqrt(2.0), 0.0]), [(2.0, 1, corner)]
+    )
     family = families[0]
     assert family.validate() == []
     assert family.elements[0][1, 1] == pytest.approx(1.0)
+
+
+def test_aggregate_support_cut_matches_pseudo_inv_sqrt():
+    # s^2 at 1e-9 of the largest is on the support, at 1e-11 it is kernel
+    pvm = basis_pvm(2)
+    top = Povm(pvm.elements[:, :1, :1])
+    for tail_sq, on_support in ((1e-9, True), (1e-11, False)):
+        spectrum = np.array([1.0, np.sqrt(tail_sq)])
+        measures = (1.0 - tail_sq, tail_sq)
+        families = aggregate_slice_povms(
+            spectrum, [(measures[0], 1, [top]), (measures[1], 2, [pvm])]
+        )
+        host = host_aggregate(
+            np.diag(spectrum),
+            [(measures[0], np.eye(2)[:, :1], [top]), (measures[1], np.eye(2), [pvm])],
+        )
+        np.testing.assert_allclose(
+            families[0].elements, host[0].elements, atol=1e-10
+        )
+        expected = 1.0 if on_support else 0.0
+        assert families[0].elements[1][1, 1].real == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +239,46 @@ def test_demo_degrades_continuously():
         assert report["delta"] < 0.1
     assert values[0] > values[2]
     assert values[0] == pytest.approx(1.0, abs=1e-2)
+
+
+def host_frame_transferred(game, inst, s):
+    """soundness_transfer_demo's transferred expectation in the host frame:
+    each slice's corner expanded by sigma+'s leading eigenvectors, the
+    families aggregated with pseudo_inv_sqrt(sigma+^2), and
+    tau(sigma+ A sigma+ H) taken with the embedded strategy's elements."""
+    dec = round_correlation(game, s)
+    polar = linalg.polar_decompose(dec.embedded.sigma)
+    v, sigma_plus = polar.eigenbasis, polar.positive_part
+    slices = [(sl.measure, v[:, : sl.sub_dim], list(sl.pvms)) for sl in dec.slices]
+    families = host_aggregate(sigma_plus, slices)
+    rho = np.asarray(inst.rho, dtype=float)
+    total = 0.0
+    for x in range(game.n_questions):
+        for y in range(len(inst.aux_questions)):
+            for a in range(game.n_answers):
+                block = inst.g(x, y, a)
+                if rho[x, y] == 0.0 or not block:
+                    continue
+                h = sum(families[y].elements[b] for b in block)
+                left = sigma_plus @ dec.embedded.alice[x].elements[a] @ sigma_plus
+                total += rho[x, y] * linalg.tau(left @ h).real
+    return total
+
+
+DEMO_CASES = {
+    "random-24x24": random_strategy((24, 24), (3, 3), 0),
+    "random-12x12": random_strategy((12, 12), (3, 3), 1),
+    "random-1x5": random_strategy((1, 5), (3, 3), 2),
+    "random-5x1": random_strategy((5, 1), (3, 3), 0),
+    "perturbed-k3": perturb_strategy(entangled_coloring_strategy(3), 0.3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_CASES))
+def test_demo_matches_host_frame_reference(name):
+    g = k3_game()
+    inst = identity_consistency_instance(g)
+    s = DEMO_CASES[name]
+    report = soundness_transfer_demo(g, inst, s)
+    want = host_frame_transferred(g, inst, s)
+    assert abs(report["transferred_expectation"] - want) <= 1e-10
