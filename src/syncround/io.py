@@ -9,13 +9,20 @@ Files are parsed by orjson when it is installed (``pip install
 'syncround[fast]'``), which reads a large strategy about twice as fast.
 The stdlib json module stays the authority: whatever orjson refuses is
 parsed again by json, whose result or error stands.
+
+Loading runs with the cyclic garbage collector paused.  A d=96 strategy
+parses into ~180k lists, none of them cyclic, and each generation-2
+collection the allocations trigger would walk all of them again; the
+collector's state on entry is restored however the load ends.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
+from contextlib import contextmanager
 from functools import partial
 from operator import index
 
@@ -318,16 +325,30 @@ _LOADERS = {
 }
 
 
+@contextmanager
+def _gc_paused():
+    """Run the block with the cyclic GC off, then restore its state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def loads(text: str | bytes, kind: str):
     """Load a JSON document given as text or as UTF-8 bytes."""
-    return _LOADERS[kind](_parse_json(text))
+    with _gc_paused():
+        return _LOADERS[kind](_parse_json(text))
 
 
 def load_path(path: str, kind: str):
     # The file's bytes are dropped once parsed, before the arrays are built.
-    with open(path, "rb") as fh:
-        obj = _parse_json(fh.read())
-    return _LOADERS[kind](obj)
+    with _gc_paused():
+        with open(path, "rb") as fh:
+            obj = _parse_json(fh.read())
+        return _LOADERS[kind](obj)
 
 
 def save_path(path: str, obj: dict) -> None:

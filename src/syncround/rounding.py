@@ -22,15 +22,19 @@ the basis does not change them.
 
 Cost model of the slice stage at dimension n, with nq questions of na
 answers.  Every slice spans a leading block of coordinates and sigma's
-spectrum is its diagonal, so each of Alice's elements is only factored
-once, A = F F* with F of width k (the element's rank): nq na
-eigendecompositions of n^3 each.  The asymmetry of every leading block is
-read from prefix sums, one pass per element.  Slice j of rank r reads its
+spectrum is its diagonal.  projectivize builds each PVM element from
+orthonormal columns, P = F F* with F of width k (the element's rank), and
+keeps F with the PVM; the slice stage uses those columns as rank factors,
+so it factors no n x n element.  Checking that F F* reproduces each
+element costs O(n^2 k), and the asymmetry of every leading block is read
+from prefix sums, one pass per element.  Slice j of rank r reads its
 corner POVM as the leading r x r block, whose factor is the leading r rows
 of F; rounding it takes, per question, na - 1 eigendecompositions of
 min(r, k) x min(r, k) Gram matrices and O(r k (r + k)) products.  Its
-residual ||A[:, :r] - [P; 0]||_F^2 is read off the same columns in O(n r),
-and its correlation is one product over all question pairs.  No slice
+residual ||A[:, :r] - [P; 0]||_F^2 is the off-corner mass ||A[r:, :r]||_F^2,
+read from prefix sums of |A|^2, plus the r x r corner difference computed
+directly.  The slice's corner PVMs fill one (nq, na, r, r) array and its
+correlation is one product of that array with its transpose.  No slice
 forms an n x n projector.  The joint-distribution check likewise needs one
 eigendecomposition per operand: every threshold projector is a leading
 eigenvector block, so its distance at each breakpoint is read from a
@@ -62,6 +66,7 @@ from .strategies import (
     correlation,
     correlation_distance,
     embed_tracial,
+    stacked_correlation,
     synchronicity,
 )
 
@@ -121,7 +126,8 @@ def _within_bound(elements, aw, w, pvm, full_basis):
     summed one outcome at a time so its temporaries stay at one element's
     size.  If the error exceeds 9 epsilon, one greedy reassignment of the
     basis full_basis() returns is tried; failing that, BoundViolated is
-    raised.  Returns the PVM and its error.
+    raised.  Returns the PVM, its error and the reassigned labels (None
+    when the first rounding stands).
     """
     n = elements.shape[1]
     a2w = float(np.einsum("aij,aji->", elements, aw).real) / n
@@ -136,21 +142,23 @@ def _within_bound(elements, aw, w, pvm, full_basis):
         return total / n
 
     error = weighted_error(pvm)
+    relabel = None
     if error > bound:
         # Greedy reassignment: with the basis fixed, the weighted error is
         # separable over basis vectors, so per-vector argmax is optimal.
         # Re v* w A v = Re v* A w v for Hermitian A and w.
         vectors = full_basis()
         scores = np.sum(vectors.conj() * (aw @ vectors), axis=1).real
-        candidate = _projectors(vectors, np.argmax(scores, axis=0), len(elements))
+        labels = np.argmax(scores, axis=0)
+        candidate = _projectors(vectors, labels, len(elements))
         cand_error = weighted_error(candidate)
         if cand_error < error:
-            pvm, error = candidate, cand_error
+            pvm, error, relabel = candidate, cand_error, labels
     if error > bound:
         raise BoundViolated(
             f"orthogonalization error {error:.3e} exceeds 9*eps bound {bound:.3e}"
         )
-    return pvm, error
+    return pvm, error, relabel
 
 
 def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
@@ -162,7 +170,8 @@ def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
     the 9-epsilon orthogonalization bound, one greedy eigenvector
     reassignment pass is tried; failing that, BoundViolated is raised.
     The masses, epsilon and the greedy scores all come from one product
-    A_a w per element, w = sigma sigma*.
+    A_a w per element, w = sigma sigma*.  The PVM keeps each outcome's
+    orthonormal columns, after any reassignment, as Povm.columns.
     """
     sig = linalg.as_matrix(sigma)
     w = sig @ sig.conj().T
@@ -173,18 +182,14 @@ def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
         elements, np.argsort(-masses, kind="stable")
     )
     pvm = _projectors(vectors, labels, povm.outcomes)
-    pvm, error = _within_bound(elements, aw, w, pvm, lambda: vectors)
-    return Povm(pvm), error
+    pvm, error, relabel = _within_bound(elements, aw, w, pvm, lambda: vectors)
+    if relabel is not None:
+        labels = relabel
+    columns = tuple(vectors[:, labels == x] for x in range(povm.outcomes))
+    return Povm(pvm, columns), error
 
 
-def _rank_factor(h: np.ndarray) -> np.ndarray:
-    """F with F F* = h for a positive h, eigenvalues <= CLUSTER_TOL dropped."""
-    dec = _checked_eig("POVM element", h)
-    keep = dec.eigenvalues > CLUSTER_TOL
-    return dec.eigenvectors[:, keep] * np.sqrt(dec.eigenvalues[keep])
-
-
-def _round_corner(blocks: np.ndarray, factors) -> tuple[np.ndarray, float]:
+def _round_corner(blocks: np.ndarray, factors, out: np.ndarray) -> float:
     """orthogonalize_povm at the identity weight for a corner E_a = G_a G_a*.
 
     blocks holds the r x r corner elements E_a and factors[a] a rank factor
@@ -196,11 +201,11 @@ def _round_corner(blocks: np.ndarray, factors) -> tuple[np.ndarray, float]:
     threshold at 1/2 is one min(r, k_a)-sized eigendecomposition, and the
     last outcome takes I - Q Q*.  Only a rounding that misses the bound
     builds the full basis, the one _spectral_basis gives, for the greedy
-    reassignment.
+    reassignment.  The PVM is written to out; returns its error.
     """
     r = blocks.shape[1]
     order = np.argsort(-np.trace(blocks, axis1=1, axis2=2).real, kind="stable")
-    pvm = np.empty(blocks.shape, dtype=complex)
+    pvm = out
     kept = np.empty((r, 0), dtype=complex)
     for x in order[:-1]:
         g = factors[x][:r]
@@ -215,9 +220,12 @@ def _round_corner(blocks: np.ndarray, factors) -> tuple[np.ndarray, float]:
         pvm[x] = cols @ cols.conj().T
         kept = np.concatenate((kept, cols), axis=1)
     pvm[order[-1]] = np.eye(r) - kept @ kept.conj().T
-    return _within_bound(
+    pvm, error, _ = _within_bound(
         blocks, blocks, None, pvm, lambda: _spectral_basis(blocks, order)[0]
     )
+    if pvm is not out:
+        out[...] = pvm
+    return error
 
 
 def _checked_eig(name: str, m: np.ndarray) -> linalg.SpectralDecomposition:
@@ -288,7 +296,7 @@ class Slice:
     weight: float
     measure: float
     sub_dim: int  # the corner is the leading sub_dim coordinates
-    pvms: tuple[Povm, ...]  # per question, on the corner
+    pvms: tuple[Povm, ...]  # per question, views into one (nq, na, r, r) array
 
 
 @dataclass(frozen=True)
@@ -361,14 +369,34 @@ def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
     return out, c_out, report
 
 
+def _checked_columns(povms: tuple[Povm, ...], n: int) -> list:
+    """Each PVM's columns, refused unless V_a V_a* reproduces A_a.
+
+    The test is hermitize's, at CORNER_TOL: ||V V* - A||_F <= CORNER_TOL *
+    (1 + ||A||_F), O(n^2 k) for an element of rank k.
+    """
+    for x, povm in enumerate(povms):
+        if povm.columns is None or len(povm.columns) != povm.outcomes:
+            raise ValidationError(f"slicing needs the columns of PVM {x}")
+        for a, (e, v) in enumerate(zip(povm.elements, povm.columns)):
+            v = np.asarray(v)
+            fits = v.ndim == 2 and v.shape[0] == n
+            gap = linalg.frobenius(v @ v.conj().T - e) if fits else np.inf
+            if not gap <= CORNER_TOL * (1.0 + linalg.frobenius(e)):
+                raise ValidationError(f"columns {a} of PVM {x} miss by {gap:.3e}")
+    return [povm.columns for povm in povms]
+
+
 def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
     """Decompose a symmetric projective strategy into synchronous corners.
 
     s is in its state's eigenbasis, as symmetrize leaves it: sigma is real,
-    diagonal, nonnegative and nonincreasing.  Each spectral slice, a leading
-    block of coordinates, hosts a corner sub-strategy whose tracial state is
-    the corner identity; compressed measurements are rounded back to PVMs
-    there, making every per-slice correlation synchronous.
+    diagonal, nonnegative and nonincreasing.  Alice's PVMs carry the columns
+    orthogonalize_povm built them from, which serve as rank factors.  Each
+    spectral slice, a leading block of coordinates, hosts a corner
+    sub-strategy whose tracial state is the corner identity; compressed
+    measurements are rounded back to PVMs there, making every per-slice
+    correlation synchronous.
     """
     spectrum = np.diagonal(s.sigma)
     if not np.array_equal(s.sigma, np.diag(spectrum)) or np.any(spectrum.imag):
@@ -379,40 +407,48 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
     norm = float(np.mean(spectrum**2))
     if abs(norm - 1.0) > 1e-9:
         raise NotNormalized(f"tau(sigma^2) = {norm!r}")
-    n = s.dim
+    n, nq, na = s.dim, s.n_questions, s.n_answers
     pieces = list(_spectral_pieces(spectrum))
-    # Slice j's corner is the leading rank x rank block, so no slice touches
-    # the n x n operators again.
-    alice = np.array([p.elements for p in s.alice])
-    linalg.check_leading_blocks(alice, [rank for _, rank in pieces], CORNER_TOL)
-    herm = (alice + alice.conj().swapaxes(-1, -2)) / 2.0
-    factors = [[_rank_factor(h) for h in elements] for elements in herm]
-    slices = []
-    correlations = []
+    ranks = np.array([rank for _, rank in pieces])
+    # Slice j's corner is the leading rank x rank block of every element, so
+    # no slice touches the n x n operators again.
+    elements = [p.elements for p in s.alice]
+    for e in elements:
+        linalg.check_leading_blocks(e, ranks, CORNER_TOL)
+    factors = _checked_columns(s.alice, n)
+    herm = [(e + e.conj().swapaxes(1, 2)) / 2.0 for e in elements]
+    # ||A[r:, :r]||_F^2 summed over answers, for every slice rank r: sums of
+    # |A|^2 over the rows from r down, accumulated over the columns below r.
+    # Row n is empty, so the full-rank slice reads 0.
+    tails = np.zeros((nq, n + 1, n))
+    for x, e in enumerate(elements):
+        sq = (e.real**2 + e.imag**2).sum(axis=0)
+        tails[x, :n] = sq[::-1].cumsum(axis=0)[::-1]
+    off_corner = tails.cumsum(axis=2)[:, ranks, ranks - 1]
+    slices = [None] * len(pieces)
+    correlations = [None] * len(pieces)
     residual = 0.0
-    for measure, rank in pieces:
-        corner_eye = np.eye(rank, dtype=complex)
-        corner_pvms = []
-        for x in range(s.n_questions):
-            elements, _ = _round_corner(herm[x][:, :rank, :rank], factors[x])
-            corner_pvms.append(Povm(elements))
-            cols = alice[x][:, :, :rank]
-            # ||(A - P) Pi_r||_F = ||A[:, :rank] - [P; 0]||_F
-            d = cols.copy()
-            d[:, :rank] -= elements
-            sq = float(np.vdot(d, d).real)
-            residual += float(game.mu_x[x]) * measure * sq / n
-        corner_pvms = tuple(corner_pvms)
-        weight = measure * rank / n
-        sub = TracialStrategy(rank, corner_eye, corner_pvms, corner_pvms)
-        c_sub = correlation(sub)
+    # Largest corner first: every slice frees its transients before the
+    # next, smaller one allocates, so the allocator reuses that space for
+    # the corner arrays the decomposition keeps instead of growing the heap.
+    for j in reversed(range(len(pieces))):
+        measure, rank = pieces[j]
+        stack = np.empty((nq, na, rank, rank), dtype=complex)
+        for x, e in enumerate(elements):
+            _round_corner(herm[x][:, :rank, :rank], factors[x], stack[x])
+            # ||(A - P) Pi_r||_F^2 = ||A[r:, :r]||_F^2 + ||A[:r, :r] - P||_F^2
+            d = e[:, :rank, :rank] - stack[x]
+            mass = float(off_corner[x, j]) + float(np.vdot(d, d).real)
+            residual += float(game.mu_x[x]) * measure * mass / n
+        c_sub = stacked_correlation(stack.swapaxes(-1, -2), stack)
         sync_sub = synchronicity(game, c_sub)
         if sync_sub > 1e-8:
             raise MathContractError(
                 f"slice correlation synchronicity {sync_sub:.3e} > 1e-8"
             )
-        slices.append(Slice(weight, measure, rank, corner_pvms))
-        correlations.append(c_sub)
+        pvms = tuple(Povm(corner) for corner in stack)
+        slices[j] = Slice(measure * rank / n, measure, rank, pvms)
+        correlations[j] = c_sub
     weights = np.array([sl.weight for sl in slices])
     if abs(weights.sum() - 1.0) > 1e-9:
         raise MathContractError(f"slice weights sum to {weights.sum()!r}")

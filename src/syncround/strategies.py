@@ -25,9 +25,15 @@ CORR_IMAG_HARD = 1e-7
 
 @dataclass(frozen=True)
 class Povm:
-    """A family of positive matrices summing to the identity."""
+    """A family of positive matrices summing to the identity.
+
+    A PVM that orthogonalize_povm returns also keeps, per outcome, the
+    orthonormal columns V_a it was built from, P_a = V_a V_a*; the slice
+    stage uses them as the elements' rank factors.
+    """
 
     elements: np.ndarray  # (outcomes, dim, dim)
+    columns: tuple[np.ndarray, ...] | None = None  # (dim, rank_a) per outcome
 
     def __post_init__(self):
         object.__setattr__(
@@ -171,33 +177,33 @@ def embed_tracial(s: TensorStrategy) -> TracialStrategy:
 def correlation(s: TracialStrategy) -> Correlation:
     """C(x,y,a,b) = Re tau(sigma* A_a^x sigma B_b^y) with B stored left.
 
-    tau(L B) = sum_ij (L^T)_ij B_ij / n, so the (x, y) block of the table is
-    one product of the flattened (sigma* A^x sigma)^T = sigma^T (A^x)^T
-    conj(sigma) with the flattened B^y.  At a diagonal state d (every stage
-    after symmetrize, which works in sigma+'s eigenbasis, and every rounded
-    corner) that left factor is d_i (A^x)^T_ij conj(d_j), an O(n^2) scaling,
-    and the whole table is one product of all of Alice's scaled elements
-    with all of Bob's.  Any other state is worked one question at a time,
-    which keeps the temporaries at one POVM's size.
+    tau(L B) = sum_ij (L^T)_ij B_ij / n, so the table is stacked_correlation
+    of the left factors (sigma* A sigma)^T = sigma^T A^T conj(sigma) with
+    Bob's elements.  At a diagonal state d (every stage after symmetrize,
+    which works in sigma+'s eigenbasis) that left factor is
+    d_i A^T_ij conj(d_j), an O(n^2) scaling instead of two products.
     """
-    nq, na, n = s.n_questions, s.n_answers, s.dim
     sig = s.sigma
     d = np.diagonal(sig)
+    left = np.array([p.elements.swapaxes(1, 2) for p in s.alice])
     if np.array_equal(sig, np.diag(d)):
-        left = np.array([p.elements.swapaxes(1, 2) for p in s.alice])
         left *= np.outer(d, d.conj())
-        right = np.array([p.elements for p in s.bob_left])
-        vals = left.reshape(nq * na, n * n) @ right.reshape(nq * na, n * n).T
-        vals = vals.reshape(nq, na, nq, na).transpose(0, 2, 1, 3)
     else:
-        sig_t, sig_c = sig.T, sig.conj()
-        vals = np.empty((nq, nq, na, na), dtype=complex)
-        for x, povm in enumerate(s.alice):
-            left_t = sig_t @ povm.elements.swapaxes(1, 2) @ sig_c
-            flat = left_t.reshape(na, n * n)
-            for y, bob in enumerate(s.bob_left):
-                vals[x, y] = flat @ bob.elements.reshape(na, n * n).T
-    vals /= n
+        left = sig.T @ left @ sig.conj()
+    return stacked_correlation(left, np.array([p.elements for p in s.bob_left]))
+
+
+def stacked_correlation(left: np.ndarray, right: np.ndarray) -> Correlation:
+    """C[x, y, a, b] = Re sum_ij left[x, a]_ij right[y, b]_ij / n.
+
+    left stacks the transposed sigma* A^x_a sigma and right Bob's elements,
+    both (nq, na, n, n), so the whole table is one product.  A slice corner,
+    whose state is the identity, passes its stacked PVMs and their
+    transpose.  Imaginary residue above CORR_IMAG_HARD is refused.
+    """
+    nq, na, n = left.shape[:3]
+    vals = left.reshape(nq * na, n * n) @ right.reshape(nq * na, n * n).T
+    vals = vals.reshape(nq, na, nq, na).transpose(0, 2, 1, 3) / n
     worst_imag = float(np.max(np.abs(vals.imag)))
     if worst_imag > CORR_IMAG_HARD:
         raise NonRealCorrelation(f"imaginary residue {worst_imag:.3e}")

@@ -2,9 +2,10 @@
 
 Each one is the direct n x n form of something the library now reads off
 an eigenbasis: spectral projectors, corner expansion, reconstruction from
-an eigensystem, the projectivity test, projector slicing of sigma^2 and
-the host-frame aggregation of slice POVMs.  Tests use them as independent
-oracles.
+an eigensystem, the projectivity test, projector slicing of sigma^2, the
+host-frame aggregation of slice POVMs and rank factors of POVM elements.
+Tests use them as independent oracles, and hand-built projective
+strategies take their columns from with_columns.
 """
 
 import numpy as np
@@ -37,6 +38,19 @@ def reconstruct(dec):
     """The Hermitian matrix an eigensystem decomposes."""
     u = dec.eigenvectors
     return (u * dec.eigenvalues) @ u.conj().T
+
+
+def rank_factor(h):
+    """F with F F* = h for a positive h, eigenvalues <= CLUSTER_TOL dropped."""
+    dec = linalg.eig_hermitian(linalg.hermitize(h))
+    keep = dec.eigenvalues > CLUSTER_TOL
+    return dec.eigenvectors[:, keep] * np.sqrt(dec.eigenvalues[keep])
+
+
+def with_columns(povm):
+    """povm carrying a rank factor of each element as Povm.columns, the
+    form slice_strategies reads; for a PVM the factors are orthonormal."""
+    return Povm(povm.elements, tuple(rank_factor(e) for e in povm.elements))
 
 
 def is_projective(povm, tol=1e-9):

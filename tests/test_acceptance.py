@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from reference import expand_corner, is_projective
+from reference import expand_corner, is_projective, with_columns
 from syncround import linalg
 from syncround.cli import main as cli_main
 from syncround.games import edge_game, k3_game
@@ -58,7 +58,7 @@ def _diagonal_pvms(n):
         elements = np.zeros((3, n, n), dtype=complex)
         for i in range(n):
             elements[(i + x) % 3, i, i] = 1.0
-        pvms.append(Povm(elements))
+        pvms.append(with_columns(Povm(elements)))
     return pvms
 
 

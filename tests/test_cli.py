@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from syncround import cli, io
+from syncround import cli, io, rounding
 from syncround.cli import CSV_HEADER, main
 from syncround.errors import MathContractError
 from syncround.games import Game, k3_game
-from syncround.strategies import entangled_coloring_strategy
+from syncround.strategies import Povm, entangled_coloring_strategy
 
 
 def run(capsys, *args):
@@ -56,6 +56,21 @@ def test_alphabet_mismatch_exits_3(capsys):
     code, _, err = run(capsys, "evaluate", "--game", "edge2", "--strategy", "k3-classical")
     assert code == 3
     assert "AlphabetMismatch" in err
+
+
+def test_pvm_columns_that_miss_their_elements_exit_3(capsys, monkeypatch):
+    real = rounding.orthogonalize_povm
+
+    def swapped(povm, sigma):
+        pvm, err = real(povm, sigma)
+        cols = pvm.columns
+        return Povm(pvm.elements, (cols[1], cols[0], *cols[2:])), err
+
+    monkeypatch.setattr(rounding, "orthogonalize_povm", swapped)
+    code, _, err = run(capsys, "round", "--game", "k3", "--strategy", "k3-entangled")
+    assert code == 3
+    assert "columns" in err
+    assert "Traceback" not in err
 
 
 def test_non_synchronous_game_exits_3(capsys, tmp_path):

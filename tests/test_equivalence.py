@@ -12,16 +12,21 @@ two must agree to 1e-10.
 import numpy as np
 import pytest
 
-from reference import chi_geq, expand_corner
+from reference import chi_geq, expand_corner, rank_factor
 from syncround import linalg, rounding
-from syncround.errors import AsymmetryExceedsTolerance, BoundViolated, NotPositive
+from syncround.errors import (
+    AsymmetryExceedsTolerance,
+    BoundViolated,
+    NotPositive,
+    ValidationError,
+)
 from syncround.games import k3_game
 from syncround.linalg import CLUSTER_TOL
 from syncround.rounding import (
-    _rank_factor,
     _round_corner,
     orthogonalize_povm,
     projectivize,
+    round_correlation,
     slice_strategies,
     symmetrize,
     verify_connes,
@@ -29,6 +34,7 @@ from syncround.rounding import (
 from syncround.strategies import (
     Povm,
     TensorStrategy,
+    TracialStrategy,
     correlation,
     embed_tracial,
     entangled_coloring_strategy,
@@ -270,13 +276,38 @@ def test_slices_match_compress_expand(name):
     dec = slice_strategies(s, game)
     pieces, residual = reference_slices(s, game)
     assert len(dec.slices) == len(pieces)
-    for sl, (weight, measure, rank, pvms) in zip(dec.slices, pieces):
+    for sl, c_sub, (weight, measure, rank, pvms) in zip(
+        dec.slices, dec.correlations, pieces
+    ):
         assert sl.sub_dim == rank
         assert abs(sl.weight - weight) <= TOL
         assert abs(sl.measure - measure) <= TOL
         for got, want in zip(sl.pvms, pvms):
             np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
+        # the corner PVMs are views into one stacked array
+        stack = sl.pvms[0].elements.base
+        assert stack.shape == (s.n_questions, s.n_answers, rank, rank)
+        assert all(p.elements.base is stack for p in sl.pvms)
+        corner = TracialStrategy(rank, np.eye(rank), sl.pvms, sl.pvms)
+        np.testing.assert_allclose(
+            c_sub.table, reference_correlation(corner), rtol=0, atol=TOL
+        )
     assert abs(dec.diagnostics["slice_residual"] - residual) <= TOL
+
+
+def assert_columns_reproduce(pvm):
+    """pvm's columns are an orthonormal basis split by outcome, and each
+    outcome's columns V_a give its element V_a V_a* to 1e-12."""
+    assert len(pvm.columns) == pvm.outcomes
+    for cols, element in zip(pvm.columns, pvm.elements):
+        np.testing.assert_allclose(
+            cols @ cols.conj().T, element, rtol=0, atol=1e-12
+        )
+    basis = np.concatenate(pvm.columns, axis=1)
+    assert basis.shape == (pvm.dim, pvm.dim)
+    np.testing.assert_allclose(
+        basis.conj().T @ basis, np.eye(pvm.dim), rtol=0, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("name", sorted(TENSOR_CASES))
@@ -291,6 +322,7 @@ def test_orthogonalize_matches_reference(name):
                 want, want_err, _ = reference_orthogonalize(candidate, weight)
                 np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
                 assert abs(err - want_err) <= TOL
+                assert_columns_reproduce(got)
 
 
 def skewed_povm_case(seed):
@@ -327,12 +359,15 @@ def test_orthogonalize_relabel_path_matches_reference(seed):
     got, err = orthogonalize_povm(povm, sigma)
     np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
     assert abs(err - want_err) <= TOL
+    assert_columns_reproduce(got)
 
 
 def round_corner(povm):
     """The slice-corner rounding on a whole POVM (corner = whole space)."""
     blocks = np.array([linalg.hermitize(e) for e in povm.elements])
-    return _round_corner(blocks, [_rank_factor(h) for h in blocks])
+    out = np.empty(blocks.shape, dtype=complex)
+    err = _round_corner(blocks, [rank_factor(h) for h in blocks], out)
+    return out, err
 
 
 def relabel_slack(povm):
@@ -342,6 +377,15 @@ def relabel_slack(povm):
     assert not relabeled
     nine_eps = 9.0 * (1.0 - sum(linalg.tau(e @ e).real for e in povm.elements))
     return err - nine_eps - 1e-6
+
+
+def identity_weight_roundings(povm):
+    """The slice-corner rounding and orthogonalize_povm, both at the
+    identity weight, as (pvm elements, error, columns or None)."""
+    got, err = round_corner(povm)
+    yield got, err, None
+    pvm, err = orthogonalize_povm(povm, np.eye(povm.dim))
+    yield pvm.elements, err, pvm
 
 
 @pytest.mark.parametrize("seed", RELABEL_SEEDS)
@@ -357,10 +401,14 @@ def test_corner_rounding_matches_reference(seed, monkeypatch):
         except BoundViolated:
             with pytest.raises(BoundViolated):
                 round_corner(povm)
+            with pytest.raises(BoundViolated):
+                orthogonalize_povm(povm, np.eye(n))
             continue
-        got, err = round_corner(povm)
-        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
-        assert abs(err - want_err) <= TOL
+        for got, err, pvm in identity_weight_roundings(povm):
+            np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+            assert abs(err - want_err) <= TOL
+            if pvm is not None:
+                assert_columns_reproduce(pvm)
 
 
 def test_forced_reassignment_both_rescues_and_refuses(monkeypatch):
@@ -369,10 +417,14 @@ def test_forced_reassignment_both_rescues_and_refuses(monkeypatch):
         povm, _ = skewed_povm_case(seed)
         monkeypatch.setattr(rounding, "ORTHO_SLACK", relabel_slack(povm))
         try:
-            round_corner(povm)
-            outcomes.add("rescued")
+            rescued = list(identity_weight_roundings(povm))
         except BoundViolated:
             outcomes.add("refused")
+            continue
+        outcomes.add("rescued")
+        # the reassigned labels, not the first rounding's, split the columns
+        _, _, pvm = rescued[1]
+        assert_columns_reproduce(pvm)
     assert outcomes == {"rescued", "refused"}
 
 
@@ -387,7 +439,7 @@ def corner_perturbed(s, scale):
     k[0, 1], k[1, 0] = 1.0, -1.0
     t = scale * 1e-7 * (1.0 + np.linalg.norm(block)) / (2.0 * np.sqrt(2.0))
     elements[2] += t * (v @ k @ v.conj().T)
-    alice = (s.alice[0], Povm(elements), *s.alice[2:])
+    alice = (s.alice[0], Povm(elements, s.alice[1].columns), *s.alice[2:])
     return type(s)(s.dim, s.sigma, alice, s.bob_left)
 
 
@@ -420,15 +472,81 @@ def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
     ranks = {int(round(np.trace(e).real)) for p in s.alice for e in p.elements}
     (k,) = ranks  # every element has the same factor width
     assert k < n
-    # one rank factor per element of Alice's; sigma is read off its diagonal
-    assert sizes.count(n) == nq * na
+    # the PVMs' columns are the rank factors and sigma is read off its
+    # diagonal, so nothing n x n is decomposed
+    assert sizes.count(n) == 0
     grams = [m for m in sizes if m != n]
     per_slice = nq * (na - 1)
     assert len(grams) == len(dec.slices) * per_slice
-    # each Gram input is the smaller of the r x r corner and the k x k Gram
-    for j, sl in enumerate(dec.slices):
+    # each Gram input is the smaller of the r x r corner and the k x k Gram;
+    # the slices are rounded largest first
+    for j, sl in enumerate(reversed(dec.slices)):
         assert max(grams[j * per_slice:(j + 1) * per_slice]) <= min(sl.sub_dim, k)
     assert min(sl.sub_dim for sl in dec.slices) < k
+
+
+def test_round_correlation_slices_without_n_by_n_eigendecompositions(monkeypatch):
+    s = random_strategy((24, 24), (3, 3), 0)
+    real_eig, real_slice = linalg.eig_hermitian, rounding.slice_strategies
+    slicing = []
+    sizes = []
+
+    def recording(h):
+        if slicing:
+            sizes.append(len(h))
+        return real_eig(h)
+
+    def sliced(*args):
+        slicing.append(True)
+        try:
+            return real_slice(*args)
+        finally:
+            slicing.pop()
+
+    monkeypatch.setattr(linalg, "eig_hermitian", recording)
+    monkeypatch.setattr(rounding, "slice_strategies", sliced)
+    dec = round_correlation(k3_game(), s)
+    assert len(dec.slices) == 24
+    assert sizes and max(sizes) < 24
+
+
+def with_columns_of(s, x, columns):
+    """s with question x's PVM carrying the given columns."""
+    alice = list(s.alice)
+    alice[x] = Povm(s.alice[x].elements, columns)
+    return type(s)(s.dim, s.sigma, tuple(alice), s.bob_left)
+
+
+def bad_columns(s):
+    """Column sets for question 1 that slicing must refuse."""
+    cols = s.alice[1].columns
+    n = s.dim
+    rotated = cols[0] @ np.diag(np.exp(1j * np.arange(cols[0].shape[1])))
+    nudge = np.zeros((n, 1), dtype=complex)
+    nudge[0, 0] = 1e-3  # V V* moves by 1e-6, past 1e-7 (1 + ||A||_F) = 3e-7
+    yield "missing", None
+    yield "too few", cols[:-1]
+    yield "swapped", (cols[1], cols[0], *cols[2:])
+    yield "not a matrix", (cols[0][:, 0], *cols[1:])
+    yield "wrong height", (cols[0][:-1], *cols[1:])
+    yield "not finite", (cols[0] * np.nan, *cols[1:])
+    yield "extra column", (np.concatenate((cols[0], nudge), axis=1), *cols[1:])
+    # a unitary change of columns within an outcome leaves V V* alone
+    yield None, (rotated, *cols[1:])
+
+
+def test_slice_strategies_checks_the_columns():
+    game = k3_game()
+    s = projective_symmetric(random_strategy((12, 12), (3, 3), 0))
+    want = slice_strategies(s, game)
+    for name, columns in bad_columns(s):
+        t = with_columns_of(s, 1, columns)
+        if name is None:
+            got = slice_strategies(t, game)
+            assert got.diagnostics == pytest.approx(want.diagnostics, abs=TOL)
+            continue
+        with pytest.raises(ValidationError, match="columns"):
+            slice_strategies(t, game)
 
 
 def positive_with_spectrum(rng, spectrum):

@@ -1,5 +1,6 @@
 """Unit tests for JSON serialization."""
 
+import gc
 import json
 
 import numpy as np
@@ -231,3 +232,58 @@ def test_error_positions_count_lines_as_text_mode_did(tmp_path, newline):
         io.loads(path.read_text(encoding="utf-8"), "game")
     assert str(fast.value) == str(text_mode.value)
     assert "line 3 column 1" in str(fast.value)
+
+
+def record_gc_during_parse(monkeypatch):
+    """Wrap json.loads and orjson.loads so each parse records whether the
+    cyclic GC was enabled while it ran."""
+    seen = []
+    for module in (json, io.orjson):
+        if module is None:
+            continue
+        real = module.loads
+
+        def recording(*args, _real=real, **kwargs):
+            seen.append(gc.isenabled())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "loads", recording)
+    return seen
+
+
+def gc_loads(tmp_path):
+    """(load, error) pairs: valid, unparsable and invalid documents, through
+    loads on text and on bytes and through load_path."""
+    game = io.canonical_dumps(io.game_to_dict(k3_game()))
+    bad = io.game_to_dict(k3_game())
+    bad["mu"] = [[v * 0.9 for v in row] for row in bad["mu"]]
+    invalid = io.canonical_dumps(bad)
+    strategy = tmp_path / "s.json"
+    io.save_path(str(strategy), io.strategy_to_dict(random_strategy((4, 4), (3, 3), 0)))
+    broken = tmp_path / "broken.json"
+    broken.write_text(game[:-5])
+    yield lambda: io.loads(game, "game"), None
+    yield lambda: io.loads(game.encode(), "game"), None
+    yield lambda: io.load_path(str(strategy), "strategy"), None
+    yield lambda: io.loads(game[:-5], "game"), ParseError
+    yield lambda: io.load_path(str(broken), "game"), ParseError
+    yield lambda: io.loads(invalid, "game"), ValidationError
+    yield lambda: io.loads(invalid.encode(), "game"), ValidationError
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loading_pauses_the_cyclic_gc(tmp_path, monkeypatch, enabled):
+    seen = record_gc_during_parse(monkeypatch)
+    try:
+        for load, error in gc_loads(tmp_path):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            if error is None:
+                load()
+            else:
+                with pytest.raises(error):
+                    load()
+            assert seen and not any(seen)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()

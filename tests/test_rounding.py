@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reference import is_projective, projector_slices
+from reference import is_projective, projector_slices, with_columns
 from syncround import cli, linalg, rounding, soundness, strategies
 from syncround.errors import NotNormalized, ValidationError
 from syncround.games import k3_game
@@ -162,7 +162,7 @@ def diagonal_strategy(spectrum):
         elements = np.zeros((3, n, n), dtype=complex)
         for i in range(n):
             elements[(i + x) % 3, i, i] = 1.0
-        pvms.append(Povm(elements))
+        pvms.append(with_columns(Povm(elements)))
     return TracialStrategy(n, np.diag(spectrum), pvms, pvms)
 
 
@@ -298,7 +298,8 @@ def test_projectivize_noised_input():
 def test_slice_strategies_flat_spectrum():
     g = k3_game()
     s = embed_tracial(entangled_coloring_strategy(3))
-    dec = slice_strategies(s, g)
+    pvms = tuple(map(with_columns, s.alice))
+    dec = slice_strategies(TracialStrategy(3, s.sigma, pvms, pvms), g)
     assert len(dec.slices) == 1
     sl = dec.slices[0]
     assert sl.weight == pytest.approx(1.0)
@@ -316,8 +317,8 @@ def test_slice_strategies_two_level_spectrum():
     s = embed_tracial(entangled_coloring_strategy(3))
     sigma = np.diag([1.0, 1.0, 0.5])
     sigma = sigma / linalg.tau_norm(sigma)
-    strat = TracialStrategy(3, sigma, s.alice, s.alice)
-    dec = slice_strategies(strat, g)
+    pvms = tuple(map(with_columns, s.alice))
+    dec = slice_strategies(TracialStrategy(3, sigma, pvms, pvms), g)
     assert len(dec.slices) == 2
     weights = [sl.weight for sl in dec.slices]
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
