@@ -344,11 +344,12 @@ def loads(text: str | bytes, kind: str):
 
 
 def load_path(path: str, kind: str):
-    # The file's bytes are dropped once parsed, before the arrays are built.
+    # The file's bytes are dropped once parsed, before the arrays are built,
+    # and the parse tree once they are, before the GC resumes: a tree still
+    # alive then would be walked by the collection that resuming triggers.
     with _gc_paused():
         with open(path, "rb") as fh:
-            obj = _parse_json(fh.read())
-        return _LOADERS[kind](obj)
+            return _LOADERS[kind](_parse_json(fh.read()))
 
 
 def save_path(path: str, obj: dict) -> None:

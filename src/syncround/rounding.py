@@ -32,10 +32,15 @@ corner POVM as the leading r x r block, whose factor is the leading r rows
 of F; rounding it takes, per question, na - 1 eigendecompositions of
 min(r, k) x min(r, k) Gram matrices and O(r k (r + k)) products.  Its
 residual ||A[:, :r] - [P; 0]||_F^2 is the off-corner mass ||A[r:, :r]||_F^2,
-read from prefix sums of |A|^2, plus the r x r corner difference computed
-directly.  The slice's corner PVMs fill one (nq, na, r, r) array and its
-correlation is one product of that array with its transpose.  No slice
-forms an n x n projector.  The joint-distribution check likewise needs one
+read from prefix sums of |A|^2, plus the r x r corner difference, whose
+Frobenius mass the rounding's bound check already sums.  The slice's
+corner PVMs fill one (nq, na, r, r) array and its correlation is one
+product of that array with its transpose.  No slice forms an n x n
+projector.  The corners stream: each array is dropped once its table is
+taken, after an optional on_slice hook has seen it, so the decomposition
+is O(n^2) (weights, dimensions and one table per slice) although the
+corners add up to sum_j nq na r_j^2, about n^3 nq na / 3 entries when every
+slice has its own rank.  The joint-distribution check likewise needs one
 eigendecomposition per operand: every threshold projector is a leading
 eigenvector block, so its distance at each breakpoint is read from a
 prefix sum of eigenvector overlaps.
@@ -44,6 +49,7 @@ prefix sum of eigenvector overlaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -71,6 +77,10 @@ from .strategies import (
 )
 
 ORTHO_SLACK = 1e-8
+
+# on_slice(measure, rank, stack): a slice's measure, corner dimension and
+# (nq, na, rank, rank) corner PVMs.
+SliceHook = Callable[[float, int, np.ndarray], None]
 
 
 def _spectral_basis(elements: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
@@ -120,30 +130,33 @@ def _within_bound(elements, aw, w, pvm, full_basis):
     """Hold a rounding pvm of the elements to the 9-epsilon bound at weight w.
 
     aw holds the products A_a w; w = None is the identity weight of a corner
-    and skips every w product.  The error tau((A - P)^2 w) = tau((A - P)(A w
-    - P w)) adds one P w per outcome and stays exact near a fixed point,
-    where an expansion in tau(P A w) would leave cancellation noise; it is
-    summed one outcome at a time so its temporaries stay at one element's
-    size.  If the error exceeds 9 epsilon, one greedy reassignment of the
-    basis full_basis() returns is tried; failing that, BoundViolated is
-    raised.  Returns the PVM, its error and the reassigned labels (None
-    when the first rounding stands).
+    and skips every w product.  There the error is the Frobenius mass
+    sum_a ||A_a - P_a||_F^2, one vectorized sum.  At a weight w, tau((A -
+    P)^2 w) = tau((A - P)(A w - P w)) adds one P w per outcome and stays
+    exact near a fixed point, where an expansion in tau(P A w) would leave
+    cancellation noise; it is summed one outcome at a time so its
+    temporaries stay at one element's size.  If the error exceeds 9
+    epsilon, one greedy reassignment of the basis full_basis() returns is
+    tried; failing that, BoundViolated is raised.  Returns the PVM, its
+    error unnormalized (times the dimension) and the reassigned labels
+    (None when the first rounding stands).
     """
     n = elements.shape[1]
     a2w = float(np.einsum("aij,aji->", elements, aw).real) / n
     bound = 9.0 * (1.0 - a2w) + ORTHO_SLACK
 
-    def weighted_error(pvm: np.ndarray) -> float:
+    def weighted_mass(pvm: np.ndarray) -> float:
+        if w is None:
+            d = elements - pvm
+            return float(np.vdot(d, d).real)
         total = 0.0
         for a, a_w, p in zip(elements, aw, pvm):
-            d = a - p
-            dw = d if w is None else a_w - p @ w
-            total += float(np.einsum("ij,ji->", d, dw).real)
-        return total / n
+            total += float(np.einsum("ij,ji->", a - p, a_w - p @ w).real)
+        return total
 
-    error = weighted_error(pvm)
+    mass = weighted_mass(pvm)
     relabel = None
-    if error > bound:
+    if mass / n > bound:
         # Greedy reassignment: with the basis fixed, the weighted error is
         # separable over basis vectors, so per-vector argmax is optimal.
         # Re v* w A v = Re v* A w v for Hermitian A and w.
@@ -151,14 +164,15 @@ def _within_bound(elements, aw, w, pvm, full_basis):
         scores = np.sum(vectors.conj() * (aw @ vectors), axis=1).real
         labels = np.argmax(scores, axis=0)
         candidate = _projectors(vectors, labels, len(elements))
-        cand_error = weighted_error(candidate)
-        if cand_error < error:
-            pvm, error, relabel = candidate, cand_error, labels
-    if error > bound:
+        cand_mass = weighted_mass(candidate)
+        if cand_mass < mass:
+            pvm, mass, relabel = candidate, cand_mass, labels
+    if mass / n > bound:
         raise BoundViolated(
-            f"orthogonalization error {error:.3e} exceeds 9*eps bound {bound:.3e}"
+            f"orthogonalization error {mass / n:.3e} exceeds "
+            f"9*eps bound {bound:.3e}"
         )
-    return pvm, error, relabel
+    return pvm, mass, relabel
 
 
 def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
@@ -182,11 +196,11 @@ def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
         elements, np.argsort(-masses, kind="stable")
     )
     pvm = _projectors(vectors, labels, povm.outcomes)
-    pvm, error, relabel = _within_bound(elements, aw, w, pvm, lambda: vectors)
+    pvm, mass, relabel = _within_bound(elements, aw, w, pvm, lambda: vectors)
     if relabel is not None:
         labels = relabel
     columns = tuple(vectors[:, labels == x] for x in range(povm.outcomes))
-    return Povm(pvm, columns), error
+    return Povm(pvm, columns), mass / povm.dim
 
 
 def _round_corner(blocks: np.ndarray, factors, out: np.ndarray) -> float:
@@ -201,7 +215,8 @@ def _round_corner(blocks: np.ndarray, factors, out: np.ndarray) -> float:
     threshold at 1/2 is one min(r, k_a)-sized eigendecomposition, and the
     last outcome takes I - Q Q*.  Only a rounding that misses the bound
     builds the full basis, the one _spectral_basis gives, for the greedy
-    reassignment.  The PVM is written to out; returns its error.
+    reassignment.  The PVM is written to out; returns its Frobenius mass
+    sum_a ||E_a - P_a||_F^2, which the bound check computes anyway.
     """
     r = blocks.shape[1]
     order = np.argsort(-np.trace(blocks, axis1=1, axis2=2).real, kind="stable")
@@ -220,12 +235,12 @@ def _round_corner(blocks: np.ndarray, factors, out: np.ndarray) -> float:
         pvm[x] = cols @ cols.conj().T
         kept = np.concatenate((kept, cols), axis=1)
     pvm[order[-1]] = np.eye(r) - kept @ kept.conj().T
-    pvm, error, _ = _within_bound(
+    pvm, mass, _ = _within_bound(
         blocks, blocks, None, pvm, lambda: _spectral_basis(blocks, order)[0]
     )
     if pvm is not out:
         out[...] = pvm
-    return error
+    return mass
 
 
 def _checked_eig(name: str, m: np.ndarray) -> linalg.SpectralDecomposition:
@@ -296,7 +311,6 @@ class Slice:
     weight: float
     measure: float
     sub_dim: int  # the corner is the leading sub_dim coordinates
-    pvms: tuple[Povm, ...]  # per question, views into one (nq, na, r, r) array
 
 
 @dataclass(frozen=True)
@@ -387,7 +401,9 @@ def _checked_columns(povms: tuple[Povm, ...], n: int) -> list:
     return [povm.columns for povm in povms]
 
 
-def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
+def slice_strategies(
+    s: TracialStrategy, game: Game, on_slice: SliceHook | None = None
+) -> RoundingDecomposition:
     """Decompose a symmetric projective strategy into synchronous corners.
 
     s is in its state's eigenbasis, as symmetrize leaves it: sigma is real,
@@ -397,6 +413,12 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
     sub-strategy whose tracial state is the corner identity; compressed
     measurements are rounded back to PVMs there, making every per-slice
     correlation synchronous.
+
+    The corner PVMs are not kept: the decomposition holds each slice's
+    weight, measure, dimension and correlation, O(n^2) in all.  A caller
+    that needs the corners passes on_slice, called once per slice, smallest
+    first, as on_slice(measure, rank, stack) with the slice's (nq, na, rank,
+    rank) corner PVMs; the stack is not reused, so the hook may keep it.
     """
     spectrum = np.diagonal(s.sigma)
     if not np.array_equal(s.sigma, np.diag(spectrum)) or np.any(spectrum.imag):
@@ -425,20 +447,16 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
         sq = (e.real**2 + e.imag**2).sum(axis=0)
         tails[x, :n] = sq[::-1].cumsum(axis=0)[::-1]
     off_corner = tails.cumsum(axis=2)[:, ranks, ranks - 1]
-    slices = [None] * len(pieces)
-    correlations = [None] * len(pieces)
+    slices = []
+    correlations = []
     residual = 0.0
-    # Largest corner first: every slice frees its transients before the
-    # next, smaller one allocates, so the allocator reuses that space for
-    # the corner arrays the decomposition keeps instead of growing the heap.
-    for j in reversed(range(len(pieces))):
-        measure, rank = pieces[j]
+    for j, (measure, rank) in enumerate(pieces):
         stack = np.empty((nq, na, rank, rank), dtype=complex)
-        for x, e in enumerate(elements):
-            _round_corner(herm[x][:, :rank, :rank], factors[x], stack[x])
-            # ||(A - P) Pi_r||_F^2 = ||A[r:, :r]||_F^2 + ||A[:r, :r] - P||_F^2
-            d = e[:, :rank, :rank] - stack[x]
-            mass = float(off_corner[x, j]) + float(np.vdot(d, d).real)
+        for x in range(nq):
+            corner = herm[x][:, :rank, :rank]
+            # ||(A - P) Pi_r||_F^2 = ||A[r:, :r]||_F^2 + ||A[:r, :r] - P||_F^2;
+            # the corner term is the mass _round_corner returns
+            mass = float(off_corner[x, j]) + _round_corner(corner, factors[x], stack[x])
             residual += float(game.mu_x[x]) * measure * mass / n
         c_sub = stacked_correlation(stack.swapaxes(-1, -2), stack)
         sync_sub = synchronicity(game, c_sub)
@@ -446,9 +464,10 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
             raise MathContractError(
                 f"slice correlation synchronicity {sync_sub:.3e} > 1e-8"
             )
-        pvms = tuple(Povm(corner) for corner in stack)
-        slices[j] = Slice(measure * rank / n, measure, rank, pvms)
-        correlations[j] = c_sub
+        if on_slice is not None:
+            on_slice(measure, rank, stack)
+        slices.append(Slice(measure * rank / n, measure, rank))
+        correlations.append(c_sub)
     weights = np.array([sl.weight for sl in slices])
     if abs(weights.sum() - 1.0) > 1e-9:
         raise MathContractError(f"slice weights sum to {weights.sum()!r}")
@@ -465,7 +484,9 @@ def slice_strategies(s: TracialStrategy, game: Game) -> RoundingDecomposition:
     )
 
 
-def round_correlation(game: Game, s: TensorStrategy) -> RoundingDecomposition:
+def round_correlation(
+    game: Game, s: TensorStrategy, on_slice: SliceHook | None = None
+) -> RoundingDecomposition:
     """Full pipeline: embed -> symmetrize -> projectivize -> slice.
 
     Each stage's correlation is computed once and handed to the next.  The
@@ -473,6 +494,8 @@ def round_correlation(game: Game, s: TensorStrategy) -> RoundingDecomposition:
     residual and the final mu-weighted distance between the input
     correlation and the synchronous mixture; the decomposition also keeps
     the embedded strategy, its correlation and the symmetric stage.
+    on_slice is passed to slice_strategies, the one place a caller sees
+    the corner PVMs.
     """
     if not is_synchronous_game(game):
         raise NotSynchronousGame("rounding requires a synchronous game")
@@ -480,7 +503,7 @@ def round_correlation(game: Game, s: TensorStrategy) -> RoundingDecomposition:
     c_in = correlation(embedded)
     sym, c_sym, sym_report = symmetrize(embedded, game, c_in)
     proj, _, proj_report = projectivize(sym, game, c_sym)
-    dec = slice_strategies(proj, game)
+    dec = slice_strategies(proj, game, on_slice)
     diagnostics = dict(dec.diagnostics)
     diagnostics.update(
         {

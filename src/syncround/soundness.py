@@ -4,6 +4,11 @@ Moves a per-synchronous-strategy guarantee (a family of auxiliary
 measurements witnessing some structure) from the rounded slices back to a
 single POVM for the original strategy, via the dominated-operator
 factorization trick.
+
+The rounding keeps no corner PVMs: its decomposition is O(n^2).  The
+corners stream through round_correlation's on_slice hook, and the demo
+folds each slice's corners into one (nq, na, n, n) target as they pass, the
+only state it keeps for them.
 """
 
 from __future__ import annotations
@@ -73,22 +78,18 @@ def dominated_factorization(a, b, cutoff: float | None = None) -> np.ndarray:
     return root_inv @ b_h @ root_inv
 
 
-def aggregate_slice_povms(
-    spectrum, slices: list[tuple[float, int, list[Povm]]]
-) -> list[Povm]:
-    """Combine per-slice corner POVM families into one family on the host.
+def aggregate_slice_povms(spectrum, targets) -> list[Povm]:
+    """Combine the folded slice corner POVMs into one family on the host.
 
-    All in sigma's eigenbasis, sigma = diag(s): slices is a list of
-    (measure, rank, per-question corner POVMs), each corner the leading
-    rank x rank block.  H satisfies sigma H sigma = the measure-weighted sum
-    T of the zero-padded corners on the support s_i^2 > 1e-10 max s^2 (that
+    All in sigma's eigenbasis, sigma = diag(s): targets[y, b] is the
+    measure-weighted sum T of the slices' corner elements for question y,
+    each zero-padded from its leading rank x rank block, as
+    soundness_transfer_demo folds them while the corners stream.  H
+    satisfies sigma H sigma = T on the support s_i^2 > 1e-10 max s^2 (that
     of pseudo_inv_sqrt(sigma^2)), so H_ij = T_ij / (s_i s_j) there; the
     identity deficit on the kernel is assigned to answer 0.
     """
     s = np.asarray(spectrum, dtype=float)
-    n = s.size
-    n_questions = len(slices[0][2])
-    outcomes = slices[0][2][0].outcomes
     s2 = s**2
     support = s2 > 1e-10 * s2.max()
     inv = np.where(support, 1.0, 0.0) / np.where(support, s, 1.0)
@@ -96,18 +97,15 @@ def aggregate_slice_povms(
     scale, unscale = np.outer(inv, inv), np.outer(s, s)
 
     families = []
-    for y in range(n_questions):
-        targets = np.zeros((outcomes, n, n), dtype=complex)
-        for measure, rank, corner in slices:
-            targets[:, :rank, :rank] += measure * corner[y].elements
-        elements = targets * scale
+    for y, target in enumerate(targets):
+        elements = target * scale
         elements[0] += kernel
         family = Povm(elements)
         if family.validate():
             raise NotPovm(f"aggregated family for question {y} is not a POVM")
         # sigma annihilates the kernel completion, so the identity holds
         # for b = 0 as well.
-        error = np.linalg.norm(unscale * family.elements - targets, axis=(1, 2))
+        error = np.linalg.norm(unscale * family.elements - target, axis=(1, 2))
         if np.any(error > 1e-8 * (1.0 + np.linalg.norm(s2))):
             b = int(np.argmax(error))
             raise NotPovm(f"sigma H sigma reconstruction failed at (y={y}, b={b})")
@@ -121,14 +119,22 @@ def soundness_transfer_demo(
     """Toy end-to-end soundness transfer.
 
     Rounds the strategy, takes each slice's own corner PVMs as its
-    auxiliary measurement family, aggregates them into a single POVM family
-    and evaluates the transferred expectation against the kappa reference.
+    auxiliary measurement family, folds them as they stream out of the
+    slice stage, aggregates them into a single POVM family and evaluates
+    the transferred expectation against the kappa reference.
     The input correlation and the symmetric stage come from the one
     rounding run.  No hard assertion is made: the bound's constants are
     unspecified, so raw values are reported.
     """
     inst.validate(game.n_questions, game.n_answers)
-    dec = round_correlation(game, s)
+    # n is the embedding's dimension, the one the slices' corners pad to.
+    n = max(s.dim_a, s.dim_b)
+    targets = np.zeros((s.n_questions, s.n_answers, n, n), dtype=complex)
+
+    def fold(measure, rank, stack):
+        targets[:, :, :rank, :rank] += measure * stack
+
+    dec = round_correlation(game, s, fold)
     c_in = dec.c_in
     delta = dec.diagnostics["delta_in"]
     omega = winning_probability_from_correlation(game, c_in)
@@ -141,12 +147,11 @@ def soundness_transfer_demo(
         sum(rho_x[x] * c_in.table[x, x][off].sum() for x in range(game.n_questions))
     )
 
-    slice_data = [(sl.measure, sl.sub_dim, list(sl.pvms)) for sl in dec.slices]
     # H lives on the symmetric stage whose slices were computed, in sigma+'s
     # eigenbasis V: sigma+ = diag(s) and Alice's elements are V* A V.
     sym = dec.symmetric
     s = np.diagonal(sym.sigma).real
-    families = aggregate_slice_povms(s, slice_data)
+    families = aggregate_slice_povms(s, targets)
     weight = np.outer(s, s)
 
     transferred = 0.0

@@ -3,7 +3,8 @@
 Each one is the direct n x n form of something the library now reads off
 an eigenbasis: spectral projectors, corner expansion, reconstruction from
 an eigensystem, the projectivity test, projector slicing of sigma^2, the
-host-frame aggregation of slice POVMs and rank factors of POVM elements.
+host-frame aggregation of slice POVMs, the fold of slice corners into the
+targets aggregate_slice_povms takes and rank factors of POVM elements.
 Tests use them as independent oracles, and hand-built projective
 strategies take their columns from with_columns.
 """
@@ -108,3 +109,15 @@ def host_aggregate(sigma, slices):
             raise NotPovm(f"aggregated family for question {y} is not a POVM")
         families.append(family)
     return families
+
+
+def padded_targets(n, slices):
+    """The (nq, na, n, n) targets of aggregate_slice_povms from a list of
+    (measure, rank, per-question corner POVMs): each corner zero-padded to
+    the leading rank x rank block and summed with its measure."""
+    corners = slices[0][2]
+    targets = np.zeros((len(corners), corners[0].outcomes, n, n), dtype=complex)
+    for measure, rank, corner in slices:
+        for y, povm in enumerate(corner):
+            targets[y, :, :rank, :rank] += measure * povm.elements
+    return targets

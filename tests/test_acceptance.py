@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from reference import expand_corner, is_projective, with_columns
+from reference import expand_corner, is_projective, padded_targets, with_columns
 from syncround import linalg
 from syncround.cli import main as cli_main
 from syncround.games import edge_game, k3_game
@@ -342,7 +342,7 @@ def test_soundness_machinery():
         )
     spectrum, slices = _two_slice_fixture()
     sigma = np.diag(spectrum)
-    families = aggregate_slice_povms(spectrum, slices)
+    families = aggregate_slice_povms(spectrum, padded_targets(2, slices))
     povm_ok = all(f.validate() == [] for f in families)
     worst_fixture = 0.0
     for b in range(2):

@@ -273,22 +273,25 @@ SLICE_CASES = {
 def test_slices_match_compress_expand(name):
     game = k3_game()
     s = projective_symmetric(SLICE_CASES[name])
-    dec = slice_strategies(s, game)
+    corners = []
+    dec = slice_strategies(
+        s, game, lambda m, rank, stack: corners.append((m, rank, stack))
+    )
     pieces, residual = reference_slices(s, game)
-    assert len(dec.slices) == len(pieces)
-    for sl, c_sub, (weight, measure, rank, pvms) in zip(
-        dec.slices, dec.correlations, pieces
+    assert len(dec.slices) == len(pieces) == len(corners)
+    for sl, c_sub, (m, r, stack), (weight, measure, rank, pvms) in zip(
+        dec.slices, dec.correlations, corners, pieces
     ):
-        assert sl.sub_dim == rank
+        assert sl.sub_dim == r == rank
         assert abs(sl.weight - weight) <= TOL
         assert abs(sl.measure - measure) <= TOL
-        for got, want in zip(sl.pvms, pvms):
-            np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
-        # the corner PVMs are views into one stacked array
-        stack = sl.pvms[0].elements.base
+        assert m == sl.measure
+        # the hook sees each slice's corner PVMs as one stacked array
         assert stack.shape == (s.n_questions, s.n_answers, rank, rank)
-        assert all(p.elements.base is stack for p in sl.pvms)
-        corner = TracialStrategy(rank, np.eye(rank), sl.pvms, sl.pvms)
+        for got, want in zip(stack, pvms):
+            np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+        corner_pvms = [Povm(e) for e in stack]
+        corner = TracialStrategy(rank, np.eye(rank), corner_pvms, corner_pvms)
         np.testing.assert_allclose(
             c_sub.table, reference_correlation(corner), rtol=0, atol=TOL
         )
@@ -363,11 +366,12 @@ def test_orthogonalize_relabel_path_matches_reference(seed):
 
 
 def round_corner(povm):
-    """The slice-corner rounding on a whole POVM (corner = whole space)."""
+    """The slice-corner rounding on a whole POVM (corner = whole space), and
+    its error: the Frobenius mass _round_corner returns, normalized."""
     blocks = np.array([linalg.hermitize(e) for e in povm.elements])
     out = np.empty(blocks.shape, dtype=complex)
-    err = _round_corner(blocks, [rank_factor(h) for h in blocks], out)
-    return out, err
+    mass = _round_corner(blocks, [rank_factor(h) for h in blocks], out)
+    return out, mass / povm.dim
 
 
 def relabel_slack(povm):
@@ -479,8 +483,8 @@ def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
     per_slice = nq * (na - 1)
     assert len(grams) == len(dec.slices) * per_slice
     # each Gram input is the smaller of the r x r corner and the k x k Gram;
-    # the slices are rounded largest first
-    for j, sl in enumerate(reversed(dec.slices)):
+    # the slices are rounded in order
+    for j, sl in enumerate(dec.slices):
         assert max(grams[j * per_slice:(j + 1) * per_slice]) <= min(sl.sub_dim, k)
     assert min(sl.sub_dim for sl in dec.slices) < k
 

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -287,3 +288,36 @@ def test_loading_pauses_the_cyclic_gc(tmp_path, monkeypatch, enabled):
             assert gc.isenabled() == enabled
     finally:
         gc.enable()
+
+
+class ParseTree(dict):
+    """A parsed document that a weak reference can watch."""
+
+
+def test_no_collection_during_load_path_sees_the_parse_tree(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    strategy = random_strategy((12, 12), (3, 3), 0)
+    io.save_path(str(path), io.strategy_to_dict(strategy))
+    real = io._parse_json
+    trees = []
+
+    def parse(data):
+        tree = ParseTree(real(data))
+        trees.append(weakref.ref(tree))
+        return tree
+
+    def watch(phase, info):
+        if phase == "start":
+            collections.append(any(tree() is not None for tree in trees))
+
+    monkeypatch.setattr(io, "_parse_json", parse)
+    collections = []
+    gc.callbacks.append(watch)
+    try:
+        for _ in range(5):
+            loaded = io.load_path(str(path), "strategy")
+            assert loaded.dim_a == 12
+    finally:
+        gc.callbacks.remove(watch)
+    assert len(trees) == 5
+    assert not any(collections)

@@ -1,5 +1,7 @@
 """Unit tests for the rounding pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,14 +301,19 @@ def test_slice_strategies_flat_spectrum():
     g = k3_game()
     s = embed_tracial(entangled_coloring_strategy(3))
     pvms = tuple(map(with_columns, s.alice))
-    dec = slice_strategies(TracialStrategy(3, s.sigma, pvms, pvms), g)
-    assert len(dec.slices) == 1
+    corners = []
+    dec = slice_strategies(
+        TracialStrategy(3, s.sigma, pvms, pvms),
+        g,
+        lambda m, rank, stack: corners.append(stack),
+    )
+    assert len(dec.slices) == len(corners) == 1
     sl = dec.slices[0]
     assert sl.weight == pytest.approx(1.0)
     assert sl.sub_dim == 3
-    for pvm, orig in zip(sl.pvms, s.alice):
+    for corner, orig in zip(corners[0], s.alice):
         # sigma = I is diagonal, so the corner is the whole coordinate space
-        np.testing.assert_allclose(pvm.elements, orig.elements, atol=1e-9)
+        np.testing.assert_allclose(corner, orig.elements, atol=1e-9)
     assert dec.diagnostics["slice_residual"] <= 1e-10
 
 
@@ -455,6 +462,24 @@ def test_round_correlation_correlates_the_embedding_once(monkeypatch):
     ((_, embedded),) = embeds
     assert dec.embedded is embedded
     assert sum(args[0] is embedded for args, _ in correlations) == 1
+
+
+def test_round_correlation_retains_no_corners():
+    # At d=48 the corner PVMs add up to sum_r 9 r^2 complex entries, about
+    # 5.4 MB; the embedded and symmetric stages and the slice tables the
+    # decomposition does keep are about 1.1 MB.
+    g = k3_game()
+    s = random_strategy((48, 48), (3, 3), 0)
+    round_correlation(g, random_strategy((3, 3), (3, 3), 0))  # warm caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dec = round_correlation(g, s)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(dec.slices) == 48
+    assert retained < 2e6
 
 
 def test_soundness_demo_embeds_and_polarizes_once(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reference import expand_corner, host_aggregate
+from reference import expand_corner, host_aggregate, padded_targets
 from syncround import linalg
 from syncround.errors import DominationViolated, ValidationError
 from syncround.games import k3_game
@@ -118,7 +118,7 @@ def padded(x, n):
 
 def test_aggregate_single_slice_identity_sigma():
     pvm = basis_pvm(3)
-    families = aggregate_slice_povms(np.ones(3), [(1.0, 3, [pvm])])
+    families = aggregate_slice_povms(np.ones(3), padded_targets(3, [(1.0, 3, [pvm])]))
     np.testing.assert_allclose(families[0].elements, pvm.elements, atol=1e-9)
 
 
@@ -126,7 +126,9 @@ def test_aggregate_degenerate_all_mass_on_one_outcome():
     # corner family puts the corner identity on outcome 0
     elements = np.zeros((2, 3, 3), dtype=complex)
     elements[0] = np.eye(3)
-    families = aggregate_slice_povms(np.ones(3), [(1.0, 3, [Povm(elements)])])
+    families = aggregate_slice_povms(
+        np.ones(3), padded_targets(3, [(1.0, 3, [Povm(elements)])])
+    )
     np.testing.assert_allclose(families[0].elements[0], np.eye(3), atol=1e-9)
     np.testing.assert_allclose(families[0].elements[1], 0, atol=1e-9)
 
@@ -134,7 +136,7 @@ def test_aggregate_degenerate_all_mass_on_one_outcome():
 def test_aggregate_two_slice_reconstruction():
     spectrum, slices = two_slice_fixture()
     sigma = np.diag(spectrum)
-    families = aggregate_slice_povms(spectrum, slices)
+    families = aggregate_slice_povms(spectrum, padded_targets(2, slices))
     assert len(families) == 1
     family = families[0]
     assert family.validate() == []
@@ -150,7 +152,7 @@ def test_aggregate_kernel_deficit_goes_to_outcome_zero():
     # rank-deficient sigma: the kernel completion lands on outcome 0
     corner = [Povm(np.array([[[1.0 + 0j]], [[0.0 + 0j]]]))]
     families = aggregate_slice_povms(
-        np.array([np.sqrt(2.0), 0.0]), [(2.0, 1, corner)]
+        np.array([np.sqrt(2.0), 0.0]), padded_targets(2, [(2.0, 1, corner)])
     )
     family = families[0]
     assert family.validate() == []
@@ -165,7 +167,8 @@ def test_aggregate_support_cut_matches_pseudo_inv_sqrt():
         spectrum = np.array([1.0, np.sqrt(tail_sq)])
         measures = (1.0 - tail_sq, tail_sq)
         families = aggregate_slice_povms(
-            spectrum, [(measures[0], 1, [top]), (measures[1], 2, [pvm])]
+            spectrum,
+            padded_targets(2, [(measures[0], 1, [top]), (measures[1], 2, [pvm])]),
         )
         host = host_aggregate(
             np.diag(spectrum),
@@ -243,13 +246,21 @@ def test_demo_degrades_continuously():
 
 def host_frame_transferred(game, inst, s):
     """soundness_transfer_demo's transferred expectation in the host frame:
-    each slice's corner expanded by sigma+'s leading eigenvectors, the
-    families aggregated with pseudo_inv_sqrt(sigma+^2), and
-    tau(sigma+ A sigma+ H) taken with the embedded strategy's elements."""
-    dec = round_correlation(game, s)
+    each slice's corner, collected through on_slice, expanded by sigma+'s
+    leading eigenvectors, the families aggregated with
+    pseudo_inv_sqrt(sigma+^2), and tau(sigma+ A sigma+ H) taken with the
+    embedded strategy's elements."""
+    corners = []
+    dec = round_correlation(
+        game, s, on_slice=lambda m, rank, stack: corners.append((m, rank, stack))
+    )
+    assert [rank for _, rank, _ in corners] == [sl.sub_dim for sl in dec.slices]
     polar = linalg.polar_decompose(dec.embedded.sigma)
     v, sigma_plus = polar.eigenbasis, polar.positive_part
-    slices = [(sl.measure, v[:, : sl.sub_dim], list(sl.pvms)) for sl in dec.slices]
+    slices = [
+        (m, v[:, :rank], [Povm(corner) for corner in stack])
+        for m, rank, stack in corners
+    ]
     families = host_aggregate(sigma_plus, slices)
     rho = np.asarray(inst.rho, dtype=float)
     total = 0.0

@@ -46,6 +46,59 @@ def test_povm_validate_flags_negative():
     assert "NotPositive" in p.validate()
 
 
+def reference_validate(povm):
+    """Povm.validate one element at a time: NotHermitian, else one
+    eigvalsh per element for NotPositive, then the sum."""
+    violations = []
+    total = np.zeros((povm.dim, povm.dim), dtype=complex)
+    for e in povm.elements:
+        if np.linalg.norm(e - e.conj().T) > 1e-8 * (1 + np.linalg.norm(e)):
+            violations.append("NotHermitian")
+        elif np.linalg.eigvalsh((e + e.conj().T) / 2)[0] < -1e-10:
+            violations.append("NotPositive")
+        total += e
+    if np.max(np.abs(total - np.eye(povm.dim))) > 1e-9:
+        violations.append("SumNotIdentity")
+    return violations
+
+
+def validate_cases():
+    """Valid, non-Hermitian, non-positive and non-normalized POVMs, alone
+    and mixed, from one seeded random POVM."""
+    base = random_strategy((6, 6), (3, 4), 3).alice[0].elements
+    skew = np.zeros((6, 6), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1e-3, -1e-3
+    shift = np.diag([0.3, 0, 0, 0, 0, 0])
+    yield "valid", base
+    yield "not-hermitian", base + np.array([skew, 0 * skew, -skew, 0 * skew])
+    yield "not-positive", base + np.array([-shift, shift, 0 * shift, 0 * shift])
+    yield "not-normalized", base * 0.9
+    yield "all-bad", base * 0.9 + np.array([skew, -shift, -shift, skew])
+    yield "slightly-skew", base + np.array([1e-10 * skew, 0 * skew, 0 * skew, 0 * skew])
+
+
+@pytest.mark.parametrize("name,elements", list(validate_cases()))
+def test_povm_validate_matches_per_element_reference(name, elements):
+    povm = Povm(elements)
+    got = povm.validate()
+    assert got == reference_validate(povm)
+    expected = {
+        "valid": [],
+        "slightly-skew": [],
+        "not-hermitian": ["NotHermitian", "NotHermitian"],
+        "not-positive": ["NotPositive"],
+        "not-normalized": ["SumNotIdentity"],
+        "all-bad": [
+            "NotHermitian",
+            "NotPositive",
+            "NotPositive",
+            "NotHermitian",
+            "SumNotIdentity",
+        ],
+    }
+    assert got == expected[name]
+
+
 def test_opposite_examples():
     np.testing.assert_array_equal(opposite(np.eye(2)), np.eye(2))
     np.testing.assert_array_equal(
