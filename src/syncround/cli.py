@@ -130,7 +130,8 @@ CSV_HEADER = "eta,seed,delta,distance,slices,slack_min,wall_ms"
 def _sweep_task(game, base, eta, task_seed, timing):
     start = time.perf_counter()
     dec = round_correlation(game, perturb_strategy(base, eta, task_seed))
-    slacks = [e["slack"] for e in lemma_report(game, dec.embedded).values()]
+    report = lemma_report(game, dec.embedded, dec.polar)
+    slacks = [e["slack"] for e in report.values()]
     wall_ms = int(round((time.perf_counter() - start) * 1000)) if timing else 0
     return {
         "eta": eta,

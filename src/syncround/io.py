@@ -162,8 +162,12 @@ def _check_schema(obj: dict, expected: str):
 
 
 def encode_matrix(m) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    """Nested lists of [re, im] pairs, for an array of any shape."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
+
+
+encode_vector = encode_matrix
 
 
 def _decode_pairs(data, ndim: int, what: str) -> np.ndarray:
@@ -177,10 +181,6 @@ def _decode_pairs(data, ndim: int, what: str) -> np.ndarray:
 
 def decode_matrix(data) -> np.ndarray:
     return _decode_pairs(data, 3, "matrix")
-
-
-def encode_vector(v) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
 
 
 def decode_vector(data) -> np.ndarray:

@@ -126,12 +126,15 @@ def cluster_indices(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.nda
 class PolarParts:
     """sigma = isometry_part @ positive_part with u a partial isometry.
     positive_part = V diag(s) V* with V = eigenbasis; singular_values is s,
-    nonincreasing, with its values on the kernel of u set to zero."""
+    nonincreasing, with its values on the kernel of u set to zero.
+    left_basis is L in the SVD sigma = L diag(s) V*, the eigenbasis of
+    sigma sigma*."""
 
     isometry_part: np.ndarray
     positive_part: np.ndarray
     eigenbasis: np.ndarray
     singular_values: np.ndarray
+    left_basis: np.ndarray
 
 
 def polar_decompose(m) -> PolarParts:
@@ -150,7 +153,9 @@ def polar_decompose(m) -> PolarParts:
     cutoff = CLUSTER_TOL * max(1.0, s[0] if s.size else 0.0)
     support = s > cutoff
     isometry = u_svd[:, support] @ vh[support, :]
-    return PolarParts(isometry, positive, vh.conj().T, np.where(support, s, 0.0))
+    return PolarParts(
+        isometry, positive, vh.conj().T, np.where(support, s, 0.0), u_svd
+    )
 
 
 def pseudo_inv_sqrt(a, cutoff: float | None = None) -> np.ndarray:

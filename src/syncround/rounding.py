@@ -10,40 +10,41 @@ breakpoints (the integrands are piecewise constant at finite dimension).
 
 round_correlation is the one pipeline.  Each stage takes its input
 correlation from the stage before, and the decomposition keeps the
-embedded strategy, its correlation and the symmetric stage, so the CLI,
-the lemma report and the soundness demo continue from them instead of
-embedding, correlating or polar-decomposing a second time.
+embedded strategy, its correlation, the polar decomposition and the
+symmetric stage, so the CLI, the lemma report and the soundness demo
+continue from them instead of embedding, correlating or polar-decomposing
+a second time.  Every stage after symmetrize works in the eigenbasis V of
+the symmetric state sigma+, from that one SVD: sigma+ is the diagonal of
+its singular values and Alice's elements are rotated once, V* A V.
+Correlations, weights and residuals are normalized traces, so the basis
+does not change them.
 
-Every stage after symmetrize works in the eigenbasis V of the symmetric
-state sigma+, from the polar decomposition's one SVD: sigma+ is the
-diagonal of its singular values and Alice's elements are rotated once,
-V* A V.  Correlations, weights and residuals are normalized traces, so
-the basis does not change them.
+One kernel, _round_povm, does every POVM-to-PVM rounding: projectivize's,
+the lemma report's, orthogonalize_povm's and each slice corner's.  It is
+sequential spectral rounding, which meets the 9-epsilon orthogonalization
+bound at a weight sigma sigma* with tau(sigma sigma*) = 1 (BoundViolated
+otherwise; a weight off that normalization is refused).  It always works
+in the weight's eigenbasis, so the weight is a vector s^2, or the identity
+at a corner, and the masses, epsilon and the error are O(n^2) sums.
 
-Cost model of the slice stage at dimension n, with nq questions of na
-answers.  Every slice spans a leading block of coordinates and sigma's
-spectrum is its diagonal.  projectivize builds each PVM element from
-orthonormal columns, P = F F* with F of width k (the element's rank), and
-keeps F with the PVM; the slice stage uses those columns as rank factors,
-so it factors no n x n element.  Checking that F F* reproduces each
-element costs O(n^2 k), and the asymmetry of every leading block is read
-from prefix sums, one pass per element.  Slice j of rank r reads its
-corner POVM as the leading r x r block, whose factor is the leading r rows
-of F; rounding it takes, per question, na - 1 eigendecompositions of
-min(r, k) x min(r, k) Gram matrices and O(r k (r + k)) products.  Its
-residual ||A[:, :r] - [P; 0]||_F^2 is the off-corner mass ||A[r:, :r]||_F^2,
-read from prefix sums of |A|^2, plus the r x r corner difference, whose
-Frobenius mass the rounding's bound check already sums.  The slice's
-corner PVMs fill one (nq, na, r, r) array and its correlation is one
-product of that array with its transpose.  No slice forms an n x n
-projector.  The corners stream: each array is dropped once its table is
-taken, after an optional on_slice hook has seen it, so the decomposition
-is O(n^2) (weights, dimensions and one table per slice) although the
-corners add up to sum_j nq na r_j^2, about n^3 nq na / 3 entries when every
-slice has its own rank.  The joint-distribution check likewise needs one
-eigendecomposition per operand: every threshold projector is a leading
-eigenvector block, so its distance at each breakpoint is read from a
-prefix sum of eigenvector overlaps.
+Cost of the slice stage at dimension n, with nq questions of na answers.
+Every slice spans a leading block of coordinates and sigma's spectrum is
+its diagonal.  projectivize keeps the orthonormal columns F of each PVM
+element, P = F F* of rank k, and the slice stage uses them as rank
+factors: checking F F* against each element costs O(n^2 k), and the
+asymmetry of every leading block is read from prefix sums.  Slice j of
+rank r rounds its corner, whose factor is the leading r rows of F, with na
+- 1 eigendecompositions of min(r, k)-sized matrices per question and O(r k
+(r + k)) products.  Its residual ||A[:, :r] - [P; 0]||_F^2 is the
+off-corner mass ||A[r:, :r]||_F^2, read from prefix sums of |A|^2, plus
+the corner's rounding error.  The corner PVMs fill one (nq, na, r, r)
+array, the slice's correlation is one product of it with its transpose,
+and it is dropped after an optional on_slice hook has seen it, so the
+decomposition is O(n^2) although the corners add up to about n^3 nq na / 3
+entries when every slice has its own rank.  The joint-distribution check
+needs one eigendecomposition per operand: every threshold projector is a
+leading eigenvector block, so its distance at each breakpoint is read from
+a prefix sum of eigenvector overlaps.
 """
 
 from __future__ import annotations
@@ -83,164 +84,98 @@ ORTHO_SLACK = 1e-8
 SliceHook = Callable[[float, int, np.ndarray], None]
 
 
-def _spectral_basis(elements: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
-    """Labelled orthonormal basis from sequential spectral rounding.
+def _normalized(weight: np.ndarray) -> np.ndarray:
+    """The diagonal of sigma sigma*, refused unless tau(sigma sigma*) = 1."""
+    norm = float(np.mean(weight))
+    if abs(norm - 1.0) > 1e-9:
+        raise NotNormalized(f"tau(sigma sigma*) = {norm!r}")
+    return weight
 
-    The element x = order[0] is thresholded at 1/2 on the whole space, the
-    next one on the complement of what was kept, and so on; the last element
-    takes whatever remains.  Returns the basis vectors as columns and the
-    element each one was assigned to.
+
+def _round_povm(elements: np.ndarray, weight, factors=None):
+    """Sequential spectral rounding of a POVM to a PVM at a diagonal weight.
+
+    elements is an (na, n, n) stack of Hermitian elements in the eigenbasis
+    of the weight w = sigma sigma*; weight is w's diagonal, or None for the
+    identity.  The element of largest mass tau(A w) is thresholded at 1/2,
+    the next on the complement of what was kept, and so on; the last takes
+    the rest.  Without factors each threshold eigendecomposes the element
+    compressed to a basis B of the complement, B* A B.  factors[a] is a
+    rank factor whose leading n rows G_a give A_a = G_a G_a*: with Q the
+    columns kept so far, the compression is N N*, N = G_a - Q Q* G_a, whose
+    eigenvectors come from the smaller of N N* and N* N (as N u / sqrt(l)).
+
+    tau(A^2 w) and the error tau((A - P)^2 w) are sums of |A_ij|^2 w_i and
+    |(A - P)_ij|^2 w_i.  An error above 9 epsilon + ORTHO_SLACK, epsilon =
+    1 - sum_a tau(A_a^2 w), raises BoundViolated.  Returns the PVM, each
+    outcome's orthonormal columns (None with factors) and the error times n.
     """
-    n = elements.shape[1]
-    blocks = []
-    labels: list[int] = []
-    basis = None  # None is the identity: the first corner is the whole space
-    for idx, x in enumerate(order):
-        last = idx == len(order) - 1
-        if last:
-            keep = np.eye(n, dtype=complex) if basis is None else basis
-        else:
+    na, n = elements.shape[:2]
+    w = np.ones(n) if weight is None else _normalized(weight)
+    masses = np.diagonal(elements, axis1=1, axis2=2).real @ w
+    order = np.argsort(-masses, kind="stable")
+    pvm = np.empty(elements.shape, dtype=complex)
+    columns = [None] * na
+    kept = np.empty((n, 0), dtype=complex)
+    basis = None  # the complement of what was kept, without factors; None is C^n
+    for x in order[:-1]:
+        if factors is None:
             e = elements[x]
             corner = e if basis is None else basis.conj().T @ e @ basis
             dec = linalg.eig_hermitian(linalg.hermitize(corner, tol=CORNER_TOL))
             sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
-            keep = dec.eigenvectors[:, sel]
-            rest = dec.eigenvectors[:, ~sel]
+            cols, rest = dec.eigenvectors[:, sel], dec.eigenvectors[:, ~sel]
             if basis is not None:
-                keep, rest = basis @ keep, basis @ rest
-        blocks.append(keep)
-        labels.extend([int(x)] * keep.shape[1])
-        if last or rest.shape[1] == 0:
-            break
-        basis = rest
-    return np.concatenate(blocks, axis=1), np.array(labels)
-
-
-def _projectors(vectors: np.ndarray, labels: np.ndarray, outcomes: int) -> np.ndarray:
-    """P_x = V_x V_x* where V_x holds the vectors labelled x."""
-    n = vectors.shape[0]
-    out = np.empty((outcomes, n, n), dtype=complex)
-    for x in range(outcomes):
-        cols = vectors[:, labels == x]
-        out[x] = cols @ cols.conj().T
-    return out
-
-
-def _within_bound(elements, aw, w, pvm, full_basis):
-    """Hold a rounding pvm of the elements to the 9-epsilon bound at weight w.
-
-    aw holds the products A_a w; w = None is the identity weight of a corner
-    and skips every w product.  There the error is the Frobenius mass
-    sum_a ||A_a - P_a||_F^2, one vectorized sum.  At a weight w, tau((A -
-    P)^2 w) = tau((A - P)(A w - P w)) adds one P w per outcome and stays
-    exact near a fixed point, where an expansion in tau(P A w) would leave
-    cancellation noise; it is summed one outcome at a time so its
-    temporaries stay at one element's size.  If the error exceeds 9
-    epsilon, one greedy reassignment of the basis full_basis() returns is
-    tried; failing that, BoundViolated is raised.  Returns the PVM, its
-    error unnormalized (times the dimension) and the reassigned labels
-    (None when the first rounding stands).
-    """
-    n = elements.shape[1]
-    a2w = float(np.einsum("aij,aji->", elements, aw).real) / n
-    bound = 9.0 * (1.0 - a2w) + ORTHO_SLACK
-
-    def weighted_mass(pvm: np.ndarray) -> float:
-        if w is None:
-            d = elements - pvm
-            return float(np.vdot(d, d).real)
-        total = 0.0
-        for a, a_w, p in zip(elements, aw, pvm):
-            total += float(np.einsum("ij,ji->", a - p, a_w - p @ w).real)
-        return total
-
-    mass = weighted_mass(pvm)
-    relabel = None
-    if mass / n > bound:
-        # Greedy reassignment: with the basis fixed, the weighted error is
-        # separable over basis vectors, so per-vector argmax is optimal.
-        # Re v* w A v = Re v* A w v for Hermitian A and w.
-        vectors = full_basis()
-        scores = np.sum(vectors.conj() * (aw @ vectors), axis=1).real
-        labels = np.argmax(scores, axis=0)
-        candidate = _projectors(vectors, labels, len(elements))
-        cand_mass = weighted_mass(candidate)
-        if cand_mass < mass:
-            pvm, mass, relabel = candidate, cand_mass, labels
+                cols, rest = basis @ cols, basis @ rest
+            basis = rest
+        else:
+            g = factors[x][:n]
+            g = g - kept @ (kept.conj().T @ g)
+            if n < g.shape[1]:
+                dec = linalg.eig_hermitian(g @ g.conj().T)
+                cols = dec.eigenvectors[:, dec.eigenvalues >= 0.5 - CLUSTER_TOL]
+            else:
+                dec = linalg.eig_hermitian(g.conj().T @ g)
+                sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
+                cols = g @ (dec.eigenvectors[:, sel] / np.sqrt(dec.eigenvalues[sel]))
+            kept = np.concatenate((kept, cols), axis=1)
+        columns[x] = cols
+        pvm[x] = cols @ cols.conj().T
+    last = order[-1]
+    if factors is None:
+        columns[last] = np.eye(n, dtype=complex) if basis is None else basis
+        pvm[last] = columns[last] @ columns[last].conj().T
+    else:
+        columns = None
+        pvm[last] = np.eye(n) - kept @ kept.conj().T
+    root = np.sqrt(w)[:, None]  # sum_ij |M_ij|^2 w_i = ||root M||_F^2
+    a, d = elements * root, (elements - pvm) * root
+    bound = 9.0 * (1.0 - float(np.vdot(a, a).real) / n) + ORTHO_SLACK
+    mass = float(np.vdot(d, d).real)
     if mass / n > bound:
         raise BoundViolated(
             f"orthogonalization error {mass / n:.3e} exceeds "
             f"9*eps bound {bound:.3e}"
         )
-    return pvm, mass, relabel
+    return pvm, columns, mass
 
 
 def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
     """Round a POVM to a PVM in the sigma-weighted Hilbert-Schmidt norm.
 
-    Sequential spectral rounding: the element with the largest weighted mass
-    is thresholded at 1/2, the rest recurse on the compressed complement and
-    the last element takes the remainder.  If the resulting error exceeds
-    the 9-epsilon orthogonalization bound, one greedy eigenvector
-    reassignment pass is tried; failing that, BoundViolated is raised.
-    The masses, epsilon and the greedy scores all come from one product
-    A_a w per element, w = sigma sigma*.  The PVM keeps each outcome's
-    orthonormal columns, after any reassignment, as Povm.columns.
+    The weight w = sigma sigma* must have tau(w) = 1 (NotNormalized
+    otherwise).  The elements are rotated into w's eigenbasis, the left
+    singular vectors of sigma, where _round_povm rounds them at w's diagonal;
+    the PVM is rotated back and keeps each outcome's orthonormal columns as
+    Povm.columns.  Returns it and its weighted error tau(sum_a (A_a -
+    P_a)^2 w), at most 9 epsilon (BoundViolated otherwise).
     """
-    sig = linalg.as_matrix(sigma)
-    w = sig @ sig.conj().T
-    elements = povm.elements
-    aw = elements @ w
-    masses = np.trace(aw, axis1=1, axis2=2).real / povm.dim
-    vectors, labels = _spectral_basis(
-        elements, np.argsort(-masses, kind="stable")
-    )
-    pvm = _projectors(vectors, labels, povm.outcomes)
-    pvm, mass, relabel = _within_bound(elements, aw, w, pvm, lambda: vectors)
-    if relabel is not None:
-        labels = relabel
-    columns = tuple(vectors[:, labels == x] for x in range(povm.outcomes))
-    return Povm(pvm, columns), mass / povm.dim
-
-
-def _round_corner(blocks: np.ndarray, factors, out: np.ndarray) -> float:
-    """orthogonalize_povm at the identity weight for a corner E_a = G_a G_a*.
-
-    blocks holds the r x r corner elements E_a and factors[a] a rank factor
-    whose leading r rows are G_a, of width k_a.  With Q the columns kept so
-    far, E_a compressed to the complement of Q is N N*, N = G_a - Q Q* G_a.
-    When r < k_a its eigenvectors come from that r x r matrix directly;
-    otherwise they are N u / sqrt(l) for the eigenpairs (l, u) of the k_a x
-    k_a Gram matrix N* N, which has the same nonzero spectrum.  So each
-    threshold at 1/2 is one min(r, k_a)-sized eigendecomposition, and the
-    last outcome takes I - Q Q*.  Only a rounding that misses the bound
-    builds the full basis, the one _spectral_basis gives, for the greedy
-    reassignment.  The PVM is written to out; returns its Frobenius mass
-    sum_a ||E_a - P_a||_F^2, which the bound check computes anyway.
-    """
-    r = blocks.shape[1]
-    order = np.argsort(-np.trace(blocks, axis1=1, axis2=2).real, kind="stable")
-    pvm = out
-    kept = np.empty((r, 0), dtype=complex)
-    for x in order[:-1]:
-        g = factors[x][:r]
-        g = g - kept @ (kept.conj().T @ g)
-        if r < g.shape[1]:
-            dec = linalg.eig_hermitian(g @ g.conj().T)
-            cols = dec.eigenvectors[:, dec.eigenvalues >= 0.5 - CLUSTER_TOL]
-        else:
-            dec = linalg.eig_hermitian(g.conj().T @ g)
-            sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
-            cols = g @ (dec.eigenvectors[:, sel] / np.sqrt(dec.eigenvalues[sel]))
-        pvm[x] = cols @ cols.conj().T
-        kept = np.concatenate((kept, cols), axis=1)
-    pvm[order[-1]] = np.eye(r) - kept @ kept.conj().T
-    pvm, mass, _ = _within_bound(
-        blocks, blocks, None, pvm, lambda: _spectral_basis(blocks, order)[0]
-    )
-    if pvm is not out:
-        out[...] = pvm
-    return mass
+    polar = linalg.polar_decompose(sigma)
+    u = polar.left_basis
+    rotated = u.conj().T @ povm.elements @ u
+    _, columns, mass = _round_povm(rotated, polar.singular_values**2)
+    columns = tuple(u @ c for c in columns)
+    return Povm(np.array([c @ c.conj().T for c in columns]), columns), mass / povm.dim
 
 
 def _checked_eig(name: str, m: np.ndarray) -> linalg.SpectralDecomposition:
@@ -321,23 +256,29 @@ class RoundingDecomposition:
     diagnostics: dict
     # Earlier stages, set by round_correlation and None on a bare
     # slice_strategies result.  symmetric is (sigma+, {A}) in sigma+'s
-    # eigenbasis V, whose diagonal sigma+ the slices cut.
+    # eigenbasis V, whose diagonal sigma+ the slices cut; polar is the
+    # polar decomposition of the embedded state that symmetrize took.
     embedded: TracialStrategy | None
     c_in: Correlation | None
     symmetric: TracialStrategy | None
+    polar: linalg.PolarParts | None
 
 
-def symmetrize(s: TracialStrategy, game: Game, c_in: Correlation):
+def symmetrize(
+    s: TracialStrategy, game: Game, c_in: Correlation, polar=None
+):
     """Replace the strategy by the symmetric one (sigma+, {A}).
 
-    c_in is the correlation of s.  The result is written in sigma+'s
+    c_in is the correlation of s and polar the polar decomposition of its
+    state, taken here when not passed.  The result is written in sigma+'s
     eigenbasis V: its state is diag(singular values) and Alice's elements
     are V* A V.  Returns it, its correlation and a report with the
     input/output synchronicities and the mu-weighted correlation distance;
     the factor-2 synchronicity bound is enforced.
     """
     delta_in = synchronicity(game, c_in)
-    polar = linalg.polar_decompose(s.sigma)
+    if polar is None:
+        polar = linalg.polar_decompose(s.sigma)
     v = polar.eigenbasis
     rotated = v.conj().T @ np.array([p.elements for p in s.alice]) @ v
     alice = tuple(Povm(elements) for elements in rotated)
@@ -357,22 +298,32 @@ def symmetrize(s: TracialStrategy, game: Game, c_in: Correlation):
     return out, c_out, report
 
 
+def _diagonal(sigma: np.ndarray, stage: str) -> np.ndarray:
+    """The diagonal of a state in its eigenbasis, as symmetrize leaves it."""
+    spectrum = np.diagonal(sigma)
+    if not np.array_equal(sigma, np.diag(spectrum)) or np.any(spectrum.imag):
+        raise ValidationError(f"{stage} needs a real diagonal sigma")
+    return spectrum.real
+
+
 def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
     """Round each question's POVM to a PVM in the sigma-weighted norm.
 
-    Requires a symmetric strategy with positive sigma and its correlation
-    c_in; returns the symmetric projective strategy, its correlation and a
-    report like symmetrize's plus the weighted rounding error gamma.
+    Requires a symmetric strategy in its state's eigenbasis, as symmetrize
+    leaves it, and its correlation c_in.  sigma is real and diagonal, so the
+    weight sigma sigma* is its squared diagonal, which goes straight to
+    _round_povm.  Returns the symmetric projective strategy, its correlation
+    and a report like symmetrize's plus the weighted rounding error gamma.
     """
-    sigma = linalg.hermitize(s.sigma)
+    weight = _diagonal(s.sigma, "projectivize") ** 2
     pvms = []
     errors = []
     for povm in s.alice:
-        pvm, err = orthogonalize_povm(povm, sigma)
-        pvms.append(pvm)
-        errors.append(err)
+        pvm, columns, mass = _round_povm(povm.elements, weight)
+        pvms.append(Povm(pvm, tuple(columns)))
+        errors.append(mass / s.dim)
     pvms = tuple(pvms)
-    out = TracialStrategy(s.dim, sigma, pvms, pvms)
+    out = TracialStrategy(s.dim, s.sigma, pvms, pvms)
     c_out = correlation(out)
     report = {
         "delta_in": synchronicity(game, c_in),
@@ -408,7 +359,7 @@ def slice_strategies(
 
     s is in its state's eigenbasis, as symmetrize leaves it: sigma is real,
     diagonal, nonnegative and nonincreasing.  Alice's PVMs carry the columns
-    orthogonalize_povm built them from, which serve as rank factors.  Each
+    projectivize built them from, which serve as rank factors.  Each
     spectral slice, a leading block of coordinates, hosts a corner
     sub-strategy whose tracial state is the corner identity; compressed
     measurements are rounded back to PVMs there, making every per-slice
@@ -420,15 +371,10 @@ def slice_strategies(
     first, as on_slice(measure, rank, stack) with the slice's (nq, na, rank,
     rank) corner PVMs; the stack is not reused, so the hook may keep it.
     """
-    spectrum = np.diagonal(s.sigma)
-    if not np.array_equal(s.sigma, np.diag(spectrum)) or np.any(spectrum.imag):
-        raise ValidationError("slicing needs a real diagonal sigma")
-    spectrum = spectrum.real
+    spectrum = _diagonal(s.sigma, "slicing")
     if np.any(spectrum < 0) or np.any(np.diff(spectrum) > 0):
         raise ValidationError("slicing needs a nonnegative nonincreasing sigma")
-    norm = float(np.mean(spectrum**2))
-    if abs(norm - 1.0) > 1e-9:
-        raise NotNormalized(f"tau(sigma^2) = {norm!r}")
+    _normalized(spectrum**2)
     n, nq, na = s.dim, s.n_questions, s.n_answers
     pieces = list(_spectral_pieces(spectrum))
     ranks = np.array([rank for _, rank in pieces])
@@ -455,8 +401,9 @@ def slice_strategies(
         for x in range(nq):
             corner = herm[x][:, :rank, :rank]
             # ||(A - P) Pi_r||_F^2 = ||A[r:, :r]||_F^2 + ||A[:r, :r] - P||_F^2;
-            # the corner term is the mass _round_corner returns
-            mass = float(off_corner[x, j]) + _round_corner(corner, factors[x], stack[x])
+            # the corner term is the mass _round_povm returns
+            stack[x], _, mass = _round_povm(corner, None, factors[x])
+            mass += float(off_corner[x, j])
             residual += float(game.mu_x[x]) * measure * mass / n
         c_sub = stacked_correlation(stack.swapaxes(-1, -2), stack)
         sync_sub = synchronicity(game, c_sub)
@@ -480,7 +427,7 @@ def slice_strategies(
         "slice_residual": residual,
     }
     return RoundingDecomposition(
-        tuple(slices), tuple(correlations), mixed, diagnostics, None, None, None
+        tuple(slices), tuple(correlations), mixed, diagnostics, None, None, None, None
     )
 
 
@@ -501,7 +448,8 @@ def round_correlation(
         raise NotSynchronousGame("rounding requires a synchronous game")
     embedded = embed_tracial(s)
     c_in = correlation(embedded)
-    sym, c_sym, sym_report = symmetrize(embedded, game, c_in)
+    polar = linalg.polar_decompose(embedded.sigma)
+    sym, c_sym, sym_report = symmetrize(embedded, game, c_in, polar)
     proj, _, proj_report = projectivize(sym, game, c_sym)
     dec = slice_strategies(proj, game, on_slice)
     diagnostics = dict(dec.diagnostics)
@@ -517,33 +465,47 @@ def round_correlation(
         }
     )
     return RoundingDecomposition(
-        dec.slices, dec.correlations, dec.mixed, diagnostics, embedded, c_in, sym
+        dec.slices, dec.correlations, dec.mixed, diagnostics, embedded, c_in, sym,
+        polar,
     )
 
 
-def lemma_report(game: Game, s: TracialStrategy) -> dict:
+def lemma_report(game: Game, s: TracialStrategy, polar=None) -> dict:
     """Evaluate both sides of the implemented lemma inequalities.
 
+    polar is the polar decomposition of s.sigma, taken here when not passed
+    (round_correlation keeps the one symmetrize took).  Its SVD sigma = L
+    diag(s) V* gives the frame: Alice's elements are rotated once into L,
+    the eigenbasis of sigma sigma*, and Bob's into V, the eigenbasis of
+    |sigma|.  There every state below except sigma itself is diagonal, and
+    the rounding weight sigma sigma* is the vector s^2.
     Returns {lemma: {lhs, rhs, slack}} with slack = rhs - lhs; every slack
     should be >= -1e-8 when the lemmas hold.
     """
-    c_s = correlation(s)
+    if polar is None:
+        polar = linalg.polar_decompose(s.sigma)
+    left, right = polar.left_basis, polar.eigenbasis
+    singular = polar.singular_values
+    alice = left.conj().T @ np.array([p.elements for p in s.alice]) @ left
+    bob = right.conj().T @ np.array([p.elements for p in s.bob_left]) @ right
+    alice_l = tuple(map(Povm, alice))
+    bob_r = tuple(map(Povm, bob))
+
+    def at_singular_values(a, b) -> Correlation:
+        # tau(sigma* A sigma B) = tau(diag(s) L*AL diag(s) V*BV)
+        return correlation(TracialStrategy(s.dim, np.diag(singular), a, b))
+
+    c_s = at_singular_values(alice_l, bob_r)
     delta = synchronicity(game, c_s)
-    sigma = s.sigma
-    polar = linalg.polar_decompose(sigma)
-    u, sigma_plus = polar.isometry_part, polar.positive_part
 
     # Synchronicity factorization.  Cauchy-Schwarz through sigma = u|sigma|
-    # = |sigma*|u weighs Alice's operators at |sigma*| = u|sigma|u* and
-    # Bob's at |sigma|; at |sigma| on both sides the bound fails for
-    # unbalanced embeddings, where sigma is far from normal.
-    sym_a = TracialStrategy(s.dim, sigma, s.alice, s.alice)
+    # = |sigma*|u weighs Alice's operators at |sigma*| = L diag(s) L* and
+    # Bob's at |sigma| = V diag(s) V*; at |sigma| on both sides the bound
+    # fails for unbalanced embeddings, where sigma is far from normal.
+    sym_a = TracialStrategy(s.dim, s.sigma, s.alice, s.alice)
     delta_a = synchronicity(game, correlation(sym_a))
-    sigma_left = u @ sigma_plus @ u.conj().T
-    sym_a_plus = TracialStrategy(s.dim, sigma_left, s.alice, s.alice)
-    delta_a_plus = synchronicity(game, correlation(sym_a_plus))
-    sym_b = TracialStrategy(s.dim, sigma_plus, s.bob_left, s.bob_left)
-    delta_b = synchronicity(game, correlation(sym_b))
+    delta_a_plus = synchronicity(game, at_singular_values(alice_l, alice_l))
+    delta_b = synchronicity(game, at_singular_values(bob_r, bob_r))
     vienna = {
         "lhs": 1.0 - delta,
         "rhs": np.sqrt(max(1.0 - delta_a_plus, 0.0))
@@ -555,12 +517,11 @@ def lemma_report(game: Game, s: TracialStrategy) -> dict:
     # spectrally-rounded {C} inside the same strategy.
     rounded = []
     gamma = 0.0
-    for x, povm in enumerate(s.alice):
-        pvm, err = orthogonalize_povm(povm, sigma)
-        rounded.append(pvm)
-        gamma += game.mu_x[x] * err
-    swapped = TracialStrategy(s.dim, sigma, tuple(rounded), s.bob_left)
-    lhs = correlation_distance(game, c_s, correlation(swapped))
+    for x, elements in enumerate(alice):
+        pvm, _, mass = _round_povm(elements, singular**2)
+        rounded.append(Povm(pvm))
+        gamma += game.mu_x[x] * mass / s.dim
+    lhs = correlation_distance(game, c_s, at_singular_values(tuple(rounded), bob_r))
     meas = {
         "lhs": lhs,
         "rhs": 6.0 * (delta_a + np.sqrt(max(gamma, 0.0))),

@@ -27,9 +27,9 @@ CORR_IMAG_HARD = 1e-7
 class Povm:
     """A family of positive matrices summing to the identity.
 
-    A PVM that orthogonalize_povm returns also keeps, per outcome, the
-    orthonormal columns V_a it was built from, P_a = V_a V_a*; the slice
-    stage uses them as the elements' rank factors.
+    A PVM that projectivize or orthogonalize_povm returns also keeps, per
+    outcome, the orthonormal columns V_a it was built from, P_a = V_a V_a*;
+    the slice stage uses them as the elements' rank factors.
     """
 
     elements: np.ndarray  # (outcomes, dim, dim)
@@ -284,6 +284,38 @@ def random_strategy(
     bob = tuple(
         _block_pvm(_haar_unitary(rng, dim_b), n_answers) for _ in range(n_questions)
     )
+    state = rng.normal(size=dim_a * dim_b) + 1j * rng.normal(size=dim_a * dim_b)
+    state /= np.linalg.norm(state)
+    return TensorStrategy(dim_a, dim_b, state, alice, bob)
+
+
+def random_povm_strategy(
+    dims: tuple[int, int], alphabets: tuple[int, int], seed: int, blend: float
+) -> TensorStrategy:
+    """Seeded random tensor strategy with generic POVMs and a Gaussian state.
+
+    Each POVM is blend P + (1 - blend) S^(-1/2) G_a G_a* S^(-1/2), with G_a
+    complex Gaussian, S = sum_a G_a G_a* and P a Haar block PVM, so blend = 1
+    gives random_strategy's kind of measurement and blend = 0 a generic POVM.
+    """
+    if not 0.0 <= blend <= 1.0:
+        raise ValueError("blend must lie in [0, 1]")
+    n_questions, n_answers = alphabets
+    rng = np.random.default_rng(seed)
+
+    def povm(dim: int) -> Povm:
+        shape = (n_answers, dim, dim)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        pos = g @ g.conj().swapaxes(1, 2)
+        root_inv = linalg.pseudo_inv_sqrt(pos.sum(axis=0))
+        generic = root_inv @ pos @ root_inv
+        generic = (generic + generic.conj().swapaxes(1, 2)) / 2
+        pvm = _block_pvm(_haar_unitary(rng, dim), n_answers).elements
+        return Povm(blend * pvm + (1.0 - blend) * generic)
+
+    dim_a, dim_b = dims
+    alice = tuple(povm(dim_a) for _ in range(n_questions))
+    bob = tuple(povm(dim_b) for _ in range(n_questions))
     state = rng.normal(size=dim_a * dim_b) + 1j * rng.normal(size=dim_a * dim_b)
     state /= np.linalg.norm(state)
     return TensorStrategy(dim_a, dim_b, state, alice, bob)

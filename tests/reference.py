@@ -4,7 +4,8 @@ Each one is the direct n x n form of something the library now reads off
 an eigenbasis: spectral projectors, corner expansion, reconstruction from
 an eigensystem, the projectivity test, projector slicing of sigma^2, the
 host-frame aggregation of slice POVMs, the fold of slice corners into the
-targets aggregate_slice_povms takes and rank factors of POVM elements.
+targets aggregate_slice_povms takes, rank factors of POVM elements, and
+sequential rounding and the lemma report at a dense weight sigma sigma*.
 Tests use them as independent oracles, and hand-built projective
 strategies take their columns from with_columns.
 """
@@ -12,9 +13,15 @@ strategies take their columns from with_columns.
 import numpy as np
 
 from syncround import linalg
-from syncround.errors import NotPovm
-from syncround.linalg import CLUSTER_TOL
-from syncround.strategies import Povm
+from syncround.errors import BoundViolated, NotPovm
+from syncround.linalg import CLUSTER_TOL, CORNER_TOL
+from syncround.strategies import (
+    Povm,
+    TracialStrategy,
+    correlation,
+    correlation_distance,
+    synchronicity,
+)
 
 
 def chi_geq(h, t):
@@ -121,3 +128,93 @@ def padded_targets(n, slices):
         for y, povm in enumerate(corner):
             targets[y, :, :rank, :rank] += measure * povm.elements
     return targets
+
+
+def dense_orthogonalize(povm, sigma):
+    """Sequential spectral rounding at the dense weight w = sigma sigma*.
+
+    The element with the largest mass tau(A w) is thresholded at 1/2 on the
+    whole space, the next on the compressed complement of what was kept, and
+    the last takes the remainder; masses, epsilon and the error come from
+    one product A w per element and one P w per outcome.  An error above
+    9 epsilon + 1e-8 raises BoundViolated.  Returns the PVM, with each
+    outcome's orthonormal columns, and its weighted error.
+    """
+    sig = linalg.as_matrix(sigma)
+    w = sig @ sig.conj().T
+    elements = povm.elements
+    n = povm.dim
+    aw = elements @ w
+    masses = np.trace(aw, axis1=1, axis2=2).real / n
+    order = np.argsort(-masses, kind="stable")
+    blocks = []
+    labels = []
+    basis = None  # None is the identity: the first corner is the whole space
+    for idx, x in enumerate(order):
+        last = idx == len(order) - 1
+        if last:
+            keep = np.eye(n, dtype=complex) if basis is None else basis
+        else:
+            e = elements[x]
+            corner = e if basis is None else basis.conj().T @ e @ basis
+            dec = linalg.eig_hermitian(linalg.hermitize(corner, tol=CORNER_TOL))
+            sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
+            keep = dec.eigenvectors[:, sel]
+            rest = dec.eigenvectors[:, ~sel]
+            if basis is not None:
+                keep, rest = basis @ keep, basis @ rest
+        blocks.append(keep)
+        labels.extend([int(x)] * keep.shape[1])
+        if last or rest.shape[1] == 0:
+            break
+        basis = rest
+    vectors = np.concatenate(blocks, axis=1)
+    labels = np.array(labels)
+    columns = tuple(vectors[:, labels == x] for x in range(povm.outcomes))
+    pvm = np.array([c @ c.conj().T for c in columns])
+    a2w = float(np.einsum("aij,aji->", elements, aw).real) / n
+    bound = 9.0 * (1.0 - a2w) + 1e-8
+    error = sum(
+        float(np.einsum("ij,ji->", a - p, a_w - p @ w).real)
+        for a, a_w, p in zip(elements, aw, pvm)
+    ) / n
+    if error > bound:
+        raise BoundViolated(f"error {error:.3e} exceeds {bound:.3e}")
+    return Povm(pvm, columns), error
+
+
+def dense_lemma_report(game, s):
+    """lemma_report in the host frame: every state a dense n x n matrix and
+    the measurement substitution rounded by dense_orthogonalize."""
+    c_s = correlation(s)
+    delta = synchronicity(game, c_s)
+    sigma = s.sigma
+    polar = linalg.polar_decompose(sigma)
+    u, sigma_plus = polar.isometry_part, polar.positive_part
+    sym_a = TracialStrategy(s.dim, sigma, s.alice, s.alice)
+    delta_a = synchronicity(game, correlation(sym_a))
+    sigma_left = u @ sigma_plus @ u.conj().T
+    sym_a_plus = TracialStrategy(s.dim, sigma_left, s.alice, s.alice)
+    delta_a_plus = synchronicity(game, correlation(sym_a_plus))
+    sym_b = TracialStrategy(s.dim, sigma_plus, s.bob_left, s.bob_left)
+    delta_b = synchronicity(game, correlation(sym_b))
+    vienna_rhs = np.sqrt(max(1.0 - delta_a_plus, 0.0)) * np.sqrt(
+        max(1.0 - delta_b, 0.0)
+    )
+    rounded = []
+    gamma = 0.0
+    for x, povm in enumerate(s.alice):
+        pvm, err = dense_orthogonalize(povm, sigma)
+        rounded.append(pvm)
+        gamma += game.mu_x[x] * err
+    swapped = TracialStrategy(s.dim, sigma, tuple(rounded), s.bob_left)
+    meas_lhs = correlation_distance(game, c_s, correlation(swapped))
+    meas_rhs = 6.0 * (delta_a + np.sqrt(max(gamma, 0.0)))
+    return {
+        "theviennalemma": {
+            "lhs": 1.0 - delta, "rhs": vienna_rhs, "slack": vienna_rhs - 1.0 + delta
+        },
+        "measurementtocoorlation": {
+            "lhs": meas_lhs, "rhs": meas_rhs, "slack": meas_rhs - meas_lhs
+        },
+    }

@@ -29,6 +29,7 @@ from syncround.strategies import (
     embed_tracial,
     entangled_coloring_strategy,
     perturb_strategy,
+    random_povm_strategy,
     random_strategy,
     synchronicity,
     tensor_correlation,
@@ -229,6 +230,36 @@ def test_lemma_suite_rank_deficient():
         "lemma-suite-rank-deficient",
         worst >= -1e-8 and elapsed < 60,
         f"min slack {worst:.3e} (tol -1e-8), {elapsed:.1f}s (< 60s)",
+    )
+
+
+def test_povm_suite():
+    """Generic POVM strategies round end to end: every check holds, and the
+    rounding error gamma is not 0."""
+    game = k3_game()
+    start = time.perf_counter()
+    worst_slack = np.inf
+    worst_oracle = 0.0
+    gammas = []
+    for i, dims in enumerate(((3, 3), (6, 6), (4, 9), (9, 4), (1, 5), (12, 12))):
+        for blend in (0.0, 0.5, 0.9):
+            s = random_povm_strategy(dims, (3, 3), 7000 + i, blend)
+            dec = round_correlation(game, s)
+            gap = np.abs(tensor_correlation(s).table - dec.c_in.table)
+            worst_oracle = max(worst_oracle, float(gap.max()))
+            gammas.append(dec.diagnostics["proj_gamma"])
+            for entry in lemma_report(game, dec.embedded, dec.polar).values():
+                worst_slack = min(worst_slack, entry["slack"])
+    elapsed = time.perf_counter() - start
+    report(
+        "povm-suite",
+        worst_slack >= -1e-8
+        and worst_oracle <= 1e-9
+        and max(gammas) > 0.1
+        and elapsed < 60,
+        f"min slack {worst_slack:.3e} (tol -1e-8), embedding mismatch "
+        f"{worst_oracle:.3e} (tol 1e-9), max gamma {max(gammas):.3f} (> 0.1), "
+        f"{elapsed:.1f}s (< 60s)",
     )
 
 

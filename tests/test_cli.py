@@ -10,7 +10,7 @@ from syncround import cli, io, rounding
 from syncround.cli import CSV_HEADER, main
 from syncround.errors import MathContractError
 from syncround.games import Game, k3_game
-from syncround.strategies import Povm, entangled_coloring_strategy
+from syncround.strategies import entangled_coloring_strategy, random_povm_strategy
 
 
 def run(capsys, *args):
@@ -59,14 +59,16 @@ def test_alphabet_mismatch_exits_3(capsys):
 
 
 def test_pvm_columns_that_miss_their_elements_exit_3(capsys, monkeypatch):
-    real = rounding.orthogonalize_povm
+    # projectivize keeps the columns the rounding kernel returns; swap two
+    real = rounding._round_povm
 
-    def swapped(povm, sigma):
-        pvm, err = real(povm, sigma)
-        cols = pvm.columns
-        return Povm(pvm.elements, (cols[1], cols[0], *cols[2:])), err
+    def swapped(elements, weight, factors=None):
+        pvm, cols, mass = real(elements, weight, factors)
+        if cols is not None:
+            cols = [cols[1], cols[0], *cols[2:]]
+        return pvm, cols, mass
 
-    monkeypatch.setattr(rounding, "orthogonalize_povm", swapped)
+    monkeypatch.setattr(rounding, "_round_povm", swapped)
     code, _, err = run(capsys, "round", "--game", "k3", "--strategy", "k3-entangled")
     assert code == 3
     assert "columns" in err
@@ -125,6 +127,37 @@ def test_lemmas_output(capsys):
     for line in out.strip().splitlines()[1:]:
         slack = float(line.split()[-1])
         assert slack >= -1e-8
+
+
+def povm_strategy_file(tmp_path):
+    """An unbalanced strategy of generic POVMs half blended with PVMs."""
+    path = tmp_path / "povm.json"
+    s = random_povm_strategy((4, 6), (3, 3), 7, 0.5)
+    io.save_path(str(path), io.strategy_to_dict(s))
+    return str(path)
+
+
+def test_round_povm_strategy(capsys, tmp_path):
+    out_path = tmp_path / "dec.json"
+    code, _, _ = run(
+        capsys,
+        "round", "--game", "k3", "--strategy", povm_strategy_file(tmp_path),
+        "--out", str(out_path),
+    )
+    assert code == 0
+    dec = json.loads(out_path.read_text())
+    assert dec["diagnostics"]["proj_gamma"] > 1e-3
+    assert sum(dec["weights"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_lemmas_povm_strategy(capsys, tmp_path):
+    strategy = povm_strategy_file(tmp_path)
+    code, out, _ = run(capsys, "lemmas", "--game", "k3", "--strategy", strategy)
+    assert code == 0
+    lines = out.strip().splitlines()[1:]
+    assert len(lines) == 2
+    for line in lines:
+        assert float(line.split()[-1]) >= -1e-8
 
 
 def test_sweep_row_count(capsys, tmp_path):

@@ -12,18 +12,26 @@ two must agree to 1e-10.
 import numpy as np
 import pytest
 
-from reference import chi_geq, expand_corner, rank_factor
+from reference import (
+    chi_geq,
+    dense_lemma_report,
+    dense_orthogonalize,
+    expand_corner,
+    rank_factor,
+)
 from syncround import linalg, rounding
 from syncround.errors import (
     AsymmetryExceedsTolerance,
     BoundViolated,
+    NotNormalized,
     NotPositive,
     ValidationError,
 )
 from syncround.games import k3_game
 from syncround.linalg import CLUSTER_TOL
 from syncround.rounding import (
-    _round_corner,
+    _round_povm,
+    lemma_report,
     orthogonalize_povm,
     projectivize,
     round_correlation,
@@ -39,6 +47,7 @@ from syncround.strategies import (
     embed_tracial,
     entangled_coloring_strategy,
     perturb_strategy,
+    random_povm_strategy,
     random_strategy,
 )
 
@@ -85,13 +94,10 @@ def reference_connes(rho, sigma):
     return lhs, linalg.tau_norm(r - s) * linalg.tau_norm(r + s)
 
 
-def reference_orthogonalize(povm, sigma, slack=1e-8):
+def reference_orthogonalize(povm, sigma):
     """Sequential spectral rounding with rank-one accumulation and one
-    weighted trace per element.  Returns (pvm, error, relabeled).
-
-    slack is the library's ORTHO_SLACK; tests lower it to force the greedy
-    reassignment and BoundViolated at the identity weight, where the
-    9-epsilon bound otherwise holds on every POVM tried."""
+    weighted trace per element.  Returns (pvm, error); an error above
+    9 epsilon + 1e-8 raises BoundViolated."""
     n = povm.dim
     w = sigma @ sigma.conj().T
 
@@ -102,7 +108,7 @@ def reference_orthogonalize(povm, sigma, slack=1e-8):
         )
 
     eps = 1.0 - sum(float(np.trace(e @ e @ w).real) / n for e in povm.elements)
-    bound = 9.0 * eps + slack
+    bound = 9.0 * eps + 1e-8
     masses = [float(np.trace(e @ w).real) / n for e in povm.elements]
     order = np.argsort(-np.array(masses), kind="stable")
     vectors, labels = [], []
@@ -125,27 +131,13 @@ def reference_orthogonalize(povm, sigma, slack=1e-8):
             labels.append(int(x))
         basis = rest
 
-    def build(labels_now):
-        out = np.zeros((povm.outcomes, n, n), dtype=complex)
-        for v, x in zip(vectors, labels_now):
-            out[x] += np.outer(v, v.conj())
-        return out
-
-    pvm = build(labels)
+    pvm = np.zeros((povm.outcomes, n, n), dtype=complex)
+    for v, x in zip(vectors, labels):
+        pvm[x] += np.outer(v, v.conj())
     error = weighted_error(pvm)
-    relabeled_path = error > bound
-    if relabeled_path:
-        relabeled = [
-            int(np.argmax([float((v.conj() @ w @ e @ v).real) for e in povm.elements]))
-            for v in vectors
-        ]
-        candidate = build(relabeled)
-        cand_error = weighted_error(candidate)
-        if cand_error < error:
-            pvm, error = candidate, cand_error
     if error > bound:
         raise BoundViolated(f"error {error:.3e} exceeds {bound:.3e}")
-    return pvm, error, relabeled_path
+    return pvm, error
 
 
 def sigma_frame(sigma):
@@ -322,7 +314,7 @@ def test_orthogonalize_matches_reference(name):
         for candidate in (povm, noised):
             for weight in (sigma, s.sigma, np.eye(s.dim)):
                 got, err = orthogonalize_povm(candidate, weight)
-                want, want_err, _ = reference_orthogonalize(candidate, weight)
+                want, want_err = reference_orthogonalize(candidate, weight)
                 np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
                 assert abs(err - want_err) <= TOL
                 assert_columns_reproduce(got)
@@ -343,44 +335,65 @@ def skewed_povm_case(seed):
     return Povm((elements + elements.conj().swapaxes(1, 2)) / 2), sigma
 
 
-# Seeds whose first rounding misses the 9-epsilon bound: the greedy
-# reassignment rescues the first four and not the last two.
-RELABEL_SEEDS = (3699, 5053, 7296, 9490, 0, 1)
+# Seeds whose first rounding misses the 9-epsilon bound at their own,
+# unnormalized sigma, outside the bound's hypothesis tau(sigma sigma*) = 1.
+SKEWED_SEEDS = (3699, 5053, 7296, 9490, 0, 1)
 
 
-@pytest.mark.parametrize("seed", RELABEL_SEEDS)
-def test_orthogonalize_relabel_path_matches_reference(seed):
+@pytest.mark.parametrize("seed", SKEWED_SEEDS)
+def test_skewed_weight_is_refused_until_normalized(seed):
     povm, sigma = skewed_povm_case(seed)
-    try:
-        want, want_err, relabeled = reference_orthogonalize(povm, sigma)
-    except BoundViolated:
-        with pytest.raises(BoundViolated):
-            orthogonalize_povm(povm, sigma)
-        assert seed in RELABEL_SEEDS[4:]
-        return
-    assert relabeled
+    with pytest.raises(NotNormalized):
+        orthogonalize_povm(povm, sigma)
+    sigma = sigma / linalg.tau_norm(sigma)
+    want, want_err = reference_orthogonalize(povm, sigma)
     got, err = orthogonalize_povm(povm, sigma)
     np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
     assert abs(err - want_err) <= TOL
     assert_columns_reproduce(got)
 
 
+def test_no_normalized_weight_needs_more_than_sequential_rounding():
+    """Search normalized weights for a rounding past 9 epsilon + ORTHO_SLACK.
+
+    Inputs are generic POVMs blended with a PVM, at skewed, identity and
+    skewed_povm_case weights, each scaled to tau(sigma sigma*) = 1; a miss
+    raises BoundViolated."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(
+        max_examples=300, derandomize=True, deadline=None, database=None
+    )
+    @hypothesis.given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        outcomes=st.integers(2, 4),
+        blend=st.floats(0.0, 1.0),
+        skew=st.floats(0.0, 3.0),
+    )
+    def search(seed, dim, outcomes, blend, skew):
+        povm = random_povm_strategy((dim, dim), (1, outcomes), seed, blend).alice[0]
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        sigma = np.linalg.qr(g)[0] * np.exp(skew * rng.normal(size=dim))
+        for p, sig in ((povm, sigma), (povm, np.eye(dim)), skewed_povm_case(seed)):
+            sig = sig / linalg.tau_norm(sig)
+            w = sig @ sig.conj().T
+            eps = 1.0 - sum(linalg.tau(e @ e @ w).real for e in p.elements)
+            _, err = orthogonalize_povm(p, sig)
+            assert err <= 9.0 * eps + rounding.ORTHO_SLACK
+
+    search()
+
+
 def round_corner(povm):
     """The slice-corner rounding on a whole POVM (corner = whole space), and
-    its error: the Frobenius mass _round_corner returns, normalized."""
+    its error: the Frobenius mass _round_povm returns, normalized."""
     blocks = np.array([linalg.hermitize(e) for e in povm.elements])
-    out = np.empty(blocks.shape, dtype=complex)
-    mass = _round_corner(blocks, [rank_factor(h) for h in blocks], out)
-    return out, mass / povm.dim
-
-
-def relabel_slack(povm):
-    """An ORTHO_SLACK that puts the identity-weight bound 1e-6 under the
-    plain rounding's error, so the greedy reassignment must run."""
-    _, err, relabeled = reference_orthogonalize(povm, np.eye(povm.dim))
-    assert not relabeled
-    nine_eps = 9.0 * (1.0 - sum(linalg.tau(e @ e).real for e in povm.elements))
-    return err - nine_eps - 1e-6
+    pvm, columns, mass = _round_povm(blocks, None, [rank_factor(h) for h in blocks])
+    assert columns is None
+    return pvm, mass / povm.dim
 
 
 def identity_weight_roundings(povm):
@@ -392,44 +405,69 @@ def identity_weight_roundings(povm):
     yield pvm.elements, err, pvm
 
 
-@pytest.mark.parametrize("seed", RELABEL_SEEDS)
+@pytest.mark.parametrize("seed", SKEWED_SEEDS)
 def test_corner_rounding_matches_reference(seed, monkeypatch):
     povm, _ = skewed_povm_case(seed)
     n = povm.dim
-    # The library's slack, a forced reassignment that then rescues or
-    # refuses the rounding, and a bound no rounding meets.
-    for slack in (rounding.ORTHO_SLACK, relabel_slack(povm), -10.0):
-        monkeypatch.setattr(rounding, "ORTHO_SLACK", slack)
-        try:
-            want, want_err, _ = reference_orthogonalize(povm, np.eye(n), slack)
-        except BoundViolated:
-            with pytest.raises(BoundViolated):
-                round_corner(povm)
-            with pytest.raises(BoundViolated):
-                orthogonalize_povm(povm, np.eye(n))
-            continue
-        for got, err, pvm in identity_weight_roundings(povm):
-            np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
-            assert abs(err - want_err) <= TOL
-            if pvm is not None:
-                assert_columns_reproduce(pvm)
+    want, want_err = reference_orthogonalize(povm, np.eye(n))
+    for got, err, pvm in identity_weight_roundings(povm):
+        np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
+        assert abs(err - want_err) <= TOL
+        if pvm is not None:
+            assert_columns_reproduce(pvm)
+    # a bound no rounding meets
+    monkeypatch.setattr(rounding, "ORTHO_SLACK", -10.0)
+    with pytest.raises(BoundViolated):
+        round_corner(povm)
+    with pytest.raises(BoundViolated):
+        orthogonalize_povm(povm, np.eye(n))
 
 
-def test_forced_reassignment_both_rescues_and_refuses(monkeypatch):
-    outcomes = set()
-    for seed in RELABEL_SEEDS:
-        povm, _ = skewed_povm_case(seed)
-        monkeypatch.setattr(rounding, "ORTHO_SLACK", relabel_slack(povm))
-        try:
-            rescued = list(identity_weight_roundings(povm))
-        except BoundViolated:
-            outcomes.add("refused")
-            continue
-        outcomes.add("rescued")
-        # the reassigned labels, not the first rounding's, split the columns
-        _, _, pvm = rescued[1]
-        assert_columns_reproduce(pvm)
-    assert outcomes == {"rescued", "refused"}
+def degenerate_strategy(seed):
+    """random_povm_strategy at (6, 6) with a state whose coefficient matrix
+    has the singular values 2, 2, 2, 1, 1, 1 up to scale."""
+    s = random_povm_strategy((6, 6), (3, 3), seed, 0.5)
+    u, _, vh = np.linalg.svd(s.state.reshape(6, 6))
+    state = ((u * [2.0, 2.0, 2.0, 1.0, 1.0, 1.0]) @ vh).reshape(-1)
+    return TensorStrategy(6, 6, state / np.linalg.norm(state), s.alice, s.bob)
+
+
+# Inputs for the dense-weight oracle: square, unbalanced, rank-deficient and
+# degenerate-spectrum states, with generic POVMs where gamma is not 0.
+ORACLE_CASES = {
+    "random-12x12-0": random_strategy((12, 12), (3, 3), 0),
+    "povm-12x12-1": random_povm_strategy((12, 12), (3, 3), 1, 0.0),
+    "povm-24x48-2": random_povm_strategy((24, 48), (3, 3), 2, 0.5),
+    "povm-48x24-3": random_povm_strategy((48, 24), (3, 3), 3, 0.9),
+    "povm-1x5-4": random_povm_strategy((1, 5), (3, 3), 4, 0.5),
+    "rank-12-24x48": rank_deficient_strategy((24, 48), 12, 6),
+    "degenerate-6x6": degenerate_strategy(5),
+    "entangled-k3": entangled_coloring_strategy(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_rounding_matches_the_dense_weight_oracle(name):
+    game = k3_game()
+    s = embed_tracial(ORACLE_CASES[name])
+    for povm in s.alice:
+        got, err = orthogonalize_povm(povm, s.sigma)
+        want, want_err = dense_orthogonalize(povm, s.sigma)
+        np.testing.assert_allclose(got.elements, want.elements, rtol=0, atol=TOL)
+        assert abs(err - want_err) <= TOL
+        assert_columns_reproduce(got)
+    got_report, want_report = lemma_report(game, s), dense_lemma_report(game, s)
+    for lemma, want in want_report.items():
+        for side in ("lhs", "rhs", "slack"):
+            assert abs(got_report[lemma][side] - want[side]) <= TOL
+    sym, c_sym, _ = symmetrize(s, game, correlation(s))
+    proj, _, report = projectivize(sym, game, c_sym)
+    gamma = 0.0
+    for x, (povm, pvm) in enumerate(zip(sym.alice, proj.alice)):
+        want, want_err = dense_orthogonalize(povm, sym.sigma)
+        np.testing.assert_allclose(pvm.elements, want.elements, rtol=0, atol=TOL)
+        gamma += game.mu_x[x] * want_err
+    assert abs(report["gamma"] - gamma) <= TOL
 
 
 def corner_perturbed(s, scale):

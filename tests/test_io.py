@@ -140,6 +140,32 @@ def test_matrix_codec_complex_round_trip():
     np.testing.assert_allclose(io.decode_matrix(io.encode_matrix(m)), m, atol=1e-15)
 
 
+def per_entry_pairs(a):
+    """[re, im] per entry, one float() call each."""
+    if a.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in a]
+    return [per_entry_pairs(row) for row in a]
+
+
+def test_encoders_write_the_bytes_of_the_per_entry_form():
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    m[0, 0] = complex(-0.0, 0.0)
+    m[1, 2] = complex(0.0, -0.0)
+    m[3, 5] = complex(-0.0, -0.0)
+    m[2, 1] = complex(1e300, -5e-324)
+    for encode, a in (
+        (io.encode_matrix, m),
+        (io.encode_matrix, m.T),  # not contiguous
+        (io.encode_matrix, m.real),
+        (io.encode_vector, m[0]),
+        (io.encode_vector, m[:, 0]),
+    ):
+        got = io.canonical_dumps(encode(a))
+        assert got == io.canonical_dumps(per_entry_pairs(np.asarray(a, dtype=complex)))
+    assert "-0.0" in io.canonical_dumps(io.encode_matrix(m))
+
+
 def test_decode_matrix_rejects_malformed():
     with pytest.raises(ParseError):
         io.decode_matrix([[1.0, 2.0], [3.0, 4.0]])

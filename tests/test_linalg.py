@@ -154,6 +154,10 @@ def test_polar_matches_svd_oracle():
             v.conj().T @ parts.positive_part @ v, np.diag(sv), atol=1e-10
         )
         assert np.all(np.diff(sv) <= 0)
+        # the left basis completes the SVD m = L diag(s) V*
+        left = parts.left_basis
+        np.testing.assert_allclose(left.conj().T @ left, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose((left * sv) @ v.conj().T, m, atol=1e-10)
 
 
 def test_polar_zeroes_singular_values_on_the_kernel():
@@ -166,6 +170,12 @@ def test_polar_zeroes_singular_values_on_the_kernel():
     np.testing.assert_array_equal(parts.singular_values[2:], 0.0)
     p = parts.isometry_part.conj().T @ parts.isometry_part
     assert np.trace(p).real == pytest.approx(2.0)
+    # a unitary left basis also on the kernel, where the isometry is 0
+    left = parts.left_basis
+    np.testing.assert_allclose(left.conj().T @ left, np.eye(5), atol=1e-12)
+    np.testing.assert_allclose(
+        (left * parts.singular_values) @ parts.eigenbasis.conj().T, m, atol=1e-10
+    )
 
 
 def test_chi_geq_diagonal():

@@ -233,6 +233,20 @@ def test_slice_strategies_refuses_sigma_outside_its_eigenbasis(sigma):
         slice_strategies(TracialStrategy(2, sigma, s.alice, s.alice), k3_game())
 
 
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        np.array([[1.0, 0.1], [0.1, 1.0]]) / np.sqrt(1.01),  # not diagonal
+        np.diag([1j, 1.0]),  # not real
+    ],
+)
+def test_projectivize_refuses_sigma_outside_its_eigenbasis(sigma):
+    s = diagonal_strategy(np.ones(2))
+    t = TracialStrategy(2, sigma, s.alice, s.alice)
+    with pytest.raises(ValidationError, match="projectivize needs"):
+        projectivize(t, k3_game(), correlation(t))
+
+
 def test_slice_strategies_refuses_unnormalized_sigma():
     with pytest.raises(NotNormalized):
         slice_pieces(np.array([2.0, 1.0]))
@@ -453,6 +467,13 @@ def test_sweep_task_embeds_once(monkeypatch):
     embeds = spy(monkeypatch, strategies, "embed_tracial")
     cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
     assert len(embeds) == 1
+
+
+def test_sweep_task_polarizes_once(monkeypatch):
+    # lemma_report takes the polar parts round_correlation computed
+    polars = spy(monkeypatch, linalg, "polar_decompose")
+    cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
+    assert len(polars) == 1
 
 
 def test_round_correlation_correlates_the_embedding_once(monkeypatch):
