@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .games import BUILTIN_GAMES, Game, with_sync_test
+from .linalg import FIT_FLOOR
 from .rounding import lemma_report, round_correlation
 from .soundness import identity_consistency_instance, soundness_transfer_demo
 from .strategies import (
@@ -152,7 +153,7 @@ def fit_envelope(deltas, distances) -> dict:
     """
     d = np.asarray(deltas, dtype=float)
     r = np.asarray(distances, dtype=float)
-    mask = (d > 1e-15) & (r > 1e-15)
+    mask = (d > FIT_FLOOR) & (r > FIT_FLOOR)
     fit: dict = {"points_used": int(mask.sum())}
     if mask.sum() >= 2:
         slope, intercept = np.polyfit(np.log(d[mask]), np.log(r[mask]), 1)

@@ -62,7 +62,7 @@ class ConvergenceFailure(MathContractError):
 
 
 class NonRealCorrelation(MathContractError):
-    """Correlation entry has imaginary residue above 1e-7."""
+    """Correlation entry has imaginary residue above linalg.CORR_IMAG_TOL."""
 
 
 class BoundViolated(MathContractError):

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGraph, InvalidProbability, NotSynchronousGame
-
-MU_TOL = 1e-12
+from .linalg import GIVEN_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ def validate_game(game: Game) -> list[str]:
         return violations
     if np.any(game.mu < 0):
         violations.append("NegativeProbability")
-    if abs(game.mu.sum() - 1.0) > MU_TOL:
+    if abs(game.mu.sum() - 1.0) > GIVEN_SUM_TOL:
         violations.append("DistributionNotNormalized")
     return violations
 

@@ -35,6 +35,7 @@ except ImportError:
 
 from .errors import ParseError, SchemaVersionMismatch, ValidationError
 from .games import Game, validate_game
+from .linalg import GIVEN_SUM_TOL
 from .rounding import RoundingDecomposition
 from .strategies import Correlation, Povm, TensorStrategy
 
@@ -129,9 +130,16 @@ def _convert(value, kind, field: str):
 _INT64_BOUND = 2**63
 
 
+def _number(value, field: str):
+    """value, refused if it is a JSON boolean, which Python counts as 0 or 1."""
+    if isinstance(value, bool):
+        raise ParseError(f"malformed {field}: {value!r} is a boolean")
+    return value
+
+
 def _int64(value, field: str) -> int:
     """An integer field; operator.index refuses 3.9 instead of truncating it."""
-    n = _convert(value, index, field)
+    n = _convert(_number(value, field), index, field)
     if not -_INT64_BOUND <= n < _INT64_BOUND:
         raise ParseError(f"{field} is outside the signed 64-bit range")
     return n
@@ -249,7 +257,7 @@ def strategy_from_dict(obj: dict) -> TensorStrategy:
         raise ValidationError(
             f"state has {state.size} amplitudes, expected {dim_a * dim_b}"
         )
-    if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(state) - 1.0) > GIVEN_SUM_TOL:
         raise ValidationError("state is not normalized")
     alice = _decode_povms(_require(obj, "alice"), dim_a, "alice")
     bob = _decode_povms(_require(obj, "bob"), dim_b, "bob")
@@ -295,7 +303,7 @@ def eta_grid(values) -> list[float]:
     """A sweep's perturbation grid: nonempty, finite, positive and sorted."""
     if not isinstance(values, list):
         raise ParseError("etas must be a list of numbers")
-    etas = [_convert(e, float, "eta") for e in values]
+    etas = [_convert(_number(e, "eta"), float, "eta") for e in values]
     if not etas or not all(0 < e < math.inf for e in etas) or sorted(etas) != etas:
         raise ValidationError(
             "eta grid must be nonempty, finite, strictly positive and sorted"

@@ -1,9 +1,11 @@
-"""Dense complex-matrix primitives.
+"""Dense complex-matrix primitives and the tolerance table.
 
 Everything downstream (games, strategies, rounding) is built on these:
-Hermitian eigendecomposition, polar decomposition with its eigenbasis,
-spectral clustering and the normalized-trace norm.  The trace is always
-the *normalized* trace tau = Tr/dim, so that ||I||_2 = 1.
+Hermitian eigendecomposition, polar decomposition with its eigenbasis and
+the normalized-trace norm.  The trace is always the *normalized* trace
+tau = Tr/dim, so that ||I||_2 = 1.  Every tolerance the package compares
+against is named once in the table below; checks of one kind at one value
+share a name.
 """
 
 from __future__ import annotations
@@ -14,15 +16,21 @@ import numpy as np
 
 from .errors import AsymmetryExceedsTolerance, ConvergenceFailure, NotPositive
 
-# Eigenvalues closer than this are treated as a single cluster everywhere
-# (spectral breakpoints, slice extraction, rounding thresholds), and
-# singular values at or below it (relative to max(1, s_0)) as zero.
-CLUSTER_TOL = 1e-12
-
-HERMITIZE_TOL = 1e-9
-
-# Asymmetry tolerance of a compressed corner V* A V before it is rounded.
-CORNER_TOL = 1e-7
+CLUSTER_TOL = 1e-12  # values this close are one (pieces, 1/2 thresholds, polar kernel)
+GIVEN_SUM_TOL = 1e-12  # a sum the input gives as 1: mu, the state's norm, rho
+PSD_FLOOR = -1e-10  # lowest eigenvalue a positive operator may show
+CONTRACT_SLACK = 1e-8  # slack of a proved inequality: 2 delta, 9 eps, sync 0, lemmas
+SUPPORT_CUTOFF = 1e-10  # eigenvalues at or below this times the largest are kernel
+NORM_TOL = 1e-9  # a computed normalization: tau(sigma sigma*), slice weights, POVM sums
+HERMITIZE_TOL = 1e-9  # relative asymmetry hermitize accepts by default
+CORNER_TOL = 1e-7  # relative asymmetry of a corner V* A V, and of V V* against A
+POVM_ASYM_TOL = 1e-8  # relative asymmetry of a POVM element that validates
+INV_SQRT_FLOOR = -1e-12  # lowest eigenvalue pseudo_inv_sqrt's input may show
+CORR_IMAG_TOL = 1e-7  # imaginary residue a correlation entry may carry
+CORR_RANGE_TOL = 1e-9  # how far a correlation entry may leave [0, 1]
+CORR_SUM_TOL = 1e-8  # how far a correlation row may sum from 1
+RECONSTRUCT_TOL = 1e-8  # sigma H sigma = T, relative to 1 + ||s^2||
+FIT_FLOOR = 1e-15  # deltas and distances at or below this stay out of the log-log fit
 
 
 def as_matrix(m) -> np.ndarray:
@@ -64,13 +72,13 @@ def hermitize(m, tol: float = HERMITIZE_TOL) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def check_leading_blocks(m, ranks, tol: float) -> None:
-    """hermitize's test on every leading block m[..., :r, :r], r in ranks.
+def check_leading_blocks(m, ranks) -> None:
+    """hermitize's test at CORNER_TOL on every leading block m[..., :r, :r].
 
-    m is a stack of square matrices.  The Frobenius norms of each block E
-    and of E - E* come from the diagonals of the 2-D prefix sums of |m|^2
-    and |m - m*|^2, one pass over m instead of one hermitize call per
-    block.
+    m is a stack of square matrices and r runs over ranks.  The Frobenius
+    norms of each block E and of E - E* come from the diagonals of the 2-D
+    prefix sums of |m|^2 and |m - m*|^2, one pass over m instead of one
+    hermitize call per block.
     """
     a = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(a)):
@@ -82,10 +90,10 @@ def check_leading_blocks(m, ranks, tol: float) -> None:
         return np.sqrt(prefix[..., last, last])
 
     asym = block_norms(a - a.conj().swapaxes(-1, -2))
-    bad = asym > tol * (1.0 + block_norms(a))
+    bad = asym > CORNER_TOL * (1.0 + block_norms(a))
     if bad.any():
         raise AsymmetryExceedsTolerance(
-            f"asymmetry {asym[bad].max():.3e} exceeds tolerance {tol:.3e}"
+            f"asymmetry {asym[bad].max():.3e} exceeds tolerance {CORNER_TOL:.3e}"
         )
 
 
@@ -105,21 +113,6 @@ def eig_hermitian(h) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return SpectralDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
-
-
-def cluster_indices(values: np.ndarray, tol: float = CLUSTER_TOL) -> list[np.ndarray]:
-    """Group indices of a sorted (nonincreasing) value array into clusters.
-
-    Consecutive values within tol of each other share a cluster, so
-    degenerate eigenvalues never produce spurious zero-measure slices.
-    """
-    groups: list[list[int]] = []
-    for i, v in enumerate(values):
-        if groups and abs(values[groups[-1][-1]] - v) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.array(g) for g in groups]
 
 
 @dataclass(frozen=True)
@@ -158,17 +151,16 @@ def polar_decompose(m) -> PolarParts:
     )
 
 
-def pseudo_inv_sqrt(a, cutoff: float | None = None) -> np.ndarray:
-    """Spectral A^{-1/2} on eigenvalues above cutoff, zero elsewhere.
-
-    Default cutoff is 1e-10 times the largest eigenvalue.
-    """
+def pseudo_inv_sqrt(a) -> np.ndarray:
+    """Spectral A^{-1/2} on eigenvalues above SUPPORT_CUTOFF times the
+    largest, zero elsewhere."""
     dec = eig_hermitian(hermitize(a))
-    if dec.eigenvalues.size and dec.eigenvalues[-1] < -1e-12:
-        raise NotPositive(f"eigenvalue {dec.eigenvalues[-1]:.3e} below -1e-12")
+    if dec.eigenvalues.size and dec.eigenvalues[-1] < INV_SQRT_FLOOR:
+        raise NotPositive(
+            f"eigenvalue {dec.eigenvalues[-1]:.3e} below {INV_SQRT_FLOOR:.0e}"
+        )
     lam_max = float(dec.eigenvalues[0]) if dec.eigenvalues.size else 0.0
-    if cutoff is None:
-        cutoff = 1e-10 * max(lam_max, 0.0)
+    cutoff = SUPPORT_CUTOFF * max(lam_max, 0.0)
     inv = np.where(dec.eigenvalues > cutoff, 1.0, 0.0) / np.sqrt(
         np.where(dec.eigenvalues > cutoff, dec.eigenvalues, 1.0)
     )

@@ -5,8 +5,9 @@ synchronous sub-strategies: symmetrize via the polar decomposition, force
 projectivity by spectral rounding, then slice the state's spectrum into
 corner algebras where the compressed measurements become exactly
 synchronous.  Every stage reports the residual its backing inequality
-bounds, and the lambda-integrals are evaluated exactly at eigenvalue
-breakpoints (the integrands are piecewise constant at finite dimension).
+bounds.  Both lambda-integrals, the slicing of sigma+^2 and the
+joint-distribution integral, are cut into the pieces of one rule,
+_spectral_pieces, on which the integrands are constant.
 
 round_correlation is the one pipeline.  Each stage takes its input
 correlation from the stage before, and the decomposition keeps the
@@ -42,9 +43,10 @@ array, the slice's correlation is one product of it with its transpose,
 and it is dropped after an optional on_slice hook has seen it, so the
 decomposition is O(n^2) although the corners add up to about n^3 nq na / 3
 entries when every slice has its own rank.  The joint-distribution check
-needs one eigendecomposition per operand: every threshold projector is a
-leading eigenvector block, so its distance at each breakpoint is read from
-a prefix sum of eigenvector overlaps.
+takes its pieces from both operands' spectra at once and needs one
+eigendecomposition per operand: every threshold projector is a leading
+eigenvector block, so its distance on each piece is read from a prefix sum
+of eigenvector overlaps.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .errors import (
     ValidationError,
 )
 from .games import Game, is_synchronous_game
-from .linalg import CLUSTER_TOL, CORNER_TOL
+from .linalg import CLUSTER_TOL, CONTRACT_SLACK, CORNER_TOL, NORM_TOL, PSD_FLOOR
 from .strategies import (
     Correlation,
     Povm,
@@ -77,8 +79,6 @@ from .strategies import (
     synchronicity,
 )
 
-ORTHO_SLACK = 1e-8
-
 # on_slice(measure, rank, stack): a slice's measure, corner dimension and
 # (nq, na, rank, rank) corner PVMs.
 SliceHook = Callable[[float, int, np.ndarray], None]
@@ -87,7 +87,7 @@ SliceHook = Callable[[float, int, np.ndarray], None]
 def _normalized(weight: np.ndarray) -> np.ndarray:
     """The diagonal of sigma sigma*, refused unless tau(sigma sigma*) = 1."""
     norm = float(np.mean(weight))
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > NORM_TOL:
         raise NotNormalized(f"tau(sigma sigma*) = {norm!r}")
     return weight
 
@@ -106,7 +106,7 @@ def _round_povm(elements: np.ndarray, weight, factors=None):
     eigenvectors come from the smaller of N N* and N* N (as N u / sqrt(l)).
 
     tau(A^2 w) and the error tau((A - P)^2 w) are sums of |A_ij|^2 w_i and
-    |(A - P)_ij|^2 w_i.  An error above 9 epsilon + ORTHO_SLACK, epsilon =
+    |(A - P)_ij|^2 w_i.  An error above 9 epsilon + CONTRACT_SLACK, epsilon =
     1 - sum_a tau(A_a^2 w), raises BoundViolated.  Returns the PVM, each
     outcome's orthonormal columns (None with factors) and the error times n.
     """
@@ -150,7 +150,7 @@ def _round_povm(elements: np.ndarray, weight, factors=None):
         pvm[last] = np.eye(n) - kept @ kept.conj().T
     root = np.sqrt(w)[:, None]  # sum_ij |M_ij|^2 w_i = ||root M||_F^2
     a, d = elements * root, (elements - pvm) * root
-    bound = 9.0 * (1.0 - float(np.vdot(a, a).real) / n) + ORTHO_SLACK
+    bound = 9.0 * (1.0 - float(np.vdot(a, a).real) / n) + CONTRACT_SLACK
     mass = float(np.vdot(d, d).real)
     if mass / n > bound:
         raise BoundViolated(
@@ -179,9 +179,9 @@ def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
 
 
 def _checked_eig(name: str, m: np.ndarray) -> linalg.SpectralDecomposition:
-    """Eigensystem of a Hermitian m, refusing eigenvalues below -1e-10."""
+    """Eigensystem of a Hermitian m, refusing eigenvalues below PSD_FLOOR."""
     dec = linalg.eig_hermitian(m)
-    if dec.eigenvalues.size and dec.eigenvalues[-1] < -1e-10:
+    if dec.eigenvalues.size and dec.eigenvalues[-1] < PSD_FLOOR:
         raise NotPositive(f"{name} has eigenvalue {dec.eigenvalues[-1]:.3e}")
     return dec
 
@@ -190,55 +190,54 @@ def verify_connes(rho, sigma) -> tuple[float, float]:
     """Both sides of the joint-distribution inequality for positive rho, sigma.
 
     lhs = integral over lambda of ||chi_{>=sqrt(lambda)}(rho) -
-    chi_{>=sqrt(lambda)}(sigma)||_2^2, summed exactly over the intervals
-    between sorted squared eigenvalues where the integrand is constant;
-    rhs = ||rho - sigma||_2 * ||rho + sigma||_2.
+    chi_{>=sqrt(lambda)}(sigma)||_2^2, summed exactly over the pieces
+    _spectral_pieces cuts from both clipped spectra, where the integrand is
+    constant; rhs = ||rho - sigma||_2 * ||rho + sigma||_2.
 
-    Both spectral projectors at a threshold are leading eigenvector blocks,
-    of ranks k and l, so ||chi(rho) - chi(sigma)||_F^2 = k + l - 2 C[k, l]
-    with C the 2-D prefix sum of the overlaps |V_rho* V_sigma|^2: one
-    eigendecomposition per operand serves every interval.
+    On a piece both spectral projectors are leading eigenvector blocks, of
+    the piece's ranks k and l, so ||chi(rho) - chi(sigma)||_F^2 = k + l - 2
+    C[k, l] with C the 2-D prefix sum of the overlaps |V_rho* V_sigma|^2: one
+    eigendecomposition per operand serves every piece.
     """
     r = linalg.hermitize(rho)
     s = linalg.hermitize(sigma)
     dec_r = _checked_eig("rho", r)
     dec_s = _checked_eig("sigma", s)
     n = r.shape[0]
-    ev_r = np.clip(dec_r.eigenvalues, 0.0, None)
-    ev_s = np.clip(dec_s.eigenvalues, 0.0, None)
-    breakpoints = np.sort(np.concatenate(([0.0], ev_r**2, ev_s**2)))
-    lo, hi = breakpoints[:-1], breakpoints[1:]
-    wide = hi - lo > CLUSTER_TOL
-    lo, hi = lo[wide], hi[wide]
-    cut = np.sqrt((lo + hi) / 2.0) - CLUSTER_TOL
-    k_r = np.count_nonzero(dec_r.eigenvalues[None, :] >= cut[:, None], axis=1)
-    k_s = np.count_nonzero(dec_s.eigenvalues[None, :] >= cut[:, None], axis=1)
+    measures, (k_r, k_s) = _spectral_pieces(
+        np.clip(dec_r.eigenvalues, 0.0, None), np.clip(dec_s.eigenvalues, 0.0, None)
+    )
     overlap = np.abs(dec_r.eigenvectors.conj().T @ dec_s.eigenvectors) ** 2
     prefix = np.zeros((n + 1, n + 1))
     prefix[1:, 1:] = overlap.cumsum(axis=0).cumsum(axis=1)
     dist2 = k_r + k_s - 2.0 * prefix[k_r, k_s]
-    lhs = float(np.dot(hi - lo, dist2)) / n
+    lhs = float(np.dot(measures, dist2)) / n
     rhs = linalg.tau_norm(r - s) * linalg.tau_norm(r + s)
     return lhs, float(rhs)
 
 
-def _spectral_pieces(vals: np.ndarray):
-    """Yield the (measure, rank) pieces of the exact slicing of sigma^2.
+def _spectral_pieces(*spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(measures, ranks): the pieces of the lambda-slicing the spectra share.
 
-    With distinct eigenvalues s_1 > ... > s_k of sigma (nonnegative,
-    nonincreasing input, clustered within CLUSTER_TOL), piece j carries
-    Lebesgue measure s_j^2 - s_{j+1}^2 (s_{k+1} = 0) and spans the leading
-    `rank` eigenvectors, those with eigenvalue >= s_j.
+    Each spectrum is nonnegative and nonincreasing.  Their values are merged
+    in one sorted run and clustered: a cluster ends wherever consecutive
+    values differ by more than CLUSTER_TOL, so chained near-ties share one.
+    With cluster means r_1 > ... > r_k (r_{k+1} = 0), piece j has Lebesgue
+    measure r_j^2 - r_{j+1}^2, and ranks[i, j] counts spectrum i's values in
+    clusters 1..j: on the piece, chi_{>=sqrt(lambda)} of operand i spans its
+    leading ranks[i, j] eigenvectors.  Pieces of measure 0 are dropped.
     """
-    clusters = linalg.cluster_indices(vals)
-    reps = [float(np.mean(vals[idx])) for idx in clusters]
-    rank = 0
-    for j, idx in enumerate(clusters):
-        rank += len(idx)
-        s_next = reps[j + 1] if j + 1 < len(clusters) else 0.0
-        measure = reps[j] ** 2 - s_next**2
-        if measure > 0.0:
-            yield measure, rank
+    values = np.concatenate(spectra)
+    owner = np.repeat(np.arange(len(spectra)), [len(v) for v in spectra])
+    order = np.argsort(-values)
+    values, owner = values[order], owner[order]
+    starts = np.flatnonzero(np.r_[True, values[:-1] - values[1:] > CLUSTER_TOL])
+    ends = np.r_[starts[1:], values.size]
+    means = np.add.reduceat(values, starts) / (ends - starts)
+    measures = means**2 - np.r_[means[1:], 0.0] ** 2
+    counts = np.cumsum(owner[:, None] == np.arange(len(spectra)), axis=0)
+    keep = measures > 0.0
+    return measures[keep], counts[ends - 1].T[:, keep]
 
 
 @dataclass(frozen=True)
@@ -285,10 +284,10 @@ def symmetrize(
     out = TracialStrategy(s.dim, np.diag(polar.singular_values), alice, alice)
     c_out = correlation(out)
     delta_out = synchronicity(game, c_out)
-    if delta_out > 2.0 * delta_in + 1e-8:
+    if delta_out > 2.0 * delta_in + CONTRACT_SLACK:
         raise MathContractError(
             f"symmetrized synchronicity {delta_out:.3e} exceeds "
-            f"2*{delta_in:.3e} + 1e-8"
+            f"2*{delta_in:.3e} + {CONTRACT_SLACK:.0e}"
         )
     report = {
         "delta_in": delta_in,
@@ -376,13 +375,12 @@ def slice_strategies(
         raise ValidationError("slicing needs a nonnegative nonincreasing sigma")
     _normalized(spectrum**2)
     n, nq, na = s.dim, s.n_questions, s.n_answers
-    pieces = list(_spectral_pieces(spectrum))
-    ranks = np.array([rank for _, rank in pieces])
+    measures, (ranks,) = _spectral_pieces(spectrum)
     # Slice j's corner is the leading rank x rank block of every element, so
     # no slice touches the n x n operators again.
     elements = [p.elements for p in s.alice]
     for e in elements:
-        linalg.check_leading_blocks(e, ranks, CORNER_TOL)
+        linalg.check_leading_blocks(e, ranks)
     factors = _checked_columns(s.alice, n)
     herm = [(e + e.conj().swapaxes(1, 2)) / 2.0 for e in elements]
     # ||A[r:, :r]||_F^2 summed over answers, for every slice rank r: sums of
@@ -396,7 +394,7 @@ def slice_strategies(
     slices = []
     correlations = []
     residual = 0.0
-    for j, (measure, rank) in enumerate(pieces):
+    for j, (measure, rank) in enumerate(zip(measures.tolist(), ranks.tolist())):
         stack = np.empty((nq, na, rank, rank), dtype=complex)
         for x in range(nq):
             corner = herm[x][:, :rank, :rank]
@@ -407,16 +405,17 @@ def slice_strategies(
             residual += float(game.mu_x[x]) * measure * mass / n
         c_sub = stacked_correlation(stack.swapaxes(-1, -2), stack)
         sync_sub = synchronicity(game, c_sub)
-        if sync_sub > 1e-8:
+        if sync_sub > CONTRACT_SLACK:
             raise MathContractError(
-                f"slice correlation synchronicity {sync_sub:.3e} > 1e-8"
+                f"slice correlation synchronicity {sync_sub:.3e} > "
+                f"{CONTRACT_SLACK:.0e}"
             )
         if on_slice is not None:
             on_slice(measure, rank, stack)
         slices.append(Slice(measure * rank / n, measure, rank))
         correlations.append(c_sub)
     weights = np.array([sl.weight for sl in slices])
-    if abs(weights.sum() - 1.0) > 1e-9:
+    if abs(weights.sum() - 1.0) > NORM_TOL:
         raise MathContractError(f"slice weights sum to {weights.sum()!r}")
     mixed = Correlation(
         sum(w * c.table for w, c in zip(weights, correlations))
@@ -476,23 +475,25 @@ def lemma_report(game: Game, s: TracialStrategy, polar=None) -> dict:
     polar is the polar decomposition of s.sigma, taken here when not passed
     (round_correlation keeps the one symmetrize took).  Its SVD sigma = L
     diag(s) V* gives the frame: Alice's elements are rotated once into L,
-    the eigenbasis of sigma sigma*, and Bob's into V, the eigenbasis of
-    |sigma|.  There every state below except sigma itself is diagonal, and
-    the rounding weight sigma sigma* is the vector s^2.
+    the eigenbasis of sigma sigma*, and once into V, the eigenbasis of
+    |sigma|, and Bob's into V.  Every correlation below is then one at the
+    diagonal state diag(s), tau(sigma* A sigma B) = tau(diag(s) L*AL diag(s)
+    V*BV), and the rounding weight sigma sigma* is the vector s^2.
     Returns {lemma: {lhs, rhs, slack}} with slack = rhs - lhs; every slack
-    should be >= -1e-8 when the lemmas hold.
+    should be >= -CONTRACT_SLACK when the lemmas hold.
     """
     if polar is None:
         polar = linalg.polar_decompose(s.sigma)
     left, right = polar.left_basis, polar.eigenbasis
     singular = polar.singular_values
-    alice = left.conj().T @ np.array([p.elements for p in s.alice]) @ left
-    bob = right.conj().T @ np.array([p.elements for p in s.bob_left]) @ right
+    host = np.array([p.elements for p in s.alice])
+    alice = left.conj().T @ host @ left
     alice_l = tuple(map(Povm, alice))
+    alice_r = tuple(map(Povm, right.conj().T @ host @ right))
+    bob = right.conj().T @ np.array([p.elements for p in s.bob_left]) @ right
     bob_r = tuple(map(Povm, bob))
 
     def at_singular_values(a, b) -> Correlation:
-        # tau(sigma* A sigma B) = tau(diag(s) L*AL diag(s) V*BV)
         return correlation(TracialStrategy(s.dim, np.diag(singular), a, b))
 
     c_s = at_singular_values(alice_l, bob_r)
@@ -502,8 +503,7 @@ def lemma_report(game: Game, s: TracialStrategy, polar=None) -> dict:
     # = |sigma*|u weighs Alice's operators at |sigma*| = L diag(s) L* and
     # Bob's at |sigma| = V diag(s) V*; at |sigma| on both sides the bound
     # fails for unbalanced embeddings, where sigma is far from normal.
-    sym_a = TracialStrategy(s.dim, s.sigma, s.alice, s.alice)
-    delta_a = synchronicity(game, correlation(sym_a))
+    delta_a = synchronicity(game, at_singular_values(alice_l, alice_r))
     delta_a_plus = synchronicity(game, at_singular_values(alice_l, alice_l))
     delta_b = synchronicity(game, at_singular_values(bob_r, bob_r))
     vienna = {

@@ -21,6 +21,7 @@ import numpy as np
 from . import linalg
 from .errors import DominationViolated, NotPovm, ValidationError
 from .games import Game
+from .linalg import GIVEN_SUM_TOL, PSD_FLOOR, RECONSTRUCT_TOL, SUPPORT_CUTOFF
 from .rounding import round_correlation
 from .strategies import Povm, TensorStrategy, winning_probability_from_correlation
 
@@ -47,7 +48,7 @@ class SoundnessInstance:
         rho = np.asarray(self.rho, dtype=float)
         if rho.shape != (n_questions, len(self.aux_questions)):
             raise ValidationError(f"rho shape {rho.shape} mismatches alphabets")
-        if abs(rho.sum() - 1.0) > 1e-12 or rho.min() < 0:
+        if abs(rho.sum() - 1.0) > GIVEN_SUM_TOL or rho.min() < 0:
             raise ValidationError("rho is not a probability distribution")
         for x in range(n_questions):
             for y in range(len(self.aux_questions)):
@@ -61,20 +62,21 @@ class SoundnessInstance:
                     seen |= block
 
 
-def dominated_factorization(a, b, cutoff: float | None = None) -> np.ndarray:
+def dominated_factorization(a, b) -> np.ndarray:
     """Find 0 <= C <= I with A^(1/2) C A^(1/2) = B, given 0 <= B <= A.
 
     C is built spectrally as A^(-1/2) B A^(-1/2) on the support of A and
-    vanishes on its kernel.
+    vanishes on its kernel.  B and A - B may show eigenvalues down to
+    PSD_FLOOR.
     """
     a_h = linalg.hermitize(a)
     b_h = linalg.hermitize(b)
     gap = np.linalg.eigvalsh(a_h - b_h)
-    if np.linalg.eigvalsh(b_h)[0] < -1e-10 or gap[0] < -1e-10:
+    if np.linalg.eigvalsh(b_h)[0] < PSD_FLOOR or gap[0] < PSD_FLOOR:
         raise DominationViolated(
-            f"domination margin {gap[0]:.3e} below -1e-10"
+            f"domination margin {gap[0]:.3e} below {PSD_FLOOR:.0e}"
         )
-    root_inv = linalg.pseudo_inv_sqrt(a_h, cutoff)
+    root_inv = linalg.pseudo_inv_sqrt(a_h)
     return root_inv @ b_h @ root_inv
 
 
@@ -85,13 +87,13 @@ def aggregate_slice_povms(spectrum, targets) -> list[Povm]:
     measure-weighted sum T of the slices' corner elements for question y,
     each zero-padded from its leading rank x rank block, as
     soundness_transfer_demo folds them while the corners stream.  H
-    satisfies sigma H sigma = T on the support s_i^2 > 1e-10 max s^2 (that
+    satisfies sigma H sigma = T on the support s_i^2 > SUPPORT_CUTOFF max s^2 (that
     of pseudo_inv_sqrt(sigma^2)), so H_ij = T_ij / (s_i s_j) there; the
     identity deficit on the kernel is assigned to answer 0.
     """
     s = np.asarray(spectrum, dtype=float)
     s2 = s**2
-    support = s2 > 1e-10 * s2.max()
+    support = s2 > SUPPORT_CUTOFF * s2.max()
     inv = np.where(support, 1.0, 0.0) / np.where(support, s, 1.0)
     kernel = np.diag(np.where(support, 0.0, 1.0))
     scale, unscale = np.outer(inv, inv), np.outer(s, s)
@@ -106,7 +108,7 @@ def aggregate_slice_povms(spectrum, targets) -> list[Povm]:
         # sigma annihilates the kernel completion, so the identity holds
         # for b = 0 as well.
         error = np.linalg.norm(unscale * family.elements - target, axis=(1, 2))
-        if np.any(error > 1e-8 * (1.0 + np.linalg.norm(s2))):
+        if np.any(error > RECONSTRUCT_TOL * (1.0 + np.linalg.norm(s2))):
             b = int(np.argmax(error))
             raise NotPovm(f"sigma H sigma reconstruction failed at (y={y}, b={b})")
         families.append(family)

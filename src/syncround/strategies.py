@@ -17,10 +17,8 @@ import numpy as np
 from . import linalg
 from .errors import AlphabetMismatch, NonRealCorrelation, NotSynchronousGame
 from .games import Game, is_synchronous_game
-
-POVM_SUM_TOL = 1e-9
-POVM_EIG_FLOOR = -1e-10
-CORR_IMAG_HARD = 1e-7
+from .linalg import CORR_IMAG_TOL, CORR_RANGE_TOL, CORR_SUM_TOL
+from .linalg import NORM_TOL, POVM_ASYM_TOL, PSD_FLOOR
 
 
 @dataclass(frozen=True)
@@ -56,16 +54,16 @@ class Povm:
         e = self.elements
         adj = e.conj().swapaxes(1, 2)
         skew = np.linalg.norm(e - adj, axis=(1, 2))
-        hermitian = skew <= 1e-8 * (1 + np.linalg.norm(e, axis=(1, 2)))
+        hermitian = skew <= POVM_ASYM_TOL * (1 + np.linalg.norm(e, axis=(1, 2)))
         lowest = np.zeros(len(e))
         vals = np.linalg.eigvalsh((e[hermitian] + adj[hermitian]) / 2)
         lowest[hermitian] = vals[:, 0]
         violations = [
             "NotPositive" if ok else "NotHermitian"
             for ok, low in zip(hermitian, lowest)
-            if not ok or low < POVM_EIG_FLOOR
+            if not ok or low < PSD_FLOOR
         ]
-        if np.max(np.abs(e.sum(axis=0) - np.eye(self.dim))) > POVM_SUM_TOL:
+        if np.max(np.abs(e.sum(axis=0) - np.eye(self.dim))) > NORM_TOL:
             violations.append("SumNotIdentity")
         return violations
 
@@ -124,10 +122,10 @@ class Correlation:
 
     def validate(self) -> list[str]:
         violations = []
-        if self.table.min() < -1e-9 or self.table.max() > 1 + 1e-9:
+        if self.table.min() < -CORR_RANGE_TOL or self.table.max() > 1 + CORR_RANGE_TOL:
             violations.append("EntryOutOfRange")
         sums = self.table.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > 1e-8:
+        if np.max(np.abs(sums - 1.0)) > CORR_SUM_TOL:
             violations.append("RowNotNormalized")
         return violations
 
@@ -205,13 +203,13 @@ def stacked_correlation(left: np.ndarray, right: np.ndarray) -> Correlation:
     left stacks the transposed sigma* A^x_a sigma and right Bob's elements,
     both (nq, na, n, n), so the whole table is one product.  A slice corner,
     whose state is the identity, passes its stacked PVMs and their
-    transpose.  Imaginary residue above CORR_IMAG_HARD is refused.
+    transpose.  Imaginary residue above CORR_IMAG_TOL is refused.
     """
     nq, na, n = left.shape[:3]
     vals = left.reshape(nq * na, n * n) @ right.reshape(nq * na, n * n).T
     vals = vals.reshape(nq, na, nq, na).transpose(0, 2, 1, 3) / n
     worst_imag = float(np.max(np.abs(vals.imag)))
-    if worst_imag > CORR_IMAG_HARD:
+    if worst_imag > CORR_IMAG_TOL:
         raise NonRealCorrelation(f"imaginary residue {worst_imag:.3e}")
     return Correlation(vals.real)
 

@@ -2,10 +2,12 @@
 
 Each one is the direct n x n form of something the library now reads off
 an eigenbasis: spectral projectors, corner expansion, reconstruction from
-an eigensystem, the projectivity test, projector slicing of sigma^2, the
-host-frame aggregation of slice POVMs, the fold of slice corners into the
-targets aggregate_slice_povms takes, rank factors of POVM elements, and
-sequential rounding and the lemma report at a dense weight sigma sigma*.
+an eigensystem, the projectivity test, the chained clustering loop and the
+spectral pieces it gives one cluster at a time, projector slicing of
+sigma^2, the host-frame aggregation of slice POVMs, the fold of slice
+corners into the targets aggregate_slice_povms takes, rank factors of POVM
+elements, and sequential rounding and the lemma report at a dense weight
+sigma sigma*.
 Tests use them as independent oracles, and hand-built projective
 strategies take their columns from with_columns.
 """
@@ -65,16 +67,31 @@ def is_projective(povm, tol=1e-9):
     return all(linalg.frobenius(e @ e - e) <= tol for e in povm.elements)
 
 
-def projector_slices(sigma):
-    """Exact spectral slicing of sigma^2 into (measure, projector) pieces.
+def cluster_indices(values):
+    """Group indices of a sorted (nonincreasing) value array into clusters.
 
-    With distinct eigenvalues s_1 > ... > s_k of sigma, piece j carries
-    Lebesgue measure s_j^2 - s_{j+1}^2 (s_{k+1} = 0) and projects onto the
-    eigenvectors with eigenvalue >= s_j.
+    Consecutive values within CLUSTER_TOL of each other share a cluster, so
+    a chain of near-ties is one cluster however long it grows.
     """
-    dec = linalg.eig_hermitian(linalg.hermitize(sigma))
-    vals = np.clip(dec.eigenvalues, 0.0, None)
-    clusters = linalg.cluster_indices(vals)
+    groups = []
+    for i, v in enumerate(values):
+        if groups and abs(values[groups[-1][-1]] - v) <= CLUSTER_TOL:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return [np.array(g) for g in groups]
+
+
+def spectral_pieces(vals):
+    """The (measure, rank) pieces of the exact slicing of sigma^2, one
+    cluster at a time.
+
+    With cluster means s_1 > ... > s_k of a nonnegative nonincreasing
+    spectrum, piece j carries Lebesgue measure s_j^2 - s_{j+1}^2 (s_{k+1} =
+    0) and spans the eigenvectors in clusters 1..j; pieces of measure 0 are
+    dropped.
+    """
+    clusters = cluster_indices(vals)
     reps = [float(np.mean(vals[idx])) for idx in clusters]
     pieces = []
     rank = 0
@@ -83,8 +100,19 @@ def projector_slices(sigma):
         s_next = reps[j + 1] if j + 1 < len(clusters) else 0.0
         measure = reps[j] ** 2 - s_next**2
         if measure > 0.0:
-            v = dec.eigenvectors[:, :rank]
-            pieces.append((measure, v @ v.conj().T))
+            pieces.append((measure, rank))
+    return pieces
+
+
+def projector_slices(sigma):
+    """Exact spectral slicing of sigma^2 into (measure, projector) pieces:
+    each piece of spectral_pieces projects onto its leading eigenvectors."""
+    dec = linalg.eig_hermitian(linalg.hermitize(sigma))
+    vals = np.clip(dec.eigenvalues, 0.0, None)
+    pieces = []
+    for measure, rank in spectral_pieces(vals):
+        v = dec.eigenvectors[:, :rank]
+        pieces.append((measure, v @ v.conj().T))
     return pieces
 
 

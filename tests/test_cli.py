@@ -381,6 +381,10 @@ BAD_INPUTS = {
     "seed-negative": (["sweep", "--eta", "0.1", "--seed", "-1"], None, 3),
     "config-seed-negative": (SWEEP, _sweep_text(seed=-1), 3),
     "config-seed-30-digits": (SWEEP, _sweep_text(seed=10**30), 2),
+    "dim-is-boolean": (ROUND, _with_dim_a("true"), 2),
+    "config-trials-boolean": (SWEEP, _sweep_text(trials=True), 2),
+    "config-seed-boolean": (SWEEP, _sweep_text(seed=False), 2),
+    "config-etas-boolean": (SWEEP, _sweep_text(etas=[True]), 2),
 }
 
 

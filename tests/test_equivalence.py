@@ -18,6 +18,7 @@ from reference import (
     dense_orthogonalize,
     expand_corner,
     rank_factor,
+    spectral_pieces,
 )
 from syncround import linalg, rounding
 from syncround.errors import (
@@ -31,6 +32,7 @@ from syncround.games import k3_game
 from syncround.linalg import CLUSTER_TOL
 from syncround.rounding import (
     _round_povm,
+    _spectral_pieces,
     lemma_report,
     orthogonalize_povm,
     projectivize,
@@ -154,19 +156,10 @@ def sigma_frame(sigma):
 def reference_slices(s, game):
     """Per slice: an n x n projector, compress, round, expand, residual."""
     eigenvalues, eigenvectors = sigma_frame(s.sigma)
-    vals = np.clip(eigenvalues, 0.0, None)
-    clusters = linalg.cluster_indices(vals)
-    reps = [float(np.mean(vals[idx])) for idx in clusters]
     n = s.dim
     pieces = []
     residual = 0.0
-    used = 0
-    for j, idx in enumerate(clusters):
-        used += len(idx)
-        s_next = reps[j + 1] if j + 1 < len(clusters) else 0.0
-        measure = reps[j] ** 2 - s_next**2
-        if measure <= 0.0:
-            continue
+    for measure, used in spectral_pieces(np.clip(eigenvalues, 0.0, None)):
         basis = eigenvectors[:, :used].copy()
         projector = basis @ basis.conj().T
         pvms = []
@@ -354,7 +347,7 @@ def test_skewed_weight_is_refused_until_normalized(seed):
 
 
 def test_no_normalized_weight_needs_more_than_sequential_rounding():
-    """Search normalized weights for a rounding past 9 epsilon + ORTHO_SLACK.
+    """Search normalized weights for a rounding past 9 epsilon + CONTRACT_SLACK.
 
     Inputs are generic POVMs blended with a PVM, at skewed, identity and
     skewed_povm_case weights, each scaled to tau(sigma sigma*) = 1; a miss
@@ -382,7 +375,7 @@ def test_no_normalized_weight_needs_more_than_sequential_rounding():
             w = sig @ sig.conj().T
             eps = 1.0 - sum(linalg.tau(e @ e @ w).real for e in p.elements)
             _, err = orthogonalize_povm(p, sig)
-            assert err <= 9.0 * eps + rounding.ORTHO_SLACK
+            assert err <= 9.0 * eps + rounding.CONTRACT_SLACK
 
     search()
 
@@ -416,7 +409,7 @@ def test_corner_rounding_matches_reference(seed, monkeypatch):
         if pvm is not None:
             assert_columns_reproduce(pvm)
     # a bound no rounding meets
-    monkeypatch.setattr(rounding, "ORTHO_SLACK", -10.0)
+    monkeypatch.setattr(rounding, "CONTRACT_SLACK", -10.0)
     with pytest.raises(BoundViolated):
         round_corner(povm)
     with pytest.raises(BoundViolated):
@@ -646,3 +639,118 @@ def test_connes_rejects_negative_operand():
         verify_connes(np.diag([1.0, -1e-3]), np.eye(2))
     with pytest.raises(NotPositive):
         verify_connes(np.eye(2), np.diag([1.0, -1e-3]))
+
+
+# ---------------------------------------------------------------------------
+# the shared lambda-slicing rule
+
+
+def test_spectral_pieces_group_ties():
+    vals = np.array([3.0, 3.0 + 1e-14, 1.0, 1.0, 0.0])
+    measures, (ranks,) = _spectral_pieces(vals)
+    assert ranks.tolist() == [2, 4]
+    np.testing.assert_allclose(measures, [8.0, 1.0], rtol=0, atol=1e-12)
+
+
+# Steps between consecutive values of a drawn spectrum: ties, gaps just
+# inside and just outside CLUSTER_TOL (which chain into longer clusters),
+# wide gaps and a drop to zero.
+STEPS = ("tie", "inside", "outside", "wide", "zero")
+
+
+def drawn_spectrum(st, data, n):
+    """A nonincreasing spectrum of n values from a top in [0.1, 3]."""
+    vals = [data.draw(st.floats(0.1, 3.0))]
+    for _ in range(n - 1):
+        step = data.draw(st.sampled_from(STEPS))
+        gap = {"tie": 0.0, "inside": 0.5 * CLUSTER_TOL, "outside": 2.0 * CLUSTER_TOL}
+        if step == "wide":
+            gap[step] = data.draw(st.floats(0.01, 0.5))
+        vals.append(0.0 if step == "zero" else max(vals[-1] - gap[step], 0.0))
+    return np.array(vals)
+
+
+def block_pvm_strategy(spectrum):
+    """A symmetric projective 3x3 strategy at the diagonal state spectrum:
+    coordinate-block PVMs, each element keeping its coordinate columns."""
+    n = len(spectrum)
+    eye = np.eye(n, dtype=complex)
+    alice = []
+    for x in range(3):
+        blocks = np.array_split(np.roll(np.arange(n), x), 3)
+        columns = tuple(eye[:, b] for b in blocks)
+        alice.append(Povm(np.array([c @ c.conj().T for c in columns]), columns))
+    return TracialStrategy(n, np.diag(spectrum), alice, alice)
+
+
+def assert_pieces_cover(measures, ranks, spectra):
+    """Measures telescope to the top value squared, and each operand's ranks
+    climb to at most its dimension; a cluster mean sits within its chain's
+    length times CLUSTER_TOL of each member."""
+    top = max(float(v.max()) for v in spectra)
+    slack = 2.0 * top * sum(map(len, spectra)) * CLUSTER_TOL + 1e-14
+    assert np.all(measures > 0.0)
+    assert abs(measures.sum() - top**2) <= slack
+    for k, v in zip(ranks, spectra):
+        assert np.all(np.diff(k) >= 0) and k[-1] <= len(v)
+    return slack
+
+
+def test_one_spectrum_pieces_match_the_chained_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(
+        max_examples=200, derandomize=True, deadline=None, database=None
+    )
+    @hypothesis.given(data=st.data(), n=st.integers(1, 9))
+    def search(data, n):
+        vals = drawn_spectrum(st, data, n)
+        measures, ranks = _spectral_pieces(vals)
+        slack = assert_pieces_cover(measures, ranks, [vals])
+        want = spectral_pieces(vals)
+        assert ranks[0].tolist() == [rank for _, rank in want]
+        np.testing.assert_allclose(
+            measures, [m for m, _ in want], rtol=0, atol=1e-14
+        )
+        assert abs(np.dot(measures, ranks[0]) / n - np.mean(vals**2)) <= slack
+        normalized = vals / np.sqrt(np.mean(vals**2))
+        dec = slice_strategies(block_pvm_strategy(normalized), k3_game())
+        assert abs(sum(sl.weight for sl in dec.slices) - 1.0) <= 1e-12
+        want = [rank for _, rank in spectral_pieces(normalized)]
+        assert [sl.sub_dim for sl in dec.slices] == want
+
+    search()
+
+
+def test_two_spectrum_pieces_bound_the_connes_integral():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(
+        max_examples=150, derandomize=True, deadline=None, database=None
+    )
+    @hypothesis.given(
+        data=st.data(),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        same_basis=st.booleans(),
+    )
+    def search(data, n, seed, same_basis):
+        a = drawn_spectrum(st, data, n)
+        own = drawn_spectrum(st, data, n)
+        shared = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        b = np.sort(np.where(shared, a, own))[::-1]
+        measures, ranks = _spectral_pieces(a, b)
+        assert_pieces_cover(measures, ranks, [a, b])
+        # one seed draws one eigenbasis, so same_basis shares it
+        rho = positive_with_spectrum(np.random.default_rng(seed), a)
+        other = np.random.default_rng(seed if same_basis else seed + 1)
+        sigma = positive_with_spectrum(other, b)
+        lhs, rhs = verify_connes(rho, sigma)
+        ref_lhs, ref_rhs = reference_connes(rho, sigma)
+        assert abs(lhs - ref_lhs) <= TOL
+        assert abs(rhs - ref_rhs) <= TOL
+        assert lhs <= rhs + 1e-8
+
+    search()

@@ -55,7 +55,7 @@ def test_hermitize_rejects_strict_upper_triangular():
 
 def test_check_leading_blocks_agrees_with_hermitize():
     rng = np.random.default_rng(3)
-    tol = 1e-7
+    tol = linalg.CORNER_TOL
     for trial in range(40):
         m = np.array([random_hermitian(rng, 6) for _ in range(2)])
         g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -70,16 +70,16 @@ def test_check_leading_blocks_agrees_with_hermitize():
                     want_raise = True
         if want_raise:
             with pytest.raises(AsymmetryExceedsTolerance):
-                linalg.check_leading_blocks(m, ranks, tol)
+                linalg.check_leading_blocks(m, ranks)
         else:
-            linalg.check_leading_blocks(m, ranks, tol)
+            linalg.check_leading_blocks(m, ranks)
 
 
 def test_check_leading_blocks_rejects_nan():
     m = np.eye(3, dtype=complex)[None]
     m[0, 2, 2] = np.nan
     with pytest.raises(ValueError):
-        linalg.check_leading_blocks(m, [1], 1e-7)
+        linalg.check_leading_blocks(m, [1])
 
 
 def test_eig_hermitian_diagonal_order():
@@ -103,12 +103,6 @@ def test_eig_hermitian_reconstructs_random():
         dec = linalg.eig_hermitian(h)
         np.testing.assert_allclose(reconstruct(dec), h, atol=1e-10)
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-
-
-def test_cluster_indices_groups_ties():
-    vals = np.array([3.0, 3.0 + 1e-14, 1.0, 1.0, 0.0])
-    groups = linalg.cluster_indices(vals)
-    assert [list(g) for g in groups] == [[0, 1], [2, 3], [4]]
 
 
 def test_polar_positive_input():
