@@ -164,10 +164,19 @@ def fit_envelope(deltas, distances) -> dict:
     return fit
 
 
+def _eta_flag(text: str) -> list[float]:
+    """The --eta flag's comma-separated grid as floats; a sweep config gives
+    JSON numbers, which io.eta_grid checks as such."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"malformed --eta: {exc}") from exc
+
+
 def cmd_sweep(args) -> int:
     # Each field a --config file sets takes the place of the matching flag.
     cfg = io.load_path(args.config, "sweep") if args.config else {}
-    flag_grid = args.eta.split(",") if args.eta else []
+    flag_grid = _eta_flag(args.eta) if args.eta else []
     etas = io.eta_grid(cfg.get("etas", flag_grid))
     trials = cfg.get("trials", args.trials)
     seed = cfg.get("seed", args.seed)

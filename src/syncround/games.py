@@ -63,13 +63,9 @@ def is_synchronous_game(game: Game) -> bool:
     The rule is vacuous for diagonal pairs with mu(x, x) = 0: the game's
     quantities only ever weight V by mu.
     """
-    eye = np.eye(game.n_answers, dtype=bool)
-    for x in range(game.n_questions):
-        if game.mu[x, x] <= 0:
-            continue
-        if not np.array_equal(game.win[x, x], eye):
-            return False
-    return True
+    x = np.arange(game.n_questions)
+    asked = game.win[x, x][game.mu[x, x] > 0]
+    return bool((asked == np.eye(game.n_answers, dtype=bool)).all())
 
 
 def with_sync_test(game: Game, c: float) -> Game:

@@ -131,9 +131,10 @@ _INT64_BOUND = 2**63
 
 
 def _number(value, field: str):
-    """value, refused if it is a JSON boolean, which Python counts as 0 or 1."""
-    if isinstance(value, bool):
-        raise ParseError(f"malformed {field}: {value!r} is a boolean")
+    """value, refused if it is a JSON boolean, which Python counts as 0 or 1,
+    or a string, which float() would parse."""
+    if isinstance(value, (bool, str)):
+        raise ParseError(f"malformed {field}: {value!r} is not a number")
     return value
 
 
@@ -145,7 +146,21 @@ def _int64(value, field: str) -> int:
     return n
 
 
-_floats = partial(np.asarray, dtype=float)
+_NOT_NUMBERS = {"U": "strings", "S": "strings", "b": "booleans"}
+
+
+def _floats(value) -> np.ndarray:
+    """A JSON array of numbers as floats.  The array's own dtype is read
+    first, so strings and booleans are refused instead of parsed or read as
+    0 and 1; an object array (integers past 64 bits, nulls) is converted
+    entry by entry as float() would, as the orjson path reads such integers."""
+    arr = np.asarray(value)
+    kind = arr.dtype.kind
+    if kind in _NOT_NUMBERS:
+        raise ValueError(f"expected numbers, found {_NOT_NUMBERS[kind]}")
+    if kind == "O":
+        return np.asarray(value, dtype=float)
+    return arr.astype(float, copy=False)
 
 
 def _labels(value) -> tuple:

@@ -33,13 +33,22 @@ RECONSTRUCT_TOL = 1e-8  # sigma H sigma = T, relative to 1 + ||s^2||
 FIT_FLOOR = 1e-15  # deltas and distances at or below this stay out of the log-log fit
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix and reject non-finite entries."""
+def _as_stack(m) -> np.ndarray:
+    """Coerce to a stack (..., k, k) of square complex matrices and reject
+    non-finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has NaN or Inf entries")
+    return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a square complex matrix and reject non-finite entries."""
+    a = _as_stack(m)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -70,6 +79,27 @@ def hermitize(m, tol: float = HERMITIZE_TOL) -> np.ndarray:
             f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
         )
     return (a + a.conj().T) / 2.0
+
+
+def hermitize_stack(m: np.ndarray) -> np.ndarray:
+    """hermitize at CORNER_TOL on each matrix of a stack (..., k, k), in one
+    pass: refused when any matrix has ||m - m*||_F > CORNER_TOL * (1 +
+    ||m||_F)."""
+    adj = m.conj().swapaxes(-1, -2)
+    asym = _frobenius_each(m - adj)
+    bad = asym > CORNER_TOL * (1.0 + _frobenius_each(m))
+    if bad.any():
+        raise AsymmetryExceedsTolerance(
+            f"asymmetry {asym[bad].max():.3e} exceeds tolerance {CORNER_TOL:.3e}"
+        )
+    return (m + adj) / 2.0
+
+
+def _frobenius_each(m: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack, from its real and
+    imaginary parts side by side and without a temporary of m's size."""
+    parts = np.ascontiguousarray(m).view(float)
+    return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
 
 
 def check_leading_blocks(m, ranks) -> None:
@@ -106,13 +136,14 @@ class SpectralDecomposition:
 
 
 def eig_hermitian(h) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, nonincreasing order."""
-    a = as_matrix(h)
+    """Spectral decomposition of a Hermitian matrix, or of each matrix of a
+    stack (..., m, m) in one call, nonincreasing order."""
+    a = _as_stack(h)
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return SpectralDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
+    return SpectralDecomposition(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 
 @dataclass(frozen=True)

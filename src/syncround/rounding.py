@@ -24,21 +24,31 @@ One kernel, _round_povm, does every POVM-to-PVM rounding: projectivize's,
 the lemma report's, orthogonalize_povm's and each slice corner's.  It is
 sequential spectral rounding, which meets the 9-epsilon orthogonalization
 bound at a weight sigma sigma* with tau(sigma sigma*) = 1 (BoundViolated
-otherwise; a weight off that normalization is refused).  It always works
-in the weight's eigenbasis, so the weight is a vector s^2, or the identity
-at a corner, and the masses, epsilon and the error are O(n^2) sums.
+when any question misses it; a weight off that normalization is refused).
+It always works in the weight's eigenbasis, so the weight is a vector s^2,
+or the identity at a corner, and the masses, epsilon and the error are
+O(n^2) sums.  It rounds a whole family of nq questions in one call:
+projectivize, the lemma report and each slice make one call, and
+orthogonalize_povm passes a family of one.  Each of the na - 1 threshold
+steps is one stacked eigendecomposition of every question's matrix,
+padded only to the largest of them: a complement compression to the
+largest n - kept, never to n, with its padding directions at eigenvalue
+-1, and rank factors with zero columns up to the widest factor.  At small
+n, where a call costs more than its LAPACK work, that is na - 1 calls
+instead of nq (na - 1).
 
 Cost of the slice stage at dimension n, with nq questions of na answers.
 Every slice spans a leading block of coordinates and sigma's spectrum is
 its diagonal.  projectivize keeps the orthonormal columns F of each PVM
 element, P = F F* of rank k, and the slice stage uses them as rank
-factors: checking F F* against each element costs O(n^2 k), and the
-asymmetry of every leading block is read from prefix sums.  Slice j of
-rank r rounds its corner, whose factor is the leading r rows of F, with na
-- 1 eigendecompositions of min(r, k)-sized matrices per question and O(r k
-(r + k)) products.  Its residual ||A[:, :r] - [P; 0]||_F^2 is the
-off-corner mass ||A[r:, :r]||_F^2, read from prefix sums of |A|^2, plus
-the corner's rounding error.  The corner PVMs fill one (nq, na, r, r)
+factors, zero-padded into one (nq, na, n, k) stack, k the widest factor:
+checking F F* against each element costs O(n^2 k), and the asymmetry of
+every leading block is read from prefix sums.  Slice j of rank r rounds
+its corner, whose factor is the leading r rows of F, with one kernel
+call: na - 1 stacked eigendecompositions of nq min(r, k)-sized matrices
+and O(r k (r + k)) products per question.  Its residual ||A[:, :r] - [P;
+0]||_F^2 is the off-corner mass ||A[r:, :r]||_F^2, read from prefix sums
+of |A|^2, plus the corner's rounding error.  The corner PVMs fill one (nq, na, r, r)
 array, the slice's correlation is one product of it with its transpose,
 and it is dropped after an optional on_slice hook has seen it, so the
 decomposition is O(n^2) although the corners add up to about n^3 nq na / 3
@@ -86,78 +96,119 @@ SliceHook = Callable[[float, int, np.ndarray], None]
 
 def _normalized(weight: np.ndarray) -> np.ndarray:
     """The diagonal of sigma sigma*, refused unless tau(sigma sigma*) = 1."""
-    norm = float(np.mean(weight))
+    norm = float(weight.sum()) / len(weight)
     if abs(norm - 1.0) > NORM_TOL:
         raise NotNormalized(f"tau(sigma sigma*) = {norm!r}")
     return weight
 
 
 def _round_povm(elements: np.ndarray, weight, factors=None):
-    """Sequential spectral rounding of a POVM to a PVM at a diagonal weight.
+    """Sequential spectral rounding of a family of POVMs to PVMs at one
+    diagonal weight, every question in the same call.
 
-    elements is an (na, n, n) stack of Hermitian elements in the eigenbasis
-    of the weight w = sigma sigma*; weight is w's diagonal, or None for the
-    identity.  The element of largest mass tau(A w) is thresholded at 1/2,
-    the next on the complement of what was kept, and so on; the last takes
-    the rest.  Without factors each threshold eigendecomposes the element
-    compressed to a basis B of the complement, B* A B.  factors[a] is a
-    rank factor whose leading n rows G_a give A_a = G_a G_a*: with Q the
-    columns kept so far, the compression is N N*, N = G_a - Q Q* G_a, whose
-    eigenvectors come from the smaller of N N* and N* N (as N u / sqrt(l)).
+    elements is an (nq, na, n, n) stack of Hermitian elements in the
+    eigenbasis of the weight w = sigma sigma*; weight is w's diagonal, or
+    None for the identity.  In each question the element of largest mass
+    tau(A w) is thresholded at 1/2, the next on the complement of what was
+    kept, and so on; the last takes the rest.  Each threshold step is one
+    stacked eigendecomposition over the questions, padded to the largest
+    size among them.  Without factors it decomposes the element compressed
+    to a basis B of the complement, B* A B; a question whose complement is
+    smaller gets its padding directions at eigenvalue -1, which is never
+    kept and never joins the complement.  factors is an (nq, na, N, k)
+    stack of zero-padded rank factors whose leading n rows G give A = G G*:
+    with Q the columns kept so far, the compression is M M*, M = G - Q Q* G,
+    whose eigenvectors come from the smaller of M M* and M* M (as M u /
+    sqrt(l)); zero factor columns give eigenvalue 0 and are never kept.
 
     tau(A^2 w) and the error tau((A - P)^2 w) are sums of |A_ij|^2 w_i and
     |(A - P)_ij|^2 w_i.  An error above 9 epsilon + CONTRACT_SLACK, epsilon =
-    1 - sum_a tau(A_a^2 w), raises BoundViolated.  Returns the PVM, each
-    outcome's orthonormal columns (None with factors) and the error times n.
+    1 - sum_a tau(A_a^2 w), in any question raises BoundViolated.  Returns
+    the (nq, na, n, n) PVMs, each question's tuple of outcome columns (None
+    with factors) and the errors times n, shape (nq,).
     """
-    na, n = elements.shape[:2]
+    nq, na, n = elements.shape[:3]
     w = np.ones(n) if weight is None else _normalized(weight)
-    masses = np.diagonal(elements, axis1=1, axis2=2).real @ w
-    order = np.argsort(-masses, kind="stable")
+    masses = np.diagonal(elements, axis1=2, axis2=3).real @ w
+    order = np.argsort(-masses, axis=1, kind="stable")
+    rows = np.arange(nq)
     pvm = np.empty(elements.shape, dtype=complex)
-    columns = [None] * na
-    kept = np.empty((n, 0), dtype=complex)
-    basis = None  # the complement of what was kept, without factors; None is C^n
-    for x in order[:-1]:
-        if factors is None:
-            e = elements[x]
-            corner = e if basis is None else basis.conj().T @ e @ basis
-            dec = linalg.eig_hermitian(linalg.hermitize(corner, tol=CORNER_TOL))
-            sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
-            cols, rest = dec.eigenvectors[:, sel], dec.eigenvectors[:, ~sel]
-            if basis is not None:
-                cols, rest = basis @ cols, basis @ rest
-            basis = rest
-        else:
-            g = factors[x][:n]
-            g = g - kept @ (kept.conj().T @ g)
-            if n < g.shape[1]:
-                dec = linalg.eig_hermitian(g @ g.conj().T)
-                cols = dec.eigenvectors[:, dec.eigenvalues >= 0.5 - CLUSTER_TOL]
-            else:
-                dec = linalg.eig_hermitian(g.conj().T @ g)
-                sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
-                cols = g @ (dec.eigenvectors[:, sel] / np.sqrt(dec.eigenvalues[sel]))
-            kept = np.concatenate((kept, cols), axis=1)
-        columns[x] = cols
-        pvm[x] = cols @ cols.conj().T
-    last = order[-1]
     if factors is None:
-        columns[last] = np.eye(n, dtype=complex) if basis is None else basis
-        pvm[last] = columns[last] @ columns[last].conj().T
+        columns = [[None] * na for _ in rows]
+        basis = None  # (nq, n, m) complement bases, zero-padded; None is C^n
+        width = np.full(nq, n)  # each question's complement dimension
+        for x in order[:, :-1].T:
+            corner = elements[rows, x]
+            if basis is not None:
+                corner = _adjoint(basis) @ corner @ basis
+            corner = linalg.hermitize_stack(corner)
+            m = corner.shape[-1]
+            if width.min() < m:  # padding directions go to eigenvalue -1
+                padding = np.arange(m) >= width[:, None]
+                corner.reshape(nq, m * m)[:, :: m + 1] -= padding
+            dec = linalg.eig_hermitian(corner)
+            vectors = dec.eigenvectors if basis is None else basis @ dec.eigenvectors
+            kept = (dec.eigenvalues >= 0.5 - CLUSTER_TOL).sum(axis=1)
+            rest = width - kept
+            basis = np.zeros((nq, n, rest.max()), dtype=complex)
+            ragged = zip(x.tolist(), kept.tolist(), width.tolist())
+            for q, (a, k, end) in enumerate(ragged):
+                columns[q][a] = vectors[q, :, :k]
+                basis[q, :, : end - k] = vectors[q, :, k:end]
+            width = rest
+            cols = vectors[:, :, : kept.max()]
+            if kept.min() < cols.shape[2]:
+                cols = cols * (np.arange(cols.shape[2]) < kept[:, None])[:, None]
+            pvm[rows, x] = cols @ _adjoint(cols)
+        last = order[:, -1]
+        if basis is None:
+            basis = np.broadcast_to(np.eye(n, dtype=complex), (nq, n, n))
+        for q, (a, end) in enumerate(zip(last.tolist(), width.tolist())):
+            columns[q][a] = basis[q, :, :end]
+        pvm[rows, last] = basis @ _adjoint(basis)
+        columns = tuple(map(tuple, columns))
     else:
+        kept = np.empty((nq, n, 0), dtype=complex)
+        for x in order[:, :-1].T:
+            g = factors[rows, x, :n]
+            g = g - kept @ (_adjoint(kept) @ g)
+            if n < g.shape[2]:
+                dec = linalg.eig_hermitian(g @ _adjoint(g))
+                sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
+                cols = dec.eigenvectors * sel[:, None]
+            else:
+                dec = linalg.eig_hermitian(_adjoint(g) @ g)
+                sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
+                scale = sel / np.sqrt(np.where(sel, dec.eigenvalues, 1.0))
+                cols = g @ (dec.eigenvectors * scale[:, None])
+            cols = cols[:, :, : sel.sum(axis=1).max()]
+            kept = np.concatenate((kept, cols), axis=2)
+            pvm[rows, x] = cols @ _adjoint(cols)
+        pvm[rows, order[:, -1]] = np.eye(n) - kept @ _adjoint(kept)
         columns = None
-        pvm[last] = np.eye(n) - kept @ kept.conj().T
-    root = np.sqrt(w)[:, None]  # sum_ij |M_ij|^2 w_i = ||root M||_F^2
-    a, d = elements * root, (elements - pvm) * root
-    bound = 9.0 * (1.0 - float(np.vdot(a, a).real) / n) + CONTRACT_SLACK
-    mass = float(np.vdot(d, d).real)
-    if mass / n > bound:
+    # sum_aij |M_ij|^2 w_i for each question: tau(A^2 w) and the error, times n
+    bound = 9.0 * (1.0 - _weighted_norms(elements, w) / n) + CONTRACT_SLACK
+    mass = _weighted_norms(elements - pvm, w)
+    bad = mass / n > bound
+    if bad.any():
+        q = int(bad.argmax())
         raise BoundViolated(
-            f"orthogonalization error {mass / n:.3e} exceeds "
-            f"9*eps bound {bound:.3e}"
+            f"question {q}: orthogonalization error {mass[q] / n:.3e} exceeds "
+            f"9*eps bound {bound[q]:.3e}"
         )
     return pvm, columns, mass
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _weighted_norms(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_aij |m_qaij|^2 w_i for each question q of an (nq, na, n, n) stack
+    whose rows are contiguous, from its real and imaginary parts side by
+    side and without a temporary of m's size."""
+    parts = m.view(float)
+    return np.einsum("qaij,qaij->qi", parts, parts) @ w
 
 
 def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
@@ -173,7 +224,7 @@ def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
     polar = linalg.polar_decompose(sigma)
     u = polar.left_basis
     rotated = u.conj().T @ povm.elements @ u
-    _, columns, mass = _round_povm(rotated, polar.singular_values**2)
+    _, (columns,), (mass,) = _round_povm(rotated[None], polar.singular_values**2)
     columns = tuple(u @ c for c in columns)
     return Povm(np.array([c @ c.conj().T for c in columns]), columns), mass / povm.dim
 
@@ -315,26 +366,23 @@ def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
     and a report like symmetrize's plus the weighted rounding error gamma.
     """
     weight = _diagonal(s.sigma, "projectivize") ** 2
-    pvms = []
-    errors = []
-    for povm in s.alice:
-        pvm, columns, mass = _round_povm(povm.elements, weight)
-        pvms.append(Povm(pvm, tuple(columns)))
-        errors.append(mass / s.dim)
-    pvms = tuple(pvms)
+    elements = np.array([p.elements for p in s.alice])
+    stack, columns, masses = _round_povm(elements, weight)
+    pvms = tuple(map(Povm, stack, columns))
     out = TracialStrategy(s.dim, s.sigma, pvms, pvms)
     c_out = correlation(out)
     report = {
         "delta_in": synchronicity(game, c_in),
         "delta_out": synchronicity(game, c_out),
         "distance": correlation_distance(game, c_in, c_out),
-        "gamma": float(np.dot(game.mu_x, errors)),
+        "gamma": float(game.mu_x @ masses) / s.dim,
     }
     return out, c_out, report
 
 
-def _checked_columns(povms: tuple[Povm, ...], n: int) -> list:
-    """Each PVM's columns, refused unless V_a V_a* reproduces A_a.
+def _column_stack(povms: tuple[Povm, ...], n: int) -> np.ndarray:
+    """The PVMs' columns as one (nq, na, n, k) stack, each element's columns
+    zero-padded to the widest, refused unless V_a V_a* reproduces A_a.
 
     The test is hermitize's, at CORNER_TOL: ||V V* - A||_F <= CORNER_TOL *
     (1 + ||A||_F), O(n^2 k) for an element of rank k.
@@ -348,7 +396,12 @@ def _checked_columns(povms: tuple[Povm, ...], n: int) -> list:
             gap = linalg.frobenius(v @ v.conj().T - e) if fits else np.inf
             if not gap <= CORNER_TOL * (1.0 + linalg.frobenius(e)):
                 raise ValidationError(f"columns {a} of PVM {x} miss by {gap:.3e}")
-    return [povm.columns for povm in povms]
+    width = max(np.shape(v)[1] for povm in povms for v in povm.columns)
+    stack = np.zeros((len(povms), povms[0].outcomes, n, width), dtype=complex)
+    for x, povm in enumerate(povms):
+        for a, v in enumerate(povm.columns):
+            stack[x, a, :, : np.shape(v)[1]] = v
+    return stack
 
 
 def slice_strategies(
@@ -374,35 +427,32 @@ def slice_strategies(
     if np.any(spectrum < 0) or np.any(np.diff(spectrum) > 0):
         raise ValidationError("slicing needs a nonnegative nonincreasing sigma")
     _normalized(spectrum**2)
-    n, nq, na = s.dim, s.n_questions, s.n_answers
+    n, nq = s.dim, s.n_questions
     measures, (ranks,) = _spectral_pieces(spectrum)
     # Slice j's corner is the leading rank x rank block of every element, so
     # no slice touches the n x n operators again.
-    elements = [p.elements for p in s.alice]
-    for e in elements:
-        linalg.check_leading_blocks(e, ranks)
-    factors = _checked_columns(s.alice, n)
-    herm = [(e + e.conj().swapaxes(1, 2)) / 2.0 for e in elements]
+    factors = _column_stack(s.alice, n)
+    herm = np.empty((nq, s.n_answers, n, n), dtype=complex)
     # ||A[r:, :r]||_F^2 summed over answers, for every slice rank r: sums of
     # |A|^2 over the rows from r down, accumulated over the columns below r.
     # Row n is empty, so the full-rank slice reads 0.
     tails = np.zeros((nq, n + 1, n))
-    for x, e in enumerate(elements):
+    for x, p in enumerate(s.alice):
+        e = p.elements
+        linalg.check_leading_blocks(e, ranks)
+        herm[x] = (e + _adjoint(e)) / 2.0
         sq = (e.real**2 + e.imag**2).sum(axis=0)
         tails[x, :n] = sq[::-1].cumsum(axis=0)[::-1]
     off_corner = tails.cumsum(axis=2)[:, ranks, ranks - 1]
+    mu_x = game.mu_x
     slices = []
     correlations = []
     residual = 0.0
     for j, (measure, rank) in enumerate(zip(measures.tolist(), ranks.tolist())):
-        stack = np.empty((nq, na, rank, rank), dtype=complex)
-        for x in range(nq):
-            corner = herm[x][:, :rank, :rank]
-            # ||(A - P) Pi_r||_F^2 = ||A[r:, :r]||_F^2 + ||A[:r, :r] - P||_F^2;
-            # the corner term is the mass _round_povm returns
-            stack[x], _, mass = _round_povm(corner, None, factors[x])
-            mass += float(off_corner[x, j])
-            residual += float(game.mu_x[x]) * measure * mass / n
+        # ||(A - P) Pi_r||_F^2 = ||A[r:, :r]||_F^2 + ||A[:r, :r] - P||_F^2;
+        # the corner term is the mass _round_povm returns
+        stack, _, masses = _round_povm(herm[:, :, :rank, :rank], None, factors)
+        residual += measure * float(mu_x @ (masses + off_corner[:, j])) / n
         c_sub = stacked_correlation(stack.swapaxes(-1, -2), stack)
         sync_sub = synchronicity(game, c_sub)
         if sync_sub > CONTRACT_SLACK:
@@ -515,13 +565,10 @@ def lemma_report(game: Game, s: TracialStrategy, polar=None) -> dict:
 
     # Measurement substitution: compare correlations of {A} and of the
     # spectrally-rounded {C} inside the same strategy.
-    rounded = []
-    gamma = 0.0
-    for x, elements in enumerate(alice):
-        pvm, _, mass = _round_povm(elements, singular**2)
-        rounded.append(Povm(pvm))
-        gamma += game.mu_x[x] * mass / s.dim
-    lhs = correlation_distance(game, c_s, at_singular_values(tuple(rounded), bob_r))
+    stack, _, masses = _round_povm(alice, singular**2)
+    gamma = float(game.mu_x @ masses) / s.dim
+    rounded = tuple(map(Povm, stack))
+    lhs = correlation_distance(game, c_s, at_singular_values(rounded, bob_r))
     meas = {
         "lhs": lhs,
         "rhs": 6.0 * (delta_a + np.sqrt(max(gamma, 0.0))),

@@ -233,12 +233,10 @@ def synchronicity(game: Game, c: Correlation) -> float:
     if not is_synchronous_game(game):
         raise NotSynchronousGame("synchronicity needs a synchronous game")
     _check_alphabets(game, c.table.shape[0], c.table.shape[2])
-    na = c.table.shape[2]
-    off = ~np.eye(na, dtype=bool)
-    total = 0.0
-    for x in range(game.n_questions):
-        total += float(game.mu_x[x]) * float(c.table[x, x][off].sum())
-    return total
+    nq, na = c.table.shape[1:3]
+    same = c.table[np.arange(nq), np.arange(nq)]
+    off = (same * ~np.eye(na, dtype=bool)).sum(axis=(1, 2))
+    return float(game.mu_x @ off)
 
 
 def correlation_distance(game: Game, c1: Correlation, c2: Correlation) -> float:

@@ -6,8 +6,8 @@ an eigensystem, the projectivity test, the chained clustering loop and the
 spectral pieces it gives one cluster at a time, projector slicing of
 sigma^2, the host-frame aggregation of slice POVMs, the fold of slice
 corners into the targets aggregate_slice_povms takes, rank factors of POVM
-elements, and sequential rounding and the lemma report at a dense weight
-sigma sigma*.
+elements, sequential rounding and the lemma report at a dense weight
+sigma sigma*, and per-question rounding of a corner from rank factors.
 Tests use them as independent oracles, and hand-built projective
 strategies take their columns from with_columns.
 """
@@ -55,6 +55,17 @@ def rank_factor(h):
     dec = linalg.eig_hermitian(linalg.hermitize(h))
     keep = dec.eigenvalues > CLUSTER_TOL
     return dec.eigenvectors[:, keep] * np.sqrt(dec.eigenvalues[keep])
+
+
+def padded_factors(factors, n):
+    """Per-question lists of (n, k) factors as the (nq, na, n, k_max) stack
+    the rounding kernel takes, each zero-padded to the widest."""
+    width = max(f.shape[1] for row in factors for f in row)
+    stack = np.zeros((len(factors), len(factors[0]), n, width), dtype=complex)
+    for x, row in enumerate(factors):
+        for a, f in enumerate(row):
+            stack[x, a, :, : f.shape[1]] = f
+    return stack
 
 
 def with_columns(povm):
@@ -209,6 +220,40 @@ def dense_orthogonalize(povm, sigma):
     if error > bound:
         raise BoundViolated(f"error {error:.3e} exceeds {bound:.3e}")
     return Povm(pvm, columns), error
+
+
+def factor_round(elements, factors):
+    """Sequential rounding of one question's corner POVM at the identity
+    weight, from rank factors, one eigendecomposition per outcome but the
+    last.
+
+    elements is the (na, r, r) corner and factors[a] an (N, k_a) factor of
+    the whole element, so its leading r rows G give elements[a] = G G*.  The
+    outcome of largest trace goes first; each threshold keeps the
+    eigenvectors at or above 1/2 - CLUSTER_TOL of M M*, M = G - Q Q* G for
+    the columns Q kept so far, taken from the smaller of M M* and M* M, and
+    the last outcome takes I - Q Q*.  Returns the PVM and the error
+    sum_a ||A_a - P_a||_F^2.
+    """
+    na, r = elements.shape[:2]
+    masses = np.diagonal(elements, axis1=1, axis2=2).real @ np.ones(r)
+    order = np.argsort(-masses, kind="stable")
+    pvm = np.empty(elements.shape, dtype=complex)
+    kept = np.empty((r, 0), dtype=complex)
+    for x in order[:-1]:
+        g = factors[x][:r]
+        g = g - kept @ (kept.conj().T @ g)
+        if r < g.shape[1]:
+            dec = linalg.eig_hermitian(g @ g.conj().T)
+            cols = dec.eigenvectors[:, dec.eigenvalues >= 0.5 - CLUSTER_TOL]
+        else:
+            dec = linalg.eig_hermitian(g.conj().T @ g)
+            sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
+            cols = g @ (dec.eigenvectors[:, sel] / np.sqrt(dec.eigenvalues[sel]))
+        kept = np.concatenate((kept, cols), axis=1)
+        pvm[x] = cols @ cols.conj().T
+    pvm[order[-1]] = np.eye(r) - kept @ kept.conj().T
+    return pvm, float(np.sum(np.abs(elements - pvm) ** 2))
 
 
 def dense_lemma_report(game, s):

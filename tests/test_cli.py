@@ -60,13 +60,14 @@ def test_alphabet_mismatch_exits_3(capsys):
 
 def test_pvm_columns_that_miss_their_elements_exit_3(capsys, monkeypatch):
     # projectivize keeps the columns the rounding kernel returns; swap two
+    # outcomes' columns in every question of the stacked call
     real = rounding._round_povm
 
     def swapped(elements, weight, factors=None):
-        pvm, cols, mass = real(elements, weight, factors)
+        pvm, cols, masses = real(elements, weight, factors)
         if cols is not None:
-            cols = [cols[1], cols[0], *cols[2:]]
-        return pvm, cols, mass
+            cols = tuple((c[1], c[0], *c[2:]) for c in cols)
+        return pvm, cols, masses
 
     monkeypatch.setattr(rounding, "_round_povm", swapped)
     code, _, err = run(capsys, "round", "--game", "k3", "--strategy", "k3-entangled")
@@ -330,6 +331,7 @@ def _with_duplicate(text, field, value):
 
 _EYE, _ZERO = io.encode_matrix(np.eye(3)), io.encode_matrix(np.zeros((3, 3)))
 _GOOD = io.strategy_to_dict(entangled_coloring_strategy(3))
+_MU = io.game_to_dict(k3_game())["mu"]
 ROUND = ["round", "--game", "k3", "--strategy", "FILE"]
 EVALUATE = ["evaluate", "--game", "FILE", "--strategy", "k3-entangled"]
 SWEEP = ["sweep", "--config", "FILE"]
@@ -385,6 +387,11 @@ BAD_INPUTS = {
     "config-trials-boolean": (SWEEP, _sweep_text(trials=True), 2),
     "config-seed-boolean": (SWEEP, _sweep_text(seed=False), 2),
     "config-etas-boolean": (SWEEP, _sweep_text(etas=[True]), 2),
+    "config-etas-strings": (SWEEP, _sweep_text(etas=["0.1"]), 2),
+    "mu-strings": (EVALUATE, _game_text(mu=[[repr(v) for v in row] for row in _MU]), 2),
+    "mu-booleans": (EVALUATE, _game_text(mu=[[i == j == 0 for j in range(3)] for i in range(3)]), 2),
+    "state-strings": (ROUND, _strategy_text(state=[[repr(v) for v in p] for p in _GOOD["state"]]), 2),
+    "state-booleans": (ROUND, _strategy_text(state=[[True, False]] + [[False, False]] * 8), 2),
 }
 
 

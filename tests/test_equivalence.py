@@ -17,6 +17,8 @@ from reference import (
     dense_lemma_report,
     dense_orthogonalize,
     expand_corner,
+    factor_round,
+    padded_factors,
     rank_factor,
     spectral_pieces,
 )
@@ -381,10 +383,12 @@ def test_no_normalized_weight_needs_more_than_sequential_rounding():
 
 
 def round_corner(povm):
-    """The slice-corner rounding on a whole POVM (corner = whole space), and
-    its error: the Frobenius mass _round_povm returns, normalized."""
+    """The slice-corner rounding on a whole POVM (corner = whole space), as a
+    family of one question, and its error: the Frobenius mass _round_povm
+    returns, normalized."""
     blocks = np.array([linalg.hermitize(e) for e in povm.elements])
-    pvm, columns, mass = _round_povm(blocks, None, [rank_factor(h) for h in blocks])
+    factors = padded_factors([[rank_factor(h) for h in blocks]], povm.dim)
+    (pvm,), columns, (mass,) = _round_povm(blocks[None], None, factors)
     assert columns is None
     return pvm, mass / povm.dim
 
@@ -414,6 +418,187 @@ def test_corner_rounding_matches_reference(seed, monkeypatch):
         round_corner(povm)
     with pytest.raises(BoundViolated):
         orthogonalize_povm(povm, np.eye(n))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against per-question oracles
+
+# Eigenvalues on either side of 1/2: 1/2 - CLUSTER_TOL / 2 is kept and
+# 1/2 - 2 CLUSTER_TOL is left, so each sits at least CLUSTER_TOL / 2 from the
+# cut 1/2 - CLUSTER_TOL, far beyond the rounding of an eigendecomposition.
+NEAR_HALF = tuple(0.5 + t * CLUSTER_TOL for t in (2.0, 0.5, 0.0, -0.5, -2.0))
+
+
+def drawn_family(st, data, nq, na, n):
+    """An (nq, na, n, n) stack of POVMs on C^n, one kind per question:
+    generic POVMs, or U diag(lambda_a) U* with U Haar or the identity, where
+    each coordinate goes to one outcome (a PVM whose ranks differ between
+    questions) or is split between two outcomes p and q as v and 1 - v, v
+    from NEAR_HALF.  One v per question keeps each element's eigenvalues
+    near 1/2 on one side of the cut: a cluster the cut split would leave
+    the kept subspace to rounding."""
+    family = []
+    for _ in range(nq):
+        kind = data.draw(st.sampled_from(("generic", "projective", "near-half")))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        if kind == "generic":
+            blend = data.draw(st.floats(0.0, 1.0))
+            povm = random_povm_strategy((n, n), (1, na), seed, blend).alice[0]
+            family.append(povm.elements)
+            continue
+        split = kind == "near-half" and na > 1
+        if split:
+            v = data.draw(st.sampled_from(NEAR_HALF))
+            p = data.draw(st.integers(0, na - 1))
+            q = (p + data.draw(st.integers(1, na - 1))) % na
+        lam = np.zeros((na, n))
+        for i in range(n):
+            if split and data.draw(st.booleans()):
+                lam[p, i], lam[q, i] = v, 1.0 - v
+            else:
+                lam[data.draw(st.integers(0, na - 1)), i] = 1.0
+        u = np.eye(n)
+        if data.draw(st.booleans()):
+            rng = np.random.default_rng(seed)
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            u = np.linalg.qr(g)[0]
+        family.append((u * lam[:, None, :]) @ u.conj().T)
+    return np.array(family, dtype=complex)
+
+
+def family_sizes(st):
+    return dict(
+        data=st.data(),
+        nq=st.sampled_from((1, 3)),
+        na=st.sampled_from((1, 2, 3)),
+        n=st.integers(1, 6),
+    )
+
+
+def test_batched_rounding_matches_the_dense_weight_oracle():
+    """One weighted call on a family against dense_orthogonalize per
+    question: PVMs, errors and each question's columns."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(
+        max_examples=200, derandomize=True, deadline=None, database=None
+    )
+    @hypothesis.given(**family_sizes(st))
+    def search(data, nq, na, n):
+        family = drawn_family(st, data, nq, na, n)
+        w = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
+        w = w / np.mean(w)
+        pvm, columns, masses = _round_povm(family, w)
+        assert pvm.shape == family.shape and masses.shape == (nq,)
+        for q, elements in enumerate(family):
+            want, want_err = dense_orthogonalize(Povm(elements), np.diag(np.sqrt(w)))
+            np.testing.assert_allclose(pvm[q], want.elements, rtol=0, atol=TOL)
+            assert abs(masses[q] / n - want_err) <= TOL
+            assert_columns_reproduce(Povm(pvm[q], columns[q]))
+
+    search()
+
+
+def test_batched_corner_rounding_matches_the_factor_oracle():
+    """One factor call on the leading r x r corners of a family, with the
+    factors zero-padded to the widest, against factor_round per question
+    on its own unpadded factors."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(
+        max_examples=200, derandomize=True, deadline=None, database=None
+    )
+    @hypothesis.given(**family_sizes(st))
+    def search(data, nq, na, n):
+        family = drawn_family(st, data, nq, na, n)
+        r = data.draw(st.integers(1, n))
+        factors = [[rank_factor(e) for e in elements] for elements in family]
+        corners = (family + family.conj().swapaxes(-1, -2))[:, :, :r, :r] / 2.0
+        pvm, columns, masses = _round_povm(corners, None, padded_factors(factors, n))
+        assert columns is None and pvm.shape == corners.shape
+        for q in range(nq):
+            want, want_mass = factor_round(corners[q], factors[q])
+            np.testing.assert_allclose(pvm[q], want, rtol=0, atol=TOL)
+            assert abs(masses[q] - want_mass) <= TOL
+
+    search()
+
+
+def test_padding_directions_never_join_a_complement():
+    """Question 0 keeps three directions at its first threshold and question
+    1 two, so question 0's second compression is padded from 2 to 3.  Its
+    element there has eigenvalues 1 and -1e-13: a padding direction at
+    eigenvalue 0 would sort above -1e-13 and take the place of the real
+    direction the last outcome needs."""
+    w = np.array([1.0, 1.0, 1.0, 1.5, 0.5])
+    d = 1e-13
+    family = np.array(
+        [
+            [np.diag([1, 1, 1, 0, 0]), np.diag([0, 0, 0, 1, -d]), np.diag([0, 0, 0, 0, 1 + d])],
+            [np.diag([1, 0, 0, 0, 0]), np.diag([0, 1, 1, 0, 0]), np.diag([0, 0, 0, 1, 1])],
+        ],
+        dtype=complex,
+    )
+    pvm, columns, masses = _round_povm(family, w)
+    for q, elements in enumerate(family):
+        want, want_err = dense_orthogonalize(Povm(elements), np.diag(np.sqrt(w)))
+        np.testing.assert_allclose(pvm[q], want.elements, rtol=0, atol=TOL)
+        assert abs(masses[q] / 5 - want_err) <= TOL
+        assert_columns_reproduce(Povm(pvm[q], columns[q]))
+    assert abs(pvm[0, 2, 4, 4] - 1.0) <= TOL
+
+
+def breaching_family(n):
+    """Three questions of two outcomes on C^n.  Question 1, (0.7 I, 0.7 I),
+    is no POVM: it rounds to (I, 0) with error 0.58 against 9 epsilon =
+    0.18.  Question 0, (0.6 I, 0.4 I), stays 4.0 under its bound and the PVM
+    of question 2 meets it exactly, so the bounds summed over the family
+    would hold."""
+    eye = np.eye(n)
+    split = np.diag(np.arange(n) < n // 2).astype(float)
+    return np.array(
+        [[0.6 * eye, 0.4 * eye], [0.7 * eye, 0.7 * eye], [split, eye - split]],
+        dtype=complex,
+    )
+
+
+def test_one_question_past_its_bound_raises_bound_violated():
+    n = 4
+    family = breaching_family(n)
+    w = np.linspace(0.5, 1.5, n)
+    factors = padded_factors([[rank_factor(e) for e in f] for f in family], n)
+    for weight, stack in ((w, None), (None, None), (None, factors)):
+        with pytest.raises(BoundViolated, match="question 1"):
+            _round_povm(family, weight, stack)
+        kept = [0, 2]  # without question 1 every bound holds
+        _round_povm(family[kept], weight, None if stack is None else stack[kept])
+
+
+def test_one_stacked_eigendecomposition_per_threshold_step(monkeypatch):
+    game = k3_game()
+    s = embed_tracial(random_povm_strategy((12, 12), (3, 3), 0, 0.5))
+    sym, c_sym, _ = symmetrize(s, game, correlation(s))
+    real = linalg.eig_hermitian
+    shapes = []
+
+    def recording(h):
+        shapes.append(h.shape)
+        return real(h)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", recording)
+    proj, _, _ = projectivize(sym, game, c_sym)
+    # na - 1 calls for all three questions; the second is padded to the
+    # largest complement, never to n
+    assert [shape[:-1] for shape in shapes] == [(3, 12), (3, shapes[1][-1])]
+    w = np.diagonal(sym.sigma).real ** 2
+    first = [np.argmax(np.diagonal(p.elements, axis1=1, axis2=2).real @ w) for p in sym.alice]
+    widths = [12 - p.columns[a].shape[1] for p, a in zip(proj.alice, first)]
+    assert shapes[1][-1] == max(widths) < 12
+    shapes.clear()
+    lemma_report(game, s)
+    assert len(shapes) == 2 and shapes[0] == (3, 12, 12)
 
 
 def degenerate_strategy(seed):
@@ -499,7 +684,9 @@ def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
     sizes = []
 
     def recording(h):
-        sizes.append(len(h))
+        # one stacked call per threshold step, one matrix per question
+        assert h.shape[:-2] == (nq,)
+        sizes.append(h.shape[-1])
         return real(h)
 
     monkeypatch.setattr(linalg, "eig_hermitian", recording)
@@ -511,7 +698,7 @@ def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
     # diagonal, so nothing n x n is decomposed
     assert sizes.count(n) == 0
     grams = [m for m in sizes if m != n]
-    per_slice = nq * (na - 1)
+    per_slice = na - 1
     assert len(grams) == len(dec.slices) * per_slice
     # each Gram input is the smaller of the r x r corner and the k x k Gram;
     # the slices are rounded in order
@@ -528,7 +715,7 @@ def test_round_correlation_slices_without_n_by_n_eigendecompositions(monkeypatch
 
     def recording(h):
         if slicing:
-            sizes.append(len(h))
+            sizes.append(h.shape[-1])
         return real_eig(h)
 
     def sliced(*args):

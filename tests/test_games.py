@@ -59,6 +59,22 @@ def test_synchronicity_rule_vacuous_off_support():
     assert is_synchronous_game(Game(g.questions, g.answers, mu, win))
 
 
+def test_synchronous_game_check_matches_the_per_question_loop():
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        nq, na = rng.integers(1, 4, size=2)
+        mu = rng.random((nq, nq)) * (rng.random((nq, nq)) < 0.7)
+        mu = mu / mu.sum() if mu.sum() else np.full((nq, nq), 1.0 / nq**2)
+        win = rng.random((nq, nq, na, na)) < 0.5
+        for x in range(nq):
+            if rng.random() < 0.7:
+                win[x, x] = np.eye(na, dtype=bool)
+        eye = np.eye(na, dtype=bool)
+        want = all(mu[x, x] <= 0 or np.array_equal(win[x, x], eye) for x in range(nq))
+        game = Game(tuple(range(nq)), tuple(range(na)), mu, win)
+        assert is_synchronous_game(game) is want
+
+
 def test_sync_test_noop_at_zero():
     g = k3_game()
     out = with_sync_test(g, 0.0)

@@ -222,6 +222,37 @@ def test_parsers_agree_bit_for_bit_on_random_doubles(monkeypatch):
         )
 
 
+def test_floats_agree_bit_for_bit_on_both_parsers(monkeypatch):
+    # integers past 64 bits are floats to orjson and ints to json, whose
+    # object arrays io._floats converts entry by entry
+    rows = [[1, 2.5, 10**20, -(10**30)], [0, -0.0, 2**63, 2**64 + 1]]
+    for value in (rows, [[1, 2], [3, 4]], [2**64 + 1], [1.5, 2**70]):
+        fast, slow = parse_both(monkeypatch, json.dumps(value).encode())
+        got = io._floats(fast)
+        assert got.dtype == float
+        np.testing.assert_array_equal(bits(got), bits(io._floats(slow)))
+        np.testing.assert_array_equal(got, np.asarray(value, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        '[[[["0.5", 0.5], [0.5, 0.5]]]]',
+        '[[[["0.5", "0.5"], ["0.5", "0.5"]]]]',
+        "[[[[true, false], [false, true]]]]",
+        '"0.5"',
+        "true",
+    ],
+)
+@pytest.mark.parametrize("fast", [True, False])
+def test_correlation_table_of_strings_or_booleans_refused(table, fast, monkeypatch):
+    if not fast:
+        monkeypatch.setattr(io, "orjson", None)
+    text = f'{{"schema": "syncround.correlation/1", "table": {table}}}'
+    with pytest.raises(ParseError, match="malformed table"):
+        io.loads(text.encode(), "correlation")
+
+
 def test_duplicate_keys_keep_the_last_on_both_parsers(monkeypatch):
     fast, slow = parse_both(monkeypatch, b'{"a": 1, "b": 2, "a": 3}')
     assert fast == slow == {"a": 3, "b": 2}

@@ -82,6 +82,43 @@ def test_check_leading_blocks_rejects_nan():
         linalg.check_leading_blocks(m, [1])
 
 
+def test_hermitize_stack_agrees_with_hermitize():
+    rng = np.random.default_rng(4)
+    tol = linalg.CORNER_TOL
+    for trial in range(40):
+        m = np.array([random_hermitian(rng, 5) for _ in range(3)])
+        g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        m[trial % 3] += 10.0 ** rng.uniform(-10, -5) * (g - g.conj().T)
+        try:
+            want = np.array([linalg.hermitize(e, tol=tol) for e in m])
+        except AsymmetryExceedsTolerance:
+            with pytest.raises(AsymmetryExceedsTolerance):
+                linalg.hermitize_stack(m)
+            continue
+        np.testing.assert_array_equal(linalg.hermitize_stack(m), want)
+
+
+def test_eig_hermitian_decomposes_each_matrix_of_a_stack():
+    rng = np.random.default_rng(5)
+    stack = np.array([[random_hermitian(rng, 4) for _ in range(2)] for _ in range(3)])
+    dec = linalg.eig_hermitian(stack)
+    assert dec.eigenvalues.shape == (3, 2, 4)
+    assert dec.eigenvectors.shape == (3, 2, 4, 4)
+    for i in range(3):
+        for j in range(2):
+            one = linalg.eig_hermitian(stack[i, j])
+            np.testing.assert_allclose(dec.eigenvalues[i, j], one.eigenvalues, atol=1e-12)
+            np.testing.assert_allclose(
+                reconstruct(type(one)(dec.eigenvalues[i, j], dec.eigenvectors[i, j])),
+                stack[i, j],
+                atol=1e-10,
+            )
+    assert np.all(np.diff(dec.eigenvalues, axis=-1) <= 1e-12)
+    for bad in (np.zeros((3, 2, 4)), np.full((2, 3, 3), np.nan)):
+        with pytest.raises(ValueError):
+            linalg.eig_hermitian(bad)
+
+
 def test_eig_hermitian_diagonal_order():
     dec = linalg.eig_hermitian(np.diag([0.2, 0.9]))
     np.testing.assert_allclose(dec.eigenvalues, [0.9, 0.2])
