@@ -69,11 +69,8 @@ def cmd_evaluate(args) -> int:
     print(f"value {value:.6f}")
     print(f"delta_sync {delta:.6f}")
     print("x y a b C")
-    for x in range(game.n_questions):
-        for y in range(game.n_questions):
-            for a in range(game.n_answers):
-                for b in range(game.n_answers):
-                    print(f"{x} {y} {a} {b} {c.table[x, y, a, b]:.6f}")
+    for (x, y, a, b), p in np.ndenumerate(c.table):
+        print(f"{x} {y} {a} {b} {p:.6f}")
     if args.out:
         payload = io.correlation_to_dict(c)
         payload["value"] = value

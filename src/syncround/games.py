@@ -68,6 +68,12 @@ def is_synchronous_game(game: Game) -> bool:
     return bool((asked == np.eye(game.n_answers, dtype=bool)).all())
 
 
+def check_synchronous(game: Game, purpose: str) -> None:
+    """Raise NotSynchronousGame unless is_synchronous_game(game)."""
+    if not is_synchronous_game(game):
+        raise NotSynchronousGame(f"{purpose} needs a synchronous game")
+
+
 def with_sync_test(game: Game, c: float) -> Game:
     """Mix a synchronicity test into the input distribution.
 
@@ -78,8 +84,7 @@ def with_sync_test(game: Game, c: float) -> Game:
     """
     if not 0.0 <= c <= 1.0:
         raise InvalidProbability(f"c = {c} outside [0, 1]")
-    if not is_synchronous_game(game):
-        raise NotSynchronousGame("sync test requires a synchronous game")
+    check_synchronous(game, "the sync test")
     mu = (1.0 - c) * game.mu + c * np.diag(game.mu_x)
     win = game.win.copy()
     eye = np.eye(game.n_answers, dtype=bool)

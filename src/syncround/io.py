@@ -149,13 +149,17 @@ def _int64(value, field: str) -> int:
 _NOT_NUMBERS = {"U": "strings", "S": "strings", "b": "booleans"}
 
 
-def _floats(value) -> np.ndarray:
+def _floats(value, scan: bool = False) -> np.ndarray:
     """A JSON array of numbers as floats.  The array's own dtype is read
     first, so strings and booleans are refused instead of parsed or read as
     0 and 1; an object array (integers past 64 bits, nulls) is converted
-    entry by entry as float() would, as the orjson path reads such integers."""
+    entry by entry as float() would, as the orjson path reads such integers.
+    Booleans among numbers pass dtype discovery as 1 and 0; scan refuses
+    them too by a look at every entry, for the small mu and tables only."""
     arr = np.asarray(value)
     kind = arr.dtype.kind
+    if scan and any(type(v) is bool for v in np.asarray(value, dtype=object).flat):
+        kind = "b"
     if kind in _NOT_NUMBERS:
         raise ValueError(f"expected numbers, found {_NOT_NUMBERS[kind]}")
     if kind == "O":
@@ -225,7 +229,7 @@ def game_from_dict(obj: dict) -> Game:
     game = Game(
         _convert(_require(obj, "questions"), _labels, "questions"),
         _convert(_require(obj, "answers"), _labels, "answers"),
-        _convert(_require(obj, "mu"), _floats, "mu"),
+        _convert(_require(obj, "mu"), partial(_floats, scan=True), "mu"),
         _convert(_require(obj, "win"), partial(np.asarray, dtype=bool), "win"),
     )
     violations = validate_game(game)
@@ -291,7 +295,7 @@ def correlation_to_dict(c: Correlation) -> dict:
 
 def correlation_from_dict(obj: dict) -> Correlation:
     _check_schema(obj, CORRELATION_SCHEMA)
-    table = _convert(_require(obj, "table"), _floats, "table")
+    table = _convert(_require(obj, "table"), partial(_floats, scan=True), "table")
     shape = table.shape
     square = len(shape) == 4 and shape[0] == shape[1] and shape[2] == shape[3]
     if not square or table.size == 0:

@@ -39,7 +39,7 @@ def _as_stack(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has NaN or Inf entries")
     return a
 
@@ -111,7 +111,7 @@ def check_leading_blocks(m, ranks) -> None:
     hermitize call per block.
     """
     a = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has NaN or Inf entries")
     last = np.asarray(ranks, dtype=int) - 1
 

@@ -25,17 +25,16 @@ the lemma report's, orthogonalize_povm's and each slice corner's.  It is
 sequential spectral rounding, which meets the 9-epsilon orthogonalization
 bound at a weight sigma sigma* with tau(sigma sigma*) = 1 (BoundViolated
 when any question misses it; a weight off that normalization is refused).
-It always works in the weight's eigenbasis, so the weight is a vector s^2,
-or the identity at a corner, and the masses, epsilon and the error are
-O(n^2) sums.  It rounds a whole family of nq questions in one call:
-projectivize, the lemma report and each slice make one call, and
-orthogonalize_povm passes a family of one.  Each of the na - 1 threshold
-steps is one stacked eigendecomposition of every question's matrix,
-padded only to the largest of them: a complement compression to the
-largest n - kept, never to n, with its padding directions at eigenvalue
--1, and rank factors with zero columns up to the widest factor.  At small
-n, where a call costs more than its LAPACK work, that is na - 1 calls
-instead of nq (na - 1).
+It works in the weight's eigenbasis, where the weight is a vector s^2, or
+the identity at a corner, and rounds a whole family of nq questions in one
+call, one stacked eigendecomposition per threshold step.
+
+Small-n cost.  At d = 3 a call costs more than its arithmetic.  Each
+public entry checks the game once, then takes synchronicities unchecked;
+correlations at a diagonal state come from stacked element arrays; the
+slice stage sets up in one pass over the (nq, na, n, n) stack.  A k3 sweep
+task makes 5 game checks, 13 eigendecompositions, 5 kernel calls and 11
+correlation products, counts a test pins.
 
 Cost of the slice stage at dimension n, with nq questions of na answers.
 Every slice spans a leading block of coordinates and sigma's spectrum is
@@ -62,6 +61,7 @@ of eigenvector overlaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -72,21 +72,21 @@ from .errors import (
     MathContractError,
     NotPositive,
     NotNormalized,
-    NotSynchronousGame,
     ValidationError,
 )
-from .games import Game, is_synchronous_game
+from .games import Game, check_synchronous
 from .linalg import CLUSTER_TOL, CONTRACT_SLACK, CORNER_TOL, NORM_TOL, PSD_FLOOR
 from .strategies import (
     Correlation,
     Povm,
     TensorStrategy,
     TracialStrategy,
+    _diagonal_correlation,
+    _synchronicity,
     correlation,
     correlation_distance,
     embed_tracial,
     stacked_correlation,
-    synchronicity,
 )
 
 # on_slice(measure, rank, stack): a slice's measure, corner dimension and
@@ -171,7 +171,8 @@ def _round_povm(elements: np.ndarray, weight, factors=None):
         kept = np.empty((nq, n, 0), dtype=complex)
         for x in order[:, :-1].T:
             g = factors[rows, x, :n]
-            g = g - kept @ (_adjoint(kept) @ g)
+            if kept.shape[2]:  # nothing to project out before the first keep
+                g = g - kept @ (_adjoint(kept) @ g)
             if n < g.shape[2]:
                 dec = linalg.eig_hermitian(g @ _adjoint(g))
                 sel = dec.eigenvalues >= 0.5 - CLUSTER_TOL
@@ -282,10 +283,10 @@ def _spectral_pieces(*spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     owner = np.repeat(np.arange(len(spectra)), [len(v) for v in spectra])
     order = np.argsort(-values)
     values, owner = values[order], owner[order]
-    starts = np.flatnonzero(np.r_[True, values[:-1] - values[1:] > CLUSTER_TOL])
-    ends = np.r_[starts[1:], values.size]
+    starts = np.flatnonzero(np.append(True, values[:-1] - values[1:] > CLUSTER_TOL))
+    ends = np.append(starts[1:], values.size)
     means = np.add.reduceat(values, starts) / (ends - starts)
-    measures = means**2 - np.r_[means[1:], 0.0] ** 2
+    measures = means**2 - np.append(means[1:], 0.0) ** 2
     counts = np.cumsum(owner[:, None] == np.arange(len(spectra)), axis=0)
     keep = measures > 0.0
     return measures[keep], counts[ends - 1].T[:, keep]
@@ -314,9 +315,7 @@ class RoundingDecomposition:
     polar: linalg.PolarParts | None
 
 
-def symmetrize(
-    s: TracialStrategy, game: Game, c_in: Correlation, polar=None
-):
+def symmetrize(s: TracialStrategy, game: Game, c_in: Correlation, polar=None):
     """Replace the strategy by the symmetric one (sigma+, {A}).
 
     c_in is the correlation of s and polar the polar decomposition of its
@@ -326,15 +325,16 @@ def symmetrize(
     input/output synchronicities and the mu-weighted correlation distance;
     the factor-2 synchronicity bound is enforced.
     """
-    delta_in = synchronicity(game, c_in)
+    check_synchronous(game, "symmetrize")
+    delta_in = _synchronicity(game, c_in)
     if polar is None:
         polar = linalg.polar_decompose(s.sigma)
     v = polar.eigenbasis
     rotated = v.conj().T @ np.array([p.elements for p in s.alice]) @ v
     alice = tuple(Povm(elements) for elements in rotated)
     out = TracialStrategy(s.dim, np.diag(polar.singular_values), alice, alice)
-    c_out = correlation(out)
-    delta_out = synchronicity(game, c_out)
+    c_out = _diagonal_correlation(polar.singular_values, rotated, rotated)
+    delta_out = _synchronicity(game, c_out)
     if delta_out > 2.0 * delta_in + CONTRACT_SLACK:
         raise MathContractError(
             f"symmetrized synchronicity {delta_out:.3e} exceeds "
@@ -365,42 +365,43 @@ def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
     _round_povm.  Returns the symmetric projective strategy, its correlation
     and a report like symmetrize's plus the weighted rounding error gamma.
     """
+    check_synchronous(game, "projectivize")
     weight = _diagonal(s.sigma, "projectivize") ** 2
     elements = np.array([p.elements for p in s.alice])
     stack, columns, masses = _round_povm(elements, weight)
     pvms = tuple(map(Povm, stack, columns))
     out = TracialStrategy(s.dim, s.sigma, pvms, pvms)
-    c_out = correlation(out)
+    c_out = _diagonal_correlation(np.diagonal(s.sigma), stack, stack)
     report = {
-        "delta_in": synchronicity(game, c_in),
-        "delta_out": synchronicity(game, c_out),
+        "delta_in": _synchronicity(game, c_in),
+        "delta_out": _synchronicity(game, c_out),
         "distance": correlation_distance(game, c_in, c_out),
         "gamma": float(game.mu_x @ masses) / s.dim,
     }
     return out, c_out, report
 
 
-def _column_stack(povms: tuple[Povm, ...], n: int) -> np.ndarray:
+def _column_stack(povms: tuple[Povm, ...], elements: np.ndarray) -> np.ndarray:
     """The PVMs' columns as one (nq, na, n, k) stack, each element's columns
-    zero-padded to the widest, refused unless V_a V_a* reproduces A_a.
-
-    The test is hermitize's, at CORNER_TOL: ||V V* - A||_F <= CORNER_TOL *
-    (1 + ||A||_F), O(n^2 k) for an element of rank k.
-    """
-    for x, povm in enumerate(povms):
-        if povm.columns is None or len(povm.columns) != povm.outcomes:
-            raise ValidationError(f"slicing needs the columns of PVM {x}")
-        for a, (e, v) in enumerate(zip(povm.elements, povm.columns)):
-            v = np.asarray(v)
-            fits = v.ndim == 2 and v.shape[0] == n
-            gap = linalg.frobenius(v @ v.conj().T - e) if fits else np.inf
-            if not gap <= CORNER_TOL * (1.0 + linalg.frobenius(e)):
-                raise ValidationError(f"columns {a} of PVM {x} miss by {gap:.3e}")
-    width = max(np.shape(v)[1] for povm in povms for v in povm.columns)
-    stack = np.zeros((len(povms), povms[0].outcomes, n, width), dtype=complex)
+    zero-padded to the widest, refused unless V_a V_a* reproduces A_a of the
+    (nq, na, n, n) elements: hermitize's test at CORNER_TOL, ||V V* - A||_F
+    <= CORNER_TOL * (1 + ||A||_F), one stacked product per question."""
+    nq, na, n = elements.shape[:3]
+    shapes = [[] if p.columns is None else list(map(np.shape, p.columns)) for p in povms]
+    for x, row in enumerate(shapes):
+        if len(row) != na or any(len(sh) != 2 or sh[0] != n for sh in row):
+            raise ValidationError(f"slicing needs {na} n x k columns for PVM {x}")
+    width = max(sh[1] for row in shapes for sh in row)
+    stack = np.zeros((nq, na, n, width), dtype=complex)
     for x, povm in enumerate(povms):
         for a, v in enumerate(povm.columns):
-            stack[x, a, :, : np.shape(v)[1]] = v
+            stack[x, a, :, : shapes[x][a][1]] = v
+        # one question at a time, so the check's temporaries stay (na, n, n)
+        gap = np.linalg.norm(stack[x] @ _adjoint(stack[x]) - elements[x], axis=(1, 2))
+        bad = ~(gap <= CORNER_TOL * (1.0 + np.linalg.norm(elements[x], axis=(1, 2))))
+        if bad.any():
+            a = int(bad.argmax())
+            raise ValidationError(f"columns {a} of PVM {x} miss by {gap[a]:.3e}")
     return stack
 
 
@@ -423,6 +424,7 @@ def slice_strategies(
     first, as on_slice(measure, rank, stack) with the slice's (nq, na, rank,
     rank) corner PVMs; the stack is not reused, so the hook may keep it.
     """
+    check_synchronous(game, "slicing")
     spectrum = _diagonal(s.sigma, "slicing")
     if np.any(spectrum < 0) or np.any(np.diff(spectrum) > 0):
         raise ValidationError("slicing needs a nonnegative nonincreasing sigma")
@@ -431,18 +433,17 @@ def slice_strategies(
     measures, (ranks,) = _spectral_pieces(spectrum)
     # Slice j's corner is the leading rank x rank block of every element, so
     # no slice touches the n x n operators again.
-    factors = _column_stack(s.alice, n)
-    herm = np.empty((nq, s.n_answers, n, n), dtype=complex)
+    elements = np.array([p.elements for p in s.alice])
+    linalg.check_leading_blocks(elements, ranks)
+    factors = _column_stack(s.alice, elements)
+    herm = (elements + _adjoint(elements)) / 2.0
     # ||A[r:, :r]||_F^2 summed over answers, for every slice rank r: sums of
     # |A|^2 over the rows from r down, accumulated over the columns below r.
     # Row n is empty, so the full-rank slice reads 0.
     tails = np.zeros((nq, n + 1, n))
-    for x, p in enumerate(s.alice):
-        e = p.elements
-        linalg.check_leading_blocks(e, ranks)
-        herm[x] = (e + _adjoint(e)) / 2.0
-        sq = (e.real**2 + e.imag**2).sum(axis=0)
-        tails[x, :n] = sq[::-1].cumsum(axis=0)[::-1]
+    sq = (elements.real**2 + elements.imag**2).sum(axis=1)
+    tails[:, :n] = sq[:, ::-1].cumsum(axis=1)[:, ::-1]
+    del elements, sq
     off_corner = tails.cumsum(axis=2)[:, ranks, ranks - 1]
     mu_x = game.mu_x
     slices = []
@@ -454,7 +455,7 @@ def slice_strategies(
         stack, _, masses = _round_povm(herm[:, :, :rank, :rank], None, factors)
         residual += measure * float(mu_x @ (masses + off_corner[:, j])) / n
         c_sub = stacked_correlation(stack.swapaxes(-1, -2), stack)
-        sync_sub = synchronicity(game, c_sub)
+        sync_sub = _synchronicity(game, c_sub)
         if sync_sub > CONTRACT_SLACK:
             raise MathContractError(
                 f"slice correlation synchronicity {sync_sub:.3e} > "
@@ -467,9 +468,7 @@ def slice_strategies(
     weights = np.array([sl.weight for sl in slices])
     if abs(weights.sum() - 1.0) > NORM_TOL:
         raise MathContractError(f"slice weights sum to {weights.sum()!r}")
-    mixed = Correlation(
-        sum(w * c.table for w, c in zip(weights, correlations))
-    )
+    mixed = Correlation(sum(w * c.table for w, c in zip(weights, correlations)))
     diagnostics = {
         "n_slices": float(len(slices)),
         "weight_sum": float(weights.sum()),
@@ -493,8 +492,7 @@ def round_correlation(
     on_slice is passed to slice_strategies, the one place a caller sees
     the corner PVMs.
     """
-    if not is_synchronous_game(game):
-        raise NotSynchronousGame("rounding requires a synchronous game")
+    check_synchronous(game, "rounding")
     embedded = embed_tracial(s)
     c_in = correlation(embedded)
     polar = linalg.polar_decompose(embedded.sigma)
@@ -532,30 +530,27 @@ def lemma_report(game: Game, s: TracialStrategy, polar=None) -> dict:
     Returns {lemma: {lhs, rhs, slack}} with slack = rhs - lhs; every slack
     should be >= -CONTRACT_SLACK when the lemmas hold.
     """
+    check_synchronous(game, "the lemma report")
     if polar is None:
         polar = linalg.polar_decompose(s.sigma)
     left, right = polar.left_basis, polar.eigenbasis
     singular = polar.singular_values
     host = np.array([p.elements for p in s.alice])
-    alice = left.conj().T @ host @ left
-    alice_l = tuple(map(Povm, alice))
-    alice_r = tuple(map(Povm, right.conj().T @ host @ right))
-    bob = right.conj().T @ np.array([p.elements for p in s.bob_left]) @ right
-    bob_r = tuple(map(Povm, bob))
+    alice_l = left.conj().T @ host @ left
+    alice_r = right.conj().T @ host @ right
+    bob_r = right.conj().T @ np.array([p.elements for p in s.bob_left]) @ right
 
-    def at_singular_values(a, b) -> Correlation:
-        return correlation(TracialStrategy(s.dim, np.diag(singular), a, b))
-
+    at_singular_values = partial(_diagonal_correlation, singular)
     c_s = at_singular_values(alice_l, bob_r)
-    delta = synchronicity(game, c_s)
+    delta = _synchronicity(game, c_s)
 
     # Synchronicity factorization.  Cauchy-Schwarz through sigma = u|sigma|
     # = |sigma*|u weighs Alice's operators at |sigma*| = L diag(s) L* and
     # Bob's at |sigma| = V diag(s) V*; at |sigma| on both sides the bound
     # fails for unbalanced embeddings, where sigma is far from normal.
-    delta_a = synchronicity(game, at_singular_values(alice_l, alice_r))
-    delta_a_plus = synchronicity(game, at_singular_values(alice_l, alice_l))
-    delta_b = synchronicity(game, at_singular_values(bob_r, bob_r))
+    delta_a = _synchronicity(game, at_singular_values(alice_l, alice_r))
+    delta_a_plus = _synchronicity(game, at_singular_values(alice_l, alice_l))
+    delta_b = _synchronicity(game, at_singular_values(bob_r, bob_r))
     vienna = {
         "lhs": 1.0 - delta,
         "rhs": np.sqrt(max(1.0 - delta_a_plus, 0.0))
@@ -565,10 +560,9 @@ def lemma_report(game: Game, s: TracialStrategy, polar=None) -> dict:
 
     # Measurement substitution: compare correlations of {A} and of the
     # spectrally-rounded {C} inside the same strategy.
-    stack, _, masses = _round_povm(alice, singular**2)
+    stack, _, masses = _round_povm(alice_l, singular**2)
     gamma = float(game.mu_x @ masses) / s.dim
-    rounded = tuple(map(Povm, stack))
-    lhs = correlation_distance(game, c_s, at_singular_values(rounded, bob_r))
+    lhs = correlation_distance(game, c_s, at_singular_values(stack, bob_r))
     meas = {
         "lhs": lhs,
         "rhs": 6.0 * (delta_a + np.sqrt(max(gamma, 0.0))),

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AlphabetMismatch, NonRealCorrelation, NotSynchronousGame
-from .games import Game, is_synchronous_game
+from .errors import AlphabetMismatch, NonRealCorrelation
+from .games import Game, check_synchronous
 from .linalg import CORR_IMAG_TOL, CORR_RANGE_TOL, CORR_SUM_TOL
 from .linalg import NORM_TOL, POVM_ASYM_TOL, PSD_FLOOR
 
@@ -141,12 +141,9 @@ def tensor_correlation(s: TensorStrategy) -> Correlation:
     nq, na = s.n_questions, s.n_answers
     table = np.zeros((nq, nq, na, na))
     psi = s.state
-    for x in range(nq):
-        for y in range(nq):
-            for a in range(na):
-                for b in range(na):
-                    op = np.kron(s.alice[x].elements[a], s.bob[y].elements[b])
-                    table[x, y, a, b] = float((psi.conj() @ op @ psi).real)
+    for x, y, a, b in np.ndindex(table.shape):
+        op = np.kron(s.alice[x].elements[a], s.bob[y].elements[b])
+        table[x, y, a, b] = float((psi.conj() @ op @ psi).real)
     return Correlation(table)
 
 
@@ -189,12 +186,20 @@ def correlation(s: TracialStrategy) -> Correlation:
     """
     sig = s.sigma
     d = np.diagonal(sig)
-    left = np.array([p.elements.swapaxes(1, 2) for p in s.alice])
+    alice = np.array([p.elements for p in s.alice])
+    bob = np.array([p.elements for p in s.bob_left])
     if np.array_equal(sig, np.diag(d)):
-        left *= np.outer(d, d.conj())
-    else:
-        left = sig.T @ left @ sig.conj()
-    return stacked_correlation(left, np.array([p.elements for p in s.bob_left]))
+        return _diagonal_correlation(d, alice, bob)
+    left = sig.T @ np.ascontiguousarray(alice.swapaxes(-1, -2)) @ sig.conj()
+    return stacked_correlation(left, bob)
+
+
+def _diagonal_correlation(d, alice: np.ndarray, bob: np.ndarray) -> Correlation:
+    """correlation() at the state diag(d) of the (nq, na, n, n) stacks of
+    Alice's and Bob's (left) elements, building no strategy or Povm."""
+    d = np.asarray(d, dtype=complex)
+    left = np.multiply(alice.swapaxes(-1, -2), np.outer(d, d.conj()), order="C")
+    return stacked_correlation(left, bob)
 
 
 def stacked_correlation(left: np.ndarray, right: np.ndarray) -> Correlation:
@@ -229,9 +234,15 @@ def winning_probability_from_correlation(game: Game, c: Correlation) -> float:
 
 
 def synchronicity(game: Game, c: Correlation) -> float:
-    """E_{x ~ mu_x} of the off-diagonal answer mass on same-question pairs."""
-    if not is_synchronous_game(game):
-        raise NotSynchronousGame("synchronicity needs a synchronous game")
+    """E_{x ~ mu_x} of the off-diagonal answer mass on same-question pairs,
+    for a synchronous game (NotSynchronousGame otherwise).  The rounding
+    stages check the game once at entry, then call _synchronicity."""
+    check_synchronous(game, "synchronicity")
+    return _synchronicity(game, c)
+
+
+def _synchronicity(game: Game, c: Correlation) -> float:
+    """synchronicity() for a game already checked to be synchronous."""
     _check_alphabets(game, c.table.shape[0], c.table.shape[2])
     nq, na = c.table.shape[1:3]
     same = c.table[np.arange(nq), np.arange(nq)]
@@ -335,7 +346,7 @@ def perturb_strategy(s: TensorStrategy, eta: float, seed: int) -> TensorStrategy
         h = (g + g.conj().T) / 2
         dec = linalg.eig_hermitian(h)
         u = (dec.eigenvectors * np.exp(1j * eta * dec.eigenvalues)) @ dec.eigenvectors.conj().T
-        bob.append(Povm(np.array([u @ e @ u.conj().T for e in povm.elements])))
+        bob.append(Povm(u @ povm.elements @ u.conj().T))
     noise = rng.normal(size=s.state.size) + 1j * rng.normal(size=s.state.size)
     state = s.state + eta * noise / np.linalg.norm(noise)
     state /= np.linalg.norm(state)
@@ -345,13 +356,8 @@ def perturb_strategy(s: TensorStrategy, eta: float, seed: int) -> TensorStrategy
 def deterministic_strategy(assignment, n_answers: int) -> TensorStrategy:
     """Classical strategy where both players answer f(x), as a dim-1 tensor
     strategy."""
-    nq = len(assignment)
-    povms = []
-    for x in range(nq):
-        elements = np.zeros((n_answers, 1, 1), dtype=complex)
-        elements[assignment[x], 0, 0] = 1.0
-        povms.append(Povm(elements))
-    povms = tuple(povms)
+    # answer f(x) gets the 1 x 1 identity, every other answer 0
+    povms = tuple(Povm(np.eye(n_answers)[a].reshape(-1, 1, 1)) for a in assignment)
     return TensorStrategy(1, 1, np.array([1.0 + 0j]), povms, povms)
 
 
@@ -371,16 +377,8 @@ def entangled_coloring_strategy(n: int) -> TensorStrategy:
     return TensorStrategy(n, n, state, tuple(alice), tuple(bob))
 
 
-def _builtin_k3_classical() -> TensorStrategy:
-    return deterministic_strategy([0, 1, 2], 3)
-
-
-def _builtin_edge2_classical() -> TensorStrategy:
-    return deterministic_strategy([0, 1], 2)
-
-
 BUILTIN_STRATEGIES = {
-    "k3-classical": _builtin_k3_classical,
+    "k3-classical": lambda: deterministic_strategy([0, 1, 2], 3),
     "k3-entangled": lambda: entangled_coloring_strategy(3),
-    "edge2-classical": _builtin_edge2_classical,
+    "edge2-classical": lambda: deterministic_strategy([0, 1], 2),
 }

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,16 +77,29 @@ def test_pvm_columns_that_miss_their_elements_exit_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_non_synchronous_game_exits_3(capsys, tmp_path):
+def non_synchronous_game_file(tmp_path) -> str:
     g = k3_game()
     win = g.win.copy()
     win[0, 0] = np.ones((3, 3), dtype=bool)
     bad = Game(g.questions, g.answers, g.mu, win)
     path = tmp_path / "bad_game.json"
     io.save_path(str(path), io.game_to_dict(bad))
-    code, _, err = run(capsys, "round", "--game", str(path), "--strategy", "k3-classical")
+    return str(path)
+
+
+def test_non_synchronous_game_exits_3(capsys, tmp_path):
+    path = non_synchronous_game_file(tmp_path)
+    code, _, err = run(capsys, "round", "--game", path, "--strategy", "k3-classical")
     assert code == 3
     assert "NotSynchronousGame" in err
+
+
+def test_lemmas_on_a_non_synchronous_game_exits_3(capsys, tmp_path):
+    path = non_synchronous_game_file(tmp_path)
+    code, out, err = run(capsys, "lemmas", "--game", path, "--strategy", "k3-entangled")
+    assert code == 3
+    assert "NotSynchronousGame" in err
+    assert out == ""
 
 
 def test_sync_transforms_game(capsys, tmp_path):
@@ -184,6 +198,33 @@ def test_sweep_deterministic_bytes(capsys, tmp_path):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep-golden.csv"
+
+
+def test_sweep_matches_the_golden_csv(capsys, tmp_path):
+    # data/sweep-golden.csv is this command's output before the per-call
+    # overhead cuts, which change no computed value.  The float fields are
+    # compared to 1e-12, not byte for byte: OpenBLAS picks its kernels by
+    # CPU, and the same code on a Haswell kernel moves them by ~1e-16.
+    csv_path = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys,
+        "sweep", "--eta", "1e-3,1e-1", "--trials", "2", "--seed", "0",
+        "--csv", str(csv_path),
+    )
+    assert code == 0
+    got = csv_path.read_text().splitlines()
+    want = GOLDEN_SWEEP.read_text().splitlines()
+    assert got[0] == want[0] == CSV_HEADER
+    assert len(got) == len(want) == 5
+    for g, w in zip(got[1:], want[1:]):
+        g, w = g.split(","), w.split(",")
+        exact = (0, 1, 4, 6)  # eta, seed, slices, wall_ms
+        assert [g[i] for i in exact] == [w[i] for i in exact]
+        for i in (2, 3, 5):  # delta, distance, slack_min
+            assert abs(float(g[i]) - float(w[i])) <= 1e-12, (CSV_HEADER.split(",")[i], g, w)
 
 
 def test_sweep_delta_trend(capsys, tmp_path):
@@ -390,6 +431,9 @@ BAD_INPUTS = {
     "config-etas-strings": (SWEEP, _sweep_text(etas=["0.1"]), 2),
     "mu-strings": (EVALUATE, _game_text(mu=[[repr(v) for v in row] for row in _MU]), 2),
     "mu-booleans": (EVALUATE, _game_text(mu=[[i == j == 0 for j in range(3)] for i in range(3)]), 2),
+    "mu-booleans-among-numbers": (
+        EVALUATE, _game_text(mu=[[True, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 2
+    ),
     "state-strings": (ROUND, _strategy_text(state=[[repr(v) for v in p] for p in _GOOD["state"]]), 2),
     "state-booleans": (ROUND, _strategy_text(state=[[True, False]] + [[False, False]] * 8), 2),
 }

@@ -240,6 +240,8 @@ def test_floats_agree_bit_for_bit_on_both_parsers(monkeypatch):
         '[[[["0.5", 0.5], [0.5, 0.5]]]]',
         '[[[["0.5", "0.5"], ["0.5", "0.5"]]]]',
         "[[[[true, false], [false, true]]]]",
+        "[[[[true, 0.0], [0.0, 0.0]]]]",
+        "[[[[1, 0], [0, false]]]]",
         '"0.5"',
         "true",
     ],

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from reference import is_projective, projector_slices, with_columns
-from syncround import cli, linalg, rounding, soundness, strategies
-from syncround.errors import NotNormalized, ValidationError
-from syncround.games import k3_game
+from syncround import cli, games, linalg, rounding, soundness, strategies
+from syncround.errors import NotNormalized, NotSynchronousGame, ValidationError
+from syncround.games import Game, k3_game
 from syncround.rounding import (
     lemma_report,
     orthogonalize_povm,
@@ -457,7 +457,7 @@ def spy(monkeypatch, module, name):
         calls.append((args, result))
         return result
 
-    for mod in (linalg, strategies, rounding, soundness, cli):
+    for mod in (games, linalg, strategies, rounding, soundness, cli):
         if getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, wrapper)
     return calls
@@ -474,6 +474,50 @@ def test_sweep_task_polarizes_once(monkeypatch):
     polars = spy(monkeypatch, linalg, "polar_decompose")
     cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
     assert len(polars) == 1
+
+
+def test_sweep_task_call_budget(monkeypatch):
+    # One game check per public entry (round_correlation, symmetrize,
+    # projectivize, slice_strategies, lemma_report); correlations at a
+    # diagonal state come from stacked arrays; one kernel call per family.
+    budget = {
+        (games, "is_synchronous_game"): 5,
+        (linalg, "eig_hermitian"): 13,
+        (rounding, "_round_povm"): 5,
+        (strategies, "stacked_correlation"): 11,
+    }
+    calls = {key: spy(monkeypatch, *key) for key in budget}
+    row = cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
+    assert row["slices"] == 3
+    assert {key: len(c) for key, c in calls.items()} == budget
+
+
+def non_synchronous(game):
+    """game with question 0 won on every answer pair it asks itself."""
+    win = game.win.copy()
+    win[0, 0] = True
+    return Game(game.questions, game.answers, game.mu, win)
+
+
+def test_every_public_entry_checks_the_game():
+    g = k3_game()
+    bad = non_synchronous(g)
+    s = perturb_strategy(entangled_coloring_strategy(3), 1e-2, 5)
+    dec = round_correlation(g, s)
+    sym, c_sym, _ = symmetrize(dec.embedded, g, dec.c_in, dec.polar)
+    proj, _, _ = projectivize(sym, g, c_sym)
+    entries = {
+        "synchronicity": lambda: synchronicity(bad, dec.c_in),
+        "symmetrize": lambda: symmetrize(dec.embedded, bad, dec.c_in, dec.polar),
+        "projectivize": lambda: projectivize(sym, bad, c_sym),
+        "slice_strategies": lambda: slice_strategies(proj, bad),
+        "lemma_report": lambda: lemma_report(bad, dec.embedded, dec.polar),
+        "round_correlation": lambda: round_correlation(bad, s),
+    }
+    for name, call in entries.items():
+        with pytest.raises(NotSynchronousGame):
+            call()
+            pytest.fail(f"{name} accepted a non-synchronous game")
 
 
 def test_round_correlation_correlates_the_embedding_once(monkeypatch):
