@@ -86,8 +86,8 @@ def hermitize_stack(m: np.ndarray) -> np.ndarray:
     pass: refused when any matrix has ||m - m*||_F > CORNER_TOL * (1 +
     ||m||_F)."""
     adj = m.conj().swapaxes(-1, -2)
-    asym = _frobenius_each(m - adj)
-    bad = asym > CORNER_TOL * (1.0 + _frobenius_each(m))
+    asym = frobenius_each(m - adj)
+    bad = asym > CORNER_TOL * (1.0 + frobenius_each(m))
     if bad.any():
         raise AsymmetryExceedsTolerance(
             f"asymmetry {asym[bad].max():.3e} exceeds tolerance {CORNER_TOL:.3e}"
@@ -95,7 +95,7 @@ def hermitize_stack(m: np.ndarray) -> np.ndarray:
     return (m + adj) / 2.0
 
 
-def _frobenius_each(m: np.ndarray) -> np.ndarray:
+def frobenius_each(m: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each matrix of a stack, from its real and
     imaginary parts side by side and without a temporary of m's size."""
     parts = np.ascontiguousarray(m).view(float)

@@ -23,7 +23,8 @@ from .errors import DominationViolated, NotPovm, ValidationError
 from .games import Game
 from .linalg import GIVEN_SUM_TOL, PSD_FLOOR, RECONSTRUCT_TOL, SUPPORT_CUTOFF
 from .rounding import round_correlation
-from .strategies import Povm, TensorStrategy, winning_probability_from_correlation
+from .strategies import Povm, TensorStrategy, povm_violations
+from .strategies import winning_probability_from_correlation
 
 # Unused here: perfbench's tracer test lists this module among the places
 # that bind correlation.
@@ -98,21 +99,19 @@ def aggregate_slice_povms(spectrum, targets) -> list[Povm]:
     kernel = np.diag(np.where(support, 0.0, 1.0))
     scale, unscale = np.outer(inv, inv), np.outer(s, s)
 
-    families = []
-    for y, target in enumerate(targets):
-        elements = target * scale
-        elements[0] += kernel
-        family = Povm(elements)
-        if family.validate():
+    stack = np.asarray(targets) * scale
+    stack[:, 0] += kernel
+    violations = povm_violations(stack)
+    for y, (target, elements) in enumerate(zip(targets, stack)):
+        if violations[y]:
             raise NotPovm(f"aggregated family for question {y} is not a POVM")
         # sigma annihilates the kernel completion, so the identity holds
         # for b = 0 as well.
-        error = np.linalg.norm(unscale * family.elements - target, axis=(1, 2))
+        error = np.linalg.norm(unscale * elements - target, axis=(1, 2))
         if np.any(error > RECONSTRUCT_TOL * (1.0 + np.linalg.norm(s2))):
             b = int(np.argmax(error))
             raise NotPovm(f"sigma H sigma reconstruction failed at (y={y}, b={b})")
-        families.append(family)
-    return families
+    return [Povm(elements) for elements in stack]
 
 
 def soundness_transfer_demo(

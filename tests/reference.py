@@ -1,21 +1,23 @@
 """Reference helpers that the library no longer needs.
 
 Each one is the direct n x n form of something the library now reads off
-an eigenbasis: spectral projectors, corner expansion, reconstruction from
-an eigensystem, the projectivity test, the chained clustering loop and the
-spectral pieces it gives one cluster at a time, projector slicing of
-sigma^2, the host-frame aggregation of slice POVMs, the fold of slice
-corners into the targets aggregate_slice_povms takes, rank factors of POVM
-elements, sequential rounding and the lemma report at a dense weight
-sigma sigma*, and per-question rounding of a corner from rank factors.
+an eigenbasis or a stack: spectral projectors, corner expansion,
+reconstruction from an eigensystem, the projectivity test, POVM checks one
+element at a time, per-question decoding of a strategy side, the chained
+clustering loop and the spectral pieces it gives one cluster at a time,
+projector slicing of sigma^2, the host-frame aggregation of slice POVMs,
+the fold of slice corners into the targets aggregate_slice_povms takes,
+rank factors of POVM elements, sequential rounding and the lemma report at
+a dense weight sigma sigma*, and per-question rounding of a corner from
+rank factors.
 Tests use them as independent oracles, and hand-built projective
 strategies take their columns from with_columns.
 """
 
 import numpy as np
 
-from syncround import linalg
-from syncround.errors import BoundViolated, NotPovm
+from syncround import io, linalg
+from syncround.errors import BoundViolated, NotPovm, ValidationError
 from syncround.linalg import CLUSTER_TOL, CORNER_TOL
 from syncround.strategies import (
     Povm,
@@ -76,6 +78,44 @@ def with_columns(povm):
 
 def is_projective(povm, tol=1e-9):
     return all(linalg.frobenius(e @ e - e) <= tol for e in povm.elements)
+
+
+def reference_validate(povm):
+    """Povm.validate one element at a time: NotHermitian, else one
+    eigvalsh per element for NotPositive, then the sum."""
+    violations = []
+    total = np.zeros((povm.dim, povm.dim), dtype=complex)
+    for e in povm.elements:
+        if np.linalg.norm(e - e.conj().T) > 1e-8 * (1 + np.linalg.norm(e)):
+            violations.append("NotHermitian")
+        elif np.linalg.eigvalsh((e + e.conj().T) / 2)[0] < -1e-10:
+            violations.append("NotPositive")
+        total += e
+    if np.max(np.abs(total - np.eye(povm.dim))) > 1e-9:
+        violations.append("SumNotIdentity")
+    return violations
+
+
+def decode_povms_each(data, dim, side):
+    """A strategy side decoded question by question, matrix by matrix, each
+    question checked by reference_validate once decoded; the first fault is
+    raised as io raises it."""
+    povms = []
+    for qi, mats in enumerate(io._convert(data, list, side)):
+        mats = io._convert(mats, list, f"{side}[{qi}]")
+        elements = [io.decode_matrix(m) for m in mats]
+        if not elements or any(e.shape != (dim, dim) for e in elements):
+            raise ValidationError(
+                f"{side}[{qi}] needs one or more elements of shape {dim}x{dim}"
+            )
+        povm = Povm(np.array(elements))
+        violations = reference_validate(povm)
+        if violations:
+            raise ValidationError(
+                f"{side}[{qi}] is not a POVM: " + ", ".join(violations)
+            )
+        povms.append(povm)
+    return tuple(povms)
 
 
 def cluster_indices(values):
@@ -151,7 +191,7 @@ def host_aggregate(sigma, slices):
             elements.append(root_inv @ target @ root_inv)
         elements[0] = elements[0] + kernel
         family = Povm(np.array(elements))
-        if family.validate():
+        if reference_validate(family):
             raise NotPovm(f"aggregated family for question {y} is not a POVM")
         families.append(family)
     return families

@@ -370,6 +370,36 @@ def _with_duplicate(text, field, value):
     return text[:-1] + f", {json.dumps(field)}: {json.dumps(value)}}}"
 
 
+def _with_alice(edit):
+    """The k3-entangled strategy with edit applied to a copy of Alice's side."""
+    alice = json.loads(json.dumps(_GOOD["alice"]))
+    edit(alice)
+    return _strategy_text(alice=alice)
+
+
+def _set(alice, path, value):
+    """alice with the entry at the index path replaced by value."""
+    *head, last = path
+    for i in head:
+        alice = alice[i]
+    alice[last] = value
+
+
+def _ragged_keeping_count(alice):
+    row = alice[0][0][0]
+    row[0].append(row[1].pop())
+
+
+def _merge_first_answers(alice):
+    e = np.array([io.decode_matrix(m) for m in alice[1]])
+    alice[1] = [io.encode_matrix(e[0] + e[1])] + alice[1][2:]
+
+
+def _not_a_povm_then_string(alice):
+    alice[0][0] = io.encode_matrix(0.5 * io.decode_matrix(alice[0][0]))
+    _set(alice, (1, 0, 0, 0, 0), "0.5")
+
+
 _EYE, _ZERO = io.encode_matrix(np.eye(3)), io.encode_matrix(np.zeros((3, 3)))
 _GOOD = io.strategy_to_dict(entangled_coloring_strategy(3))
 _MU = io.game_to_dict(k3_game())["mu"]
@@ -436,6 +466,15 @@ BAD_INPUTS = {
     ),
     "state-strings": (ROUND, _strategy_text(state=[[repr(v) for v in p] for p in _GOOD["state"]]), 2),
     "state-booleans": (ROUND, _strategy_text(state=[[True, False]] + [[False, False]] * 8), 2),
+    "pairs-ragged-keeping-count": (ROUND, _with_alice(_ragged_keeping_count), 2),
+    "pair-is-two-char-string": (ROUND, _with_alice(lambda a: _set(a, (0, 0, 0, 0), "12")), 2),
+    "pair-is-object": (
+        ROUND, _with_alice(lambda a: _set(a, (0, 0, 0, 0), {"re": 1.0, "im": 0.0})), 2
+    ),
+    "row-one-pair-short": (ROUND, _with_alice(lambda a: a[2][1][2].pop()), 2),
+    "matrix-entry-null": (ROUND, _with_alice(lambda a: _set(a, (1, 2, 0, 1, 0), None)), 2),
+    "alice-question-fewer-answers": (ROUND, _with_alice(_merge_first_answers), 3),
+    "not-a-povm-before-a-string": (ROUND, _with_alice(_not_a_povm_then_string), 3),
 }
 
 

@@ -7,14 +7,17 @@ import weakref
 import numpy as np
 import pytest
 
+from reference import decode_povms_each
 from syncround import io
 from syncround.errors import ParseError, SchemaVersionMismatch, ValidationError
 from syncround.games import k3_game
 from syncround.rounding import round_correlation
 from syncround.strategies import (
+    BUILTIN_STRATEGIES,
     correlation,
     embed_tracial,
     entangled_coloring_strategy,
+    random_povm_strategy,
     random_strategy,
 )
 
@@ -380,3 +383,145 @@ def test_no_collection_during_load_path_sees_the_parse_tree(tmp_path, monkeypatc
         gc.callbacks.remove(watch)
     assert len(trees) == 5
     assert not any(collections)
+
+
+# ---------------------------------------------------------------------------
+# The side-level strategy loader against per-question decoding.
+
+
+def load_outcome(data: bytes, decode=None):
+    """io.loads(data) as the arrays' bits, or as the error's class and
+    message; decode, if given, stands in for io._decode_povms."""
+    with pytest.MonkeyPatch.context() as m:
+        if decode is not None:
+            m.setattr(io, "_decode_povms", decode)
+        try:
+            s = io.loads(data, "strategy")
+        except Exception as exc:  # noqa: BLE001 - the class is compared
+            return type(exc), str(exc)
+    return [bits(a).tolist() for a in [s.state] + [p.elements for p in s.alice + s.bob]]
+
+
+def assert_loads_as_reference(data: bytes):
+    for fast in (True, False):
+        with pytest.MonkeyPatch.context() as m:
+            if not fast:
+                m.setattr(io, "orjson", None)
+            assert load_outcome(data) == load_outcome(data, decode_povms_each)
+
+
+VALID_STRATEGIES = {
+    "random-24x48": lambda: random_strategy((24, 48), (3, 3), 0),
+    "random-48x24": lambda: random_strategy((48, 24), (3, 3), 1),
+    "random-1x5": lambda: random_strategy((1, 5), (3, 3), 2),
+    "povm-blend-0": lambda: random_povm_strategy((6, 9), (3, 4), 3, 0.0),
+    "povm-blend-0.5": lambda: random_povm_strategy((9, 6), (2, 3), 4, 0.5),
+    **BUILTIN_STRATEGIES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_STRATEGIES))
+def test_valid_strategies_load_side_by_side_as_per_question(name, monkeypatch):
+    data = io.canonical_dumps(io.strategy_to_dict(VALID_STRATEGIES[name]())).encode()
+
+    def refuse(*args):
+        raise AssertionError("a valid side left the side-level path")
+
+    monkeypatch.setattr(io, "_decode_each", refuse)
+    assert_loads_as_reference(data)
+
+
+def retyped(side, kind):
+    """A side with every number as kind gives it, of the same value."""
+    return json.loads(json.dumps(side), parse_float=kind, parse_int=kind)
+
+
+def edited_strategies():
+    """(name, k3-entangled document with one edit); its matrices hold only
+    0.0 and 1.0."""
+    doc = io.strategy_to_dict(entangled_coloring_strategy(3))
+    alice = doc["alice"]
+    bools = retyped(alice[0][0], lambda v: float(v) == 1)
+    yield "element-all-booleans", {**doc, "alice": [[bools] + alice[0][1:]] + alice[1:]}
+    mixed = json.loads(json.dumps(alice))
+    mixed[0][0][0][0][0] = True  # 1.0
+    yield "first-entry-boolean", {**doc, "alice": mixed}
+    yield "signed-zeros", {**doc, "alice": retyped(alice, lambda v: float(v) or -0.0)}
+    yield "integers", {**doc, "bob": retyped(doc["bob"], lambda v: int(float(v)))}
+    huge = retyped(doc["bob"], lambda v: int(float(v)) * 2**64)
+    yield "integer-past-64-bits", {**doc, "bob": huge}
+
+
+@pytest.mark.parametrize("name,doc", list(edited_strategies()))
+def test_edited_strategies_load_or_fail_as_per_question(name, doc):
+    assert_loads_as_reference(json.dumps(doc).encode())
+
+
+def test_non_finite_entry_fails_as_per_question():
+    doc = io.strategy_to_dict(entangled_coloring_strategy(3))
+    doc["bob"][1][0][0][0][0] = 0.123456789
+    assert_loads_as_reference(json.dumps(doc).replace("0.123456789", "1e400").encode())
+
+
+def mutate(st, data, doc):
+    """doc with one fault drawn at a random position of one side: a number
+    replaced or written as another type of the same value (a boolean, an
+    integer, -0.0 for 0.0), a pair lengthened or shortened (also both at
+    once, keeping the count), a pair dropped from a row, a row dropped from
+    an element or moved to another, or an element dropped from a question."""
+    side = doc[data.draw(st.sampled_from(["alice", "bob"]))]
+    question = side[data.draw(st.integers(0, len(side) - 1))]
+    q_index = data.draw(st.integers(0, len(question) - 1))
+    element = question[q_index]
+    r_index = data.draw(st.integers(0, len(element) - 1))
+    row = element[r_index]
+    at = data.draw(st.integers(0, len(row) - 1))
+    pair = row[at]
+    if data.draw(st.booleans()):
+        part = data.draw(st.integers(0, 1))
+        x = pair[part]
+        same = [True] * (x == 1) + [False, -0.0] * (x == 0) + [int(x)] * (x == int(x))
+        other = ["0.5", "12", "", None, {}, {"re": 0.5}, [], [0.5], [0.5, 0.0], 10**20]
+        pair[part] = data.draw(st.sampled_from(same + other))
+        return doc
+    kinds = ["longer", "shorter", "ragged", "row", "element", "moved", "question"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "longer":
+        pair.append(0.0)
+    elif kind == "shorter":
+        pair.pop()
+    elif kind == "ragged" and len(row) > 1:
+        pair.append(row[at - 1].pop())
+    elif kind == "row":
+        row.pop(at)
+    elif kind == "element":
+        element.pop(r_index)
+    elif kind == "moved" and len(question) > 1:
+        question[q_index - 1].append(element.pop(r_index))
+    elif kind == "question":
+        question.pop(q_index)
+    return doc
+
+
+def test_mutated_strategies_load_or_fail_as_per_question():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    bases = [
+        io.strategy_to_dict(s)
+        for s in (
+            random_strategy((2, 3), (3, 3), 0),
+            random_povm_strategy((3, 2), (2, 3), 1, 0.5),
+            entangled_coloring_strategy(3),
+            random_strategy((1, 2), (2, 2), 2),
+        )
+    ]
+
+    @hypothesis.settings(
+        max_examples=300, derandomize=True, deadline=None, database=None
+    )
+    @hypothesis.given(data=st.data(), base=st.integers(0, len(bases) - 1))
+    def search(data, base):
+        doc = mutate(st, data, json.loads(json.dumps(bases[base])))
+        assert_loads_as_reference(json.dumps(doc).encode())
+
+    search()

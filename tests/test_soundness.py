@@ -5,7 +5,7 @@ import pytest
 
 from reference import expand_corner, host_aggregate, padded_targets
 from syncround import linalg
-from syncround.errors import DominationViolated, ValidationError
+from syncround.errors import DominationViolated, NotPovm, ValidationError
 from syncround.games import k3_game
 from syncround.rounding import round_correlation
 from syncround.soundness import (
@@ -131,6 +131,15 @@ def test_aggregate_degenerate_all_mass_on_one_outcome():
     )
     np.testing.assert_allclose(families[0].elements[0], np.eye(3), atol=1e-9)
     np.testing.assert_allclose(families[0].elements[1], 0, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_aggregate_names_the_family_that_is_not_a_povm(bad):
+    pvm = basis_pvm(3).elements
+    targets = np.array([pvm, pvm[[1, 2, 0]], pvm[[2, 0, 1]]])
+    targets[bad, 1, 0, 0] = -0.5
+    with pytest.raises(NotPovm, match=f"question {bad} is not a POVM"):
+        aggregate_slice_povms(np.ones(3), targets)
 
 
 def test_aggregate_two_slice_reconstruction():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from reference import is_projective
+from reference import is_projective, reference_validate
 from syncround.errors import AlphabetMismatch
 from syncround.games import edge_game, k3_game
+from syncround.linalg import PSD_FLOOR
 from syncround.strategies import (
     Correlation,
     Povm,
@@ -16,6 +17,8 @@ from syncround.strategies import (
     entangled_coloring_strategy,
     opposite,
     perturb_strategy,
+    povm_violations,
+    random_povm_strategy,
     random_strategy,
     synchronicity,
     tensor_correlation,
@@ -46,25 +49,11 @@ def test_povm_validate_flags_negative():
     assert "NotPositive" in p.validate()
 
 
-def reference_validate(povm):
-    """Povm.validate one element at a time: NotHermitian, else one
-    eigvalsh per element for NotPositive, then the sum."""
-    violations = []
-    total = np.zeros((povm.dim, povm.dim), dtype=complex)
-    for e in povm.elements:
-        if np.linalg.norm(e - e.conj().T) > 1e-8 * (1 + np.linalg.norm(e)):
-            violations.append("NotHermitian")
-        elif np.linalg.eigvalsh((e + e.conj().T) / 2)[0] < -1e-10:
-            violations.append("NotPositive")
-        total += e
-    if np.max(np.abs(total - np.eye(povm.dim))) > 1e-9:
-        violations.append("SumNotIdentity")
-    return violations
-
-
 def validate_cases():
     """Valid, non-Hermitian, non-positive and non-normalized POVMs, alone
-    and mixed, from one seeded random POVM."""
+    and mixed, from one seeded random POVM; then the edges of the Cholesky
+    test: lowest eigenvalues on either side of PSD_FLOOR, an exact
+    rank-deficient projector, a zero element and a generic full-rank POVM."""
     base = random_strategy((6, 6), (3, 4), 3).alice[0].elements
     skew = np.zeros((6, 6), dtype=complex)
     skew[0, 1], skew[1, 0] = 1e-3, -1e-3
@@ -75,6 +64,17 @@ def validate_cases():
     yield "not-normalized", base * 0.9
     yield "all-bad", base * 0.9 + np.array([skew, -shift, -shift, skew])
     yield "slightly-skew", base + np.array([1e-10 * skew, 0 * skew, 0 * skew, 0 * skew])
+    # below the floor the Cholesky of H - PSD_FLOOR I fails and the
+    # per-element check names the element
+    u = np.linalg.qr(np.random.default_rng(7).normal(size=(6, 6)))[0]
+    for name, low in (("below-floor", 2 * PSD_FLOOR), ("above-floor", PSD_FLOOR / 2)):
+        e1 = (u * [low, 0.2, 0.4, 0.6, 0.8, 1.0]) @ u.T
+        yield name, np.array([np.eye(6) - e1, e1])
+    projector = np.diag([1.0, 1, 0, 0, 0, 0])
+    yield "rank-deficient-projector", np.array([projector, np.eye(6) - projector])
+    yield "zero-element", np.array([np.eye(6), np.zeros((6, 6))])
+    generic = random_povm_strategy((6, 6), (3, 4), 3, 0.0)
+    yield "generic-full-rank", generic.alice[0].elements
 
 
 @pytest.mark.parametrize("name,elements", list(validate_cases()))
@@ -95,8 +95,24 @@ def test_povm_validate_matches_per_element_reference(name, elements):
             "NotHermitian",
             "SumNotIdentity",
         ],
+        "below-floor": ["NotPositive"],
+        "above-floor": [],
+        "rank-deficient-projector": [],
+        "zero-element": [],
+        "generic-full-rank": [],
     }
     assert got == expected[name]
+
+
+def test_stacked_check_names_the_failing_family():
+    cases = dict(validate_cases())
+    good = [cases["valid"], random_strategy((6, 6), (3, 4), 4).bob[2].elements]
+    for bad in ("not-hermitian", "not-positive", "not-normalized", "all-bad"):
+        for at in range(3):
+            stack = np.array(good[:at] + [cases[bad]] + good[at:])
+            got = povm_violations(stack)
+            assert got == [reference_validate(Povm(f)) for f in stack]
+            assert [i for i, v in enumerate(got) if v] == [at]
 
 
 def test_opposite_examples():
