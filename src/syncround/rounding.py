@@ -14,11 +14,12 @@ correlation from the stage before, and the decomposition keeps the
 embedded strategy, its correlation, the polar decomposition and the
 symmetric stage, so the CLI, the lemma report and the soundness demo
 continue from them instead of embedding, correlating or polar-decomposing
-a second time.  Every stage after symmetrize works in the eigenbasis V of
-the symmetric state sigma+, from that one SVD: sigma+ is the diagonal of
-its singular values and Alice's elements are rotated once, V* A V.
-Correlations, weights and residuals are normalized traces, so the basis
-does not change them.
+a second time.  Every stage reads and writes the strategy's
+(nq, na, n, n) element stacks.  Every stage after symmetrize works in the
+eigenbasis V of the symmetric state sigma+, from that one SVD: sigma+ is
+the diagonal of its singular values and Alice's elements are rotated
+once, V* A V.  Correlations, weights and residuals are normalized traces,
+so the basis does not change them.
 
 One kernel, _round_povm, does every POVM-to-PVM rounding: projectivize's,
 the lemma report's, orthogonalize_povm's and each slice corner's.  It is
@@ -30,17 +31,16 @@ the identity at a corner, and rounds a whole family of nq questions in one
 call, one stacked eigendecomposition per threshold step.
 
 Small-n cost.  At d = 3 a call costs more than its arithmetic.  Each
-public entry checks the game once, then takes synchronicities unchecked;
-correlations at a diagonal state come from stacked element arrays; the
-slice stage sets up in one pass over the (nq, na, n, n) stack.  A k3 sweep
-task makes 5 game checks, 13 eigendecompositions, 5 kernel calls and 11
-correlation products, counts a test pins.
+public entry checks the game once, then takes synchronicities unchecked,
+each stage's once.  A k3 sweep task makes 5 game checks, 13
+eigendecompositions, 5 kernel calls, 11 correlation products and 10
+synchronicity evaluations, counts a test pins.
 
 Cost of the slice stage at dimension n, with nq questions of na answers.
 Every slice spans a leading block of coordinates and sigma's spectrum is
-its diagonal.  projectivize keeps the orthonormal columns F of each PVM
-element, P = F F* of rank k, and the slice stage uses them as rank
-factors, zero-padded into one (nq, na, n, k) stack, k the widest factor:
+its diagonal.  projectivize stores the orthonormal columns F of its PVMs,
+P = F F*, as the strategy's factors, one (nq, na, n, k) stack zero-padded
+to the widest rank k, and the slice stage uses them as rank factors:
 checking F F* against each element costs O(n^2 k), and the asymmetry of
 every leading block is read from prefix sums.  Slice j of rank r rounds
 its corner, whose factor is the leading r rows of F, with one kernel
@@ -124,8 +124,9 @@ def _round_povm(elements: np.ndarray, weight, factors=None):
     tau(A^2 w) and the error tau((A - P)^2 w) are sums of |A_ij|^2 w_i and
     |(A - P)_ij|^2 w_i.  An error above 9 epsilon + CONTRACT_SLACK, epsilon =
     1 - sum_a tau(A_a^2 w), in any question raises BoundViolated.  Returns
-    the (nq, na, n, n) PVMs, each question's tuple of outcome columns (None
-    with factors) and the errors times n, shape (nq,).
+    the (nq, na, n, n) PVMs, their orthonormal columns F with P = F F* as an
+    (nq, na, n, k) stack zero-padded to the widest (None with factors) and
+    the errors times n, shape (nq,).
     """
     nq, na, n = elements.shape[:3]
     w = np.ones(n) if weight is None else _normalized(weight)
@@ -134,7 +135,7 @@ def _round_povm(elements: np.ndarray, weight, factors=None):
     rows = np.arange(nq)
     pvm = np.empty(elements.shape, dtype=complex)
     if factors is None:
-        columns = [[None] * na for _ in rows]
+        columns = np.zeros((nq, na, n, n), dtype=complex)
         basis = None  # (nq, n, m) complement bases, zero-padded; None is C^n
         width = np.full(nq, n)  # each question's complement dimension
         for x in order[:, :-1].T:
@@ -151,22 +152,20 @@ def _round_povm(elements: np.ndarray, weight, factors=None):
             kept = (dec.eigenvalues >= 0.5 - CLUSTER_TOL).sum(axis=1)
             rest = width - kept
             basis = np.zeros((nq, n, rest.max()), dtype=complex)
-            ragged = zip(x.tolist(), kept.tolist(), width.tolist())
-            for q, (a, k, end) in enumerate(ragged):
-                columns[q][a] = vectors[q, :, :k]
+            for q, (k, end) in enumerate(zip(kept.tolist(), width.tolist())):
                 basis[q, :, : end - k] = vectors[q, :, k:end]
             width = rest
             cols = vectors[:, :, : kept.max()]
             if kept.min() < cols.shape[2]:
                 cols = cols * (np.arange(cols.shape[2]) < kept[:, None])[:, None]
+            columns[rows, x, :, : cols.shape[2]] = cols
             pvm[rows, x] = cols @ _adjoint(cols)
-        last = order[:, -1]
         if basis is None:
             basis = np.broadcast_to(np.eye(n, dtype=complex), (nq, n, n))
-        for q, (a, end) in enumerate(zip(last.tolist(), width.tolist())):
-            columns[q][a] = basis[q, :, :end]
-        pvm[rows, last] = basis @ _adjoint(basis)
-        columns = tuple(map(tuple, columns))
+        columns[rows, order[:, -1], :, : basis.shape[2]] = basis
+        pvm[rows, order[:, -1]] = basis @ _adjoint(basis)
+        # every column past the widest outcome's rank is zero
+        columns = columns[..., : np.any(columns, axis=(0, 1, 2)).sum()].copy()
     else:
         kept = np.empty((nq, n, 0), dtype=complex)
         for x in order[:, :-1].T:
@@ -218,16 +217,16 @@ def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
     The weight w = sigma sigma* must have tau(w) = 1 (NotNormalized
     otherwise).  The elements are rotated into w's eigenbasis, the left
     singular vectors of sigma, where _round_povm rounds them at w's diagonal;
-    the PVM is rotated back and keeps each outcome's orthonormal columns as
-    Povm.columns.  Returns it and its weighted error tau(sum_a (A_a -
-    P_a)^2 w), at most 9 epsilon (BoundViolated otherwise).
+    the PVM is built back from its rotated columns F, P = F F*.  Returns it
+    and its weighted error tau(sum_a (A_a - P_a)^2 w), at most 9 epsilon
+    (BoundViolated otherwise).
     """
     polar = linalg.polar_decompose(sigma)
     u = polar.left_basis
     rotated = u.conj().T @ povm.elements @ u
     _, (columns,), (mass,) = _round_povm(rotated[None], polar.singular_values**2)
-    columns = tuple(u @ c for c in columns)
-    return Povm(np.array([c @ c.conj().T for c in columns]), columns), mass / povm.dim
+    columns = u @ columns
+    return Povm(columns @ _adjoint(columns)), mass / povm.dim
 
 
 def _checked_eig(name: str, m: np.ndarray) -> linalg.SpectralDecomposition:
@@ -330,9 +329,8 @@ def symmetrize(s: TracialStrategy, game: Game, c_in: Correlation, polar=None):
     if polar is None:
         polar = linalg.polar_decompose(s.sigma)
     v = polar.eigenbasis
-    rotated = v.conj().T @ np.array([p.elements for p in s.alice]) @ v
-    alice = tuple(Povm(elements) for elements in rotated)
-    out = TracialStrategy(s.dim, np.diag(polar.singular_values), alice, alice)
+    rotated = v.conj().T @ s.alice @ v
+    out = TracialStrategy(s.dim, np.diag(polar.singular_values), rotated, rotated)
     c_out = _diagonal_correlation(polar.singular_values, rotated, rotated)
     delta_out = _synchronicity(game, c_out)
     if delta_out > 2.0 * delta_in + CONTRACT_SLACK:
@@ -362,18 +360,17 @@ def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
     Requires a symmetric strategy in its state's eigenbasis, as symmetrize
     leaves it, and its correlation c_in.  sigma is real and diagonal, so the
     weight sigma sigma* is its squared diagonal, which goes straight to
-    _round_povm.  Returns the symmetric projective strategy, its correlation
-    and a report like symmetrize's plus the weighted rounding error gamma.
+    _round_povm.  Returns the symmetric projective strategy, carrying the
+    PVMs' orthonormal columns as its factors, its correlation and a report
+    of its synchronicity delta_out, the mu-weighted correlation distance to
+    c_in and the weighted rounding error gamma.
     """
     check_synchronous(game, "projectivize")
     weight = _diagonal(s.sigma, "projectivize") ** 2
-    elements = np.array([p.elements for p in s.alice])
-    stack, columns, masses = _round_povm(elements, weight)
-    pvms = tuple(map(Povm, stack, columns))
-    out = TracialStrategy(s.dim, s.sigma, pvms, pvms)
+    stack, columns, masses = _round_povm(s.alice, weight)
+    out = TracialStrategy(s.dim, s.sigma, stack, stack, columns)
     c_out = _diagonal_correlation(np.diagonal(s.sigma), stack, stack)
     report = {
-        "delta_in": _synchronicity(game, c_in),
         "delta_out": _synchronicity(game, c_out),
         "distance": correlation_distance(game, c_in, c_out),
         "gamma": float(game.mu_x @ masses) / s.dim,
@@ -381,28 +378,18 @@ def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
     return out, c_out, report
 
 
-def _column_stack(povms: tuple[Povm, ...], elements: np.ndarray) -> np.ndarray:
-    """The PVMs' columns as one (nq, na, n, k) stack, each element's columns
-    zero-padded to the widest, refused unless V_a V_a* reproduces A_a of the
-    (nq, na, n, n) elements: hermitize's test at CORNER_TOL, ||V V* - A||_F
-    <= CORNER_TOL * (1 + ||A||_F), one stacked product per question."""
-    nq, na, n = elements.shape[:3]
-    shapes = [[] if p.columns is None else list(map(np.shape, p.columns)) for p in povms]
-    for x, row in enumerate(shapes):
-        if len(row) != na or any(len(sh) != 2 or sh[0] != n for sh in row):
-            raise ValidationError(f"slicing needs {na} n x k columns for PVM {x}")
-    width = max(sh[1] for row in shapes for sh in row)
-    stack = np.zeros((nq, na, n, width), dtype=complex)
-    for x, povm in enumerate(povms):
-        for a, v in enumerate(povm.columns):
-            stack[x, a, :, : shapes[x][a][1]] = v
-        # one question at a time, so the check's temporaries stay (na, n, n)
-        gap = np.linalg.norm(stack[x] @ _adjoint(stack[x]) - elements[x], axis=(1, 2))
-        bad = ~(gap <= CORNER_TOL * (1.0 + np.linalg.norm(elements[x], axis=(1, 2))))
-        if bad.any():
-            a = int(bad.argmax())
-            raise ValidationError(f"columns {a} of PVM {x} miss by {gap[a]:.3e}")
-    return stack
+def _checked_factors(s: TracialStrategy) -> np.ndarray:
+    """s.factors, refused unless an (nq, na, n, k) stack with ||F F* - A||_F <=
+    CORNER_TOL * (1 + ||A||_F), hermitize's test, for every element A of Alice's."""
+    f = s.factors
+    if f is None or f.ndim != 4 or f.shape[:3] != s.alice.shape[:3]:
+        raise ValidationError(f"slicing needs {s.alice.shape[:3]} + (k,) PVM factors")
+    gap = np.linalg.norm(f @ _adjoint(f) - s.alice, axis=(-2, -1))
+    bad = ~(gap <= CORNER_TOL * (1.0 + np.linalg.norm(s.alice, axis=(-2, -1))))
+    if bad.any():
+        x, a = np.unravel_index(bad.argmax(), bad.shape)
+        raise ValidationError(f"factors {a} of PVM {x} miss by {gap[x, a]:.3e}")
+    return f
 
 
 def slice_strategies(
@@ -411,8 +398,8 @@ def slice_strategies(
     """Decompose a symmetric projective strategy into synchronous corners.
 
     s is in its state's eigenbasis, as symmetrize leaves it: sigma is real,
-    diagonal, nonnegative and nonincreasing.  Alice's PVMs carry the columns
-    projectivize built them from, which serve as rank factors.  Each
+    diagonal, nonnegative and nonincreasing.  s.factors holds the columns
+    projectivize built Alice's PVMs from, which serve as rank factors.  Each
     spectral slice, a leading block of coordinates, hosts a corner
     sub-strategy whose tracial state is the corner identity; compressed
     measurements are rounded back to PVMs there, making every per-slice
@@ -433,17 +420,16 @@ def slice_strategies(
     measures, (ranks,) = _spectral_pieces(spectrum)
     # Slice j's corner is the leading rank x rank block of every element, so
     # no slice touches the n x n operators again.
-    elements = np.array([p.elements for p in s.alice])
-    linalg.check_leading_blocks(elements, ranks)
-    factors = _column_stack(s.alice, elements)
-    herm = (elements + _adjoint(elements)) / 2.0
+    linalg.check_leading_blocks(s.alice, ranks)
+    factors = _checked_factors(s)
+    herm = (s.alice + _adjoint(s.alice)) / 2.0
     # ||A[r:, :r]||_F^2 summed over answers, for every slice rank r: sums of
     # |A|^2 over the rows from r down, accumulated over the columns below r.
     # Row n is empty, so the full-rank slice reads 0.
     tails = np.zeros((nq, n + 1, n))
-    sq = (elements.real**2 + elements.imag**2).sum(axis=1)
+    sq = (s.alice.real**2 + s.alice.imag**2).sum(axis=1)
     tails[:, :n] = sq[:, ::-1].cumsum(axis=1)[:, ::-1]
-    del elements, sq
+    del sq
     off_corner = tails.cumsum(axis=2)[:, ranks, ranks - 1]
     mu_x = game.mu_x
     slices = []
@@ -535,10 +521,9 @@ def lemma_report(game: Game, s: TracialStrategy, polar=None) -> dict:
         polar = linalg.polar_decompose(s.sigma)
     left, right = polar.left_basis, polar.eigenbasis
     singular = polar.singular_values
-    host = np.array([p.elements for p in s.alice])
-    alice_l = left.conj().T @ host @ left
-    alice_r = right.conj().T @ host @ right
-    bob_r = right.conj().T @ np.array([p.elements for p in s.bob_left]) @ right
+    alice_l = left.conj().T @ s.alice @ left
+    alice_r = right.conj().T @ s.alice @ right
+    bob_r = right.conj().T @ s.bob_left @ right
 
     at_singular_values = partial(_diagonal_correlation, singular)
     c_s = at_singular_values(alice_l, bob_r)

@@ -166,7 +166,7 @@ def soundness_transfer_demo(
                     continue
                 h = sum(families[y].elements[b] for b in block)
                 # tau(sigma+ A sigma+ H) = sum_ij s_i A_ij s_j H_ji / n
-                left = weight * sym.alice[x].elements[a]
+                left = weight * sym.alice[x, a]
                 val = np.sum(left * h.T).real / sym.dim
                 transferred += rho[x, y] * float(val)
 

@@ -5,7 +5,9 @@ a unit state on C^{dA} (x) C^{dB} plus local POVMs.  A TracialStrategy is
 its standard-form avatar at dimension n: a coefficient matrix sigma with
 tau(sigma* sigma) = 1, Alice's POVMs acting by left multiplication and
 Bob's stored as left-algebra matrices whose opposite action is right
-multiplication, so every correlation entry is tau(sigma* A sigma B).
+multiplication, so every correlation entry is tau(sigma* A sigma B).  Each
+side is one (nq, na, n, n) element stack, the form every rounding stage
+reads and writes.
 """
 
 from __future__ import annotations
@@ -23,15 +25,9 @@ from .linalg import NORM_TOL, POVM_ASYM_TOL, PSD_FLOOR
 
 @dataclass(frozen=True)
 class Povm:
-    """A family of positive matrices summing to the identity.
-
-    A PVM that projectivize or orthogonalize_povm returns also keeps, per
-    outcome, the orthonormal columns V_a it was built from, P_a = V_a V_a*;
-    the slice stage uses them as the elements' rank factors.
-    """
+    """A family of positive matrices summing to the identity."""
 
     elements: np.ndarray  # (outcomes, dim, dim)
-    columns: tuple[np.ndarray, ...] | None = None  # (dim, rank_a) per outcome
 
     def __post_init__(self):
         object.__setattr__(
@@ -123,23 +119,29 @@ class TensorStrategy:
 
 @dataclass(frozen=True)
 class TracialStrategy:
+    """(sigma, {A}, {B^op}) at dimension n.  alice and bob_left are
+    (nq, na, n, n) stacks, Bob's as left-algebra matrices (his tensor-form
+    elements transposed); factors, which projectivize sets, holds Alice's
+    PVM rank factors, a zero-padded (nq, na, n, k) stack with A = F F*."""
+
     dim: int
     sigma: np.ndarray
-    alice: tuple[Povm, ...]
-    bob_left: tuple[Povm, ...]  # Bob's operators as left-algebra matrices
+    alice: np.ndarray
+    bob_left: np.ndarray
+    factors: np.ndarray | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=complex))
-        object.__setattr__(self, "alice", tuple(self.alice))
-        object.__setattr__(self, "bob_left", tuple(self.bob_left))
+    def __post_init__(self):  # arrays in C order: the kernel views their rows
+        for name in ("sigma", "alice", "bob_left", "factors"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, np.ascontiguousarray(value, complex))
 
     @property
     def n_questions(self) -> int:
-        return len(self.alice)
+        return self.alice.shape[0]
 
     @property
     def n_answers(self) -> int:
-        return self.alice[0].outcomes
+        return self.alice.shape[1]
 
 
 @dataclass(frozen=True)
@@ -161,11 +163,6 @@ class Correlation:
         return violations
 
 
-def opposite(m) -> np.ndarray:
-    """The opposite-algebra map at finite dimension: the plain transpose."""
-    return np.asarray(m, dtype=complex).T.copy()
-
-
 def tensor_correlation(s: TensorStrategy) -> Correlation:
     """Direct evaluation <psi| A (x) B |psi>, kept independent of the
     standard-form route so the two can check each other."""
@@ -178,13 +175,14 @@ def tensor_correlation(s: TensorStrategy) -> Correlation:
     return Correlation(table)
 
 
-def _pad_povm(povm: Povm, n: int) -> np.ndarray:
-    """Zero-pad the elements to dim n; the padding block of the identity is
-    assigned entirely to answer 0 so the family stays a POVM."""
-    d = povm.dim
-    out = np.zeros((povm.outcomes, n, n), dtype=complex)
-    out[:, :d, :d] = povm.elements
-    out[0, d:, d:] = np.eye(n - d)
+def _padded_side(povms: tuple[Povm, ...], n: int) -> np.ndarray:
+    """A side's elements as one (nq, na, n, n) stack, zero-padded to dim n;
+    the padding block of the identity is assigned entirely to answer 0 so
+    each family stays a POVM."""
+    d = povms[0].dim
+    out = np.zeros((len(povms), povms[0].outcomes, n, n), dtype=complex)
+    out[:, :, :d, :d] = [p.elements for p in povms]
+    out[:, 0, d:, d:] = np.eye(n - d)
     return out
 
 
@@ -192,18 +190,16 @@ def embed_tracial(s: TensorStrategy) -> TracialStrategy:
     """Rewrite a tensor strategy in standard form at n = max(dim_a, dim_b).
 
     The state's n x n coefficient matrix Psi (zero-extended on the padding)
-    becomes sigma = sqrt(n) * Psi; Bob's operators are transposed.  The
-    padding block carries no state mass, so correlations are unchanged.
+    becomes sigma = sqrt(n) * Psi; Bob's operators are transposed, the
+    opposite-algebra map at finite dimension.  The padding block carries no
+    state mass, so correlations are unchanged.
     """
     n = max(s.dim_a, s.dim_b)
     psi_mat = s.state.reshape(s.dim_a, s.dim_b)
     sigma = np.zeros((n, n), dtype=complex)
     sigma[: s.dim_a, : s.dim_b] = psi_mat * np.sqrt(n)
-    alice = tuple(Povm(_pad_povm(p, n)) for p in s.alice)
-    bob_left = tuple(
-        Povm(np.array([opposite(e) for e in _pad_povm(p, n)])) for p in s.bob
-    )
-    return TracialStrategy(dim=n, sigma=sigma, alice=alice, bob_left=bob_left)
+    bob_left = _padded_side(s.bob, n).swapaxes(-1, -2)
+    return TracialStrategy(n, sigma, _padded_side(s.alice, n), bob_left)
 
 
 def correlation(s: TracialStrategy) -> Correlation:
@@ -217,17 +213,15 @@ def correlation(s: TracialStrategy) -> Correlation:
     """
     sig = s.sigma
     d = np.diagonal(sig)
-    alice = np.array([p.elements for p in s.alice])
-    bob = np.array([p.elements for p in s.bob_left])
     if np.array_equal(sig, np.diag(d)):
-        return _diagonal_correlation(d, alice, bob)
-    left = sig.T @ np.ascontiguousarray(alice.swapaxes(-1, -2)) @ sig.conj()
-    return stacked_correlation(left, bob)
+        return _diagonal_correlation(d, s.alice, s.bob_left)
+    left = sig.T @ np.ascontiguousarray(s.alice.swapaxes(-1, -2)) @ sig.conj()
+    return stacked_correlation(left, s.bob_left)
 
 
 def _diagonal_correlation(d, alice: np.ndarray, bob: np.ndarray) -> Correlation:
     """correlation() at the state diag(d) of the (nq, na, n, n) stacks of
-    Alice's and Bob's (left) elements, building no strategy or Povm."""
+    Alice's and Bob's (left) elements, building no strategy."""
     d = np.asarray(d, dtype=complex)
     left = np.multiply(alice.swapaxes(-1, -2), np.outer(d, d.conj()), order="C")
     return stacked_correlation(left, bob)

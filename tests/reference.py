@@ -11,7 +11,7 @@ rank factors of POVM elements, sequential rounding and the lemma report at
 a dense weight sigma sigma*, and per-question rounding of a corner from
 rank factors.
 Tests use them as independent oracles, and hand-built projective
-strategies take their columns from with_columns.
+strategies take their factors from factor_stack.
 """
 
 import numpy as np
@@ -70,14 +70,25 @@ def padded_factors(factors, n):
     return stack
 
 
-def with_columns(povm):
-    """povm carrying a rank factor of each element as Povm.columns, the
-    form slice_strategies reads; for a PVM the factors are orthonormal."""
-    return Povm(povm.elements, tuple(rank_factor(e) for e in povm.elements))
+def factor_stack(elements):
+    """Rank factors of an (nq, na, n, n) element stack as the zero-padded
+    (nq, na, n, k) stack slice_strategies reads from TracialStrategy.factors;
+    for PVMs the factors are orthonormal."""
+    rows = [[rank_factor(e) for e in row] for row in elements]
+    return padded_factors(rows, np.shape(elements)[-1])
 
 
-def is_projective(povm, tol=1e-9):
-    return all(linalg.frobenius(e @ e - e) <= tol for e in povm.elements)
+def projective(sigma, pvms):
+    """The symmetric strategy (sigma, {P}, {P}) of an (nq, na, n, n) PVM
+    stack, carrying the factors slice_strategies needs."""
+    pvms = np.asarray(pvms, dtype=complex)
+    return TracialStrategy(pvms.shape[-1], sigma, pvms, pvms, factor_stack(pvms))
+
+
+def is_projective(elements, tol=1e-9):
+    """Every matrix of an (..., n, n) element stack is idempotent to tol."""
+    e = np.asarray(elements)
+    return bool(np.all(np.linalg.norm(e @ e - e, axis=(-2, -1)) <= tol))
 
 
 def reference_validate(povm):
@@ -216,8 +227,8 @@ def dense_orthogonalize(povm, sigma):
     whole space, the next on the compressed complement of what was kept, and
     the last takes the remainder; masses, epsilon and the error come from
     one product A w per element and one P w per outcome.  An error above
-    9 epsilon + 1e-8 raises BoundViolated.  Returns the PVM, with each
-    outcome's orthonormal columns, and its weighted error.
+    9 epsilon + 1e-8 raises BoundViolated.  Returns the PVM and its
+    weighted error.
     """
     sig = linalg.as_matrix(sigma)
     w = sig @ sig.conj().T
@@ -259,7 +270,7 @@ def dense_orthogonalize(povm, sigma):
     ) / n
     if error > bound:
         raise BoundViolated(f"error {error:.3e} exceeds {bound:.3e}")
-    return Povm(pvm, columns), error
+    return Povm(pvm), error
 
 
 def factor_round(elements, factors):
@@ -316,11 +327,11 @@ def dense_lemma_report(game, s):
     )
     rounded = []
     gamma = 0.0
-    for x, povm in enumerate(s.alice):
-        pvm, err = dense_orthogonalize(povm, sigma)
-        rounded.append(pvm)
+    for x, elements in enumerate(s.alice):
+        pvm, err = dense_orthogonalize(Povm(elements), sigma)
+        rounded.append(pvm.elements)
         gamma += game.mu_x[x] * err
-    swapped = TracialStrategy(s.dim, sigma, tuple(rounded), s.bob_left)
+    swapped = TracialStrategy(s.dim, sigma, rounded, s.bob_left)
     meas_lhs = correlation_distance(game, c_s, correlation(swapped))
     meas_rhs = 6.0 * (delta_a + np.sqrt(max(gamma, 0.0)))
     return {

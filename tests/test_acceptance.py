@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from reference import expand_corner, is_projective, padded_targets, with_columns
+from reference import expand_corner, is_projective, padded_targets, projective
 from syncround import linalg
 from syncround.cli import main as cli_main
 from syncround.games import edge_game, k3_game
@@ -23,7 +23,6 @@ from syncround.soundness import aggregate_slice_povms, dominated_factorization
 from syncround.strategies import (
     Povm,
     TensorStrategy,
-    TracialStrategy,
     correlation,
     deterministic_strategy,
     embed_tracial,
@@ -53,13 +52,12 @@ def normalized_sigma(rng, n):
 
 
 def _diagonal_pvms(n):
-    """Triangle-game PVMs that commute with every diagonal state."""
-    pvms = []
+    """Triangle-game PVMs that commute with every diagonal state, as an
+    (nq, na, n, n) stack."""
+    pvms = np.zeros((3, 3, n, n), dtype=complex)
     for x in range(3):
-        elements = np.zeros((3, n, n), dtype=complex)
         for i in range(n):
-            elements[(i + x) % 3, i, i] = 1.0
-        pvms.append(with_columns(Povm(elements)))
+            pvms[x, (i + x) % 3, i, i] = 1.0
     return pvms
 
 
@@ -75,8 +73,7 @@ def test_identity_suite():
         # slice_strategies cuts sigma in its eigenbasis V; P_r = V_r V_r*
         polar = linalg.polar_decompose(sigma)
         v = polar.eigenbasis
-        pvms = _diagonal_pvms(n)
-        s = TracialStrategy(n, np.diag(polar.singular_values), pvms, pvms)
+        s = projective(np.diag(polar.singular_values), _diagonal_pvms(n))
         slices = slice_strategies(s, game).slices
         total = sum(
             sl.measure * v[:, : sl.sub_dim] @ v[:, : sl.sub_dim].conj().T
@@ -142,7 +139,7 @@ def test_orthogonalization_suite():
             float(np.trace(e @ e @ w).real) / dim for e in povm.elements
         )
         out, err = orthogonalize_povm(povm, sigma)
-        all_valid = all_valid and out.validate() == [] and is_projective(out, 1e-8)
+        all_valid = all_valid and out.validate() == [] and is_projective(out.elements, 1e-8)
         worst_excess = max(worst_excess, err - 9 * eps)
         if weight == 0.0 or i % 7 == 0:
             pvm = _noised_pvm(rng, dim, outcomes, 0.0)

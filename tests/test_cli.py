@@ -60,20 +60,20 @@ def test_alphabet_mismatch_exits_3(capsys):
 
 
 def test_pvm_columns_that_miss_their_elements_exit_3(capsys, monkeypatch):
-    # projectivize keeps the columns the rounding kernel returns; swap two
-    # outcomes' columns in every question of the stacked call
+    # projectivize keeps the factor stack the rounding kernel returns; swap
+    # two outcomes' columns in every question of the stacked call
     real = rounding._round_povm
 
     def swapped(elements, weight, factors=None):
         pvm, cols, masses = real(elements, weight, factors)
         if cols is not None:
-            cols = tuple((c[1], c[0], *c[2:]) for c in cols)
+            cols = cols[:, [1, 0, *range(2, cols.shape[1])]]
         return pvm, cols, masses
 
     monkeypatch.setattr(rounding, "_round_povm", swapped)
     code, _, err = run(capsys, "round", "--game", "k3", "--strategy", "k3-entangled")
     assert code == 3
-    assert "columns" in err
+    assert "factors" in err
     assert "Traceback" not in err
 
 
@@ -225,6 +225,62 @@ def test_sweep_matches_the_golden_csv(capsys, tmp_path):
         assert [g[i] for i in exact] == [w[i] for i in exact]
         for i in (2, 3, 5):  # delta, distance, slack_min
             assert abs(float(g[i]) - float(w[i])) <= 1e-12, (CSV_HEADER.split(",")[i], g, w)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def assert_close_to_golden(got, want, where="output"):
+    """got matches want: strings and integers exactly, floats to 1e-12,
+    lists and dicts item by item with the same length and keys."""
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_close_to_golden(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close_to_golden(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+def golden_tokens(text):
+    """The lines of a command's stdout, each split at spaces and '=' into
+    integers, floats and words, for assert_close_to_golden."""
+
+    def parse(token):
+        for kind in (int, float):
+            try:
+                return kind(token)
+            except ValueError:
+                pass
+        return token
+
+    return [[parse(t) for t in line.replace("=", " ").split()] for line in text.splitlines()]
+
+
+def test_unbalanced_povm_outputs_match_the_golden_files(capsys, tmp_path):
+    # data/round-golden.json and data/*-golden.txt are these commands'
+    # outputs from before the strategy sides became element stacks, which
+    # changes no computed value.  The input is a generic-POVM strategy
+    # whose sides differ in dimension, so the embedding pads Alice's.
+    # Floats are compared to 1e-12, as in test_sweep_matches_the_golden_csv.
+    path = tmp_path / "s.json"
+    io.save_path(str(path), io.strategy_to_dict(random_povm_strategy((6, 12), (3, 3), 0, 0.5)))
+    out_path = tmp_path / "round.json"
+    for command in ("round", "lemmas", "soundness-demo"):
+        extra = ["--out", str(out_path)] if command == "round" else []
+        code, out, err = run(capsys, command, "--game", "k3", "--strategy", str(path), *extra)
+        assert (code, err) == (0, "")
+        want = (DATA / f"{command}-golden.txt").read_text()
+        assert_close_to_golden(golden_tokens(out), golden_tokens(want), command)
+    assert_close_to_golden(
+        json.loads(out_path.read_text()), json.loads((DATA / "round-golden.json").read_text())
+    )
 
 
 def test_sweep_delta_trend(capsys, tmp_path):

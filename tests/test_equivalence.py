@@ -9,6 +9,8 @@ eigenbasis rotation, one overlap prefix sum and one matrix product; the
 two must agree to 1e-10.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,8 +73,8 @@ def reference_correlation(s):
         for y in range(nq):
             for a in range(na):
                 for b in range(na):
-                    left = sig.conj().T @ s.alice[x].elements[a] @ sig
-                    val = linalg.tau(left @ s.bob_left[y].elements[b])
+                    left = sig.conj().T @ s.alice[x, a] @ sig
+                    val = linalg.tau(left @ s.bob_left[y, b])
                     table[x, y, a, b] = val.real
     return table
 
@@ -165,19 +167,19 @@ def reference_slices(s, game):
         basis = eigenvectors[:, :used].copy()
         projector = basis @ basis.conj().T
         pvms = []
-        for povm in s.alice:
+        for elements in s.alice:
             compressed = Povm(
                 np.array(
                     [
                         linalg.hermitize(basis.conj().T @ e @ basis, tol=1e-7)
-                        for e in povm.elements
+                        for e in elements
                     ]
                 )
             )
             pvms.append(reference_orthogonalize(compressed, np.eye(used))[0])
         for x in range(s.n_questions):
             for a in range(s.n_answers):
-                d = s.alice[x].elements[a] - expand_corner(pvms[x][a], basis)
+                d = s.alice[x, a] - expand_corner(pvms[x][a], basis)
                 residual += (
                     game.mu_x[x] * measure * linalg.tau_norm(d @ projector) ** 2
                 )
@@ -277,42 +279,63 @@ def test_slices_match_compress_expand(name):
         assert stack.shape == (s.n_questions, s.n_answers, rank, rank)
         for got, want in zip(stack, pvms):
             np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
-        corner_pvms = [Povm(e) for e in stack]
-        corner = TracialStrategy(rank, np.eye(rank), corner_pvms, corner_pvms)
+        corner = TracialStrategy(rank, np.eye(rank), stack, stack)
         np.testing.assert_allclose(
             c_sub.table, reference_correlation(corner), rtol=0, atol=TOL
         )
     assert abs(dec.diagnostics["slice_residual"] - residual) <= TOL
 
 
-def assert_columns_reproduce(pvm):
-    """pvm's columns are an orthonormal basis split by outcome, and each
-    outcome's columns V_a give its element V_a V_a* to 1e-12."""
-    assert len(pvm.columns) == pvm.outcomes
-    for cols, element in zip(pvm.columns, pvm.elements):
-        np.testing.assert_allclose(
-            cols @ cols.conj().T, element, rtol=0, atol=1e-12
-        )
-    basis = np.concatenate(pvm.columns, axis=1)
-    assert basis.shape == (pvm.dim, pvm.dim)
+def assert_factors_reproduce(pvm, factors):
+    """factors, the (nq, na, n, k) stack the rounding kernel returns with the
+    (nq, na, n, n) pvm, gives each element as F_a F_a* to 1e-12; each
+    question's columns, cut at the ranks tr P_a, are an orthonormal basis
+    split by outcome, every column past a rank is zero and k is the
+    largest rank."""
+    nq, na, n, k = factors.shape
+    assert pvm.shape == (nq, na, n, n)
     np.testing.assert_allclose(
-        basis.conj().T @ basis, np.eye(pvm.dim), rtol=0, atol=1e-12
+        factors @ factors.conj().swapaxes(-1, -2), pvm, rtol=0, atol=1e-12
     )
+    ranks = np.rint(np.trace(pvm, axis1=2, axis2=3).real).astype(int)
+    assert k == ranks.max()
+    assert not np.any(factors * (np.arange(k) >= ranks[..., None])[:, :, None])
+    for f, r in zip(factors, ranks):
+        basis = np.concatenate([c[:, :m] for c, m in zip(f, r)], axis=1)
+        assert basis.shape == (n, n)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(n), rtol=0, atol=1e-12)
+
+
+def checked_orthogonalize(povm, sigma):
+    """orthogonalize_povm, with the factors of its one kernel call checked
+    by assert_factors_reproduce."""
+    real = rounding._round_povm
+    calls = []
+
+    def recording(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rounding, "_round_povm", recording)
+        got, err = orthogonalize_povm(povm, sigma)
+    ((pvm, factors, _),) = calls
+    assert_factors_reproduce(pvm, factors)
+    return got, err
 
 
 @pytest.mark.parametrize("name", sorted(TENSOR_CASES))
 def test_orthogonalize_matches_reference(name):
     s = embed_tracial(TENSOR_CASES[name])
     sigma = linalg.polar_decompose(s.sigma).positive_part
-    for povm in s.alice:
-        noised = Povm(0.97 * povm.elements + 0.03 * np.eye(s.dim) / 3)
-        for candidate in (povm, noised):
+    for elements in s.alice:
+        noised = Povm(0.97 * elements + 0.03 * np.eye(s.dim) / 3)
+        for candidate in (Povm(elements), noised):
             for weight in (sigma, s.sigma, np.eye(s.dim)):
-                got, err = orthogonalize_povm(candidate, weight)
+                got, err = checked_orthogonalize(candidate, weight)
                 want, want_err = reference_orthogonalize(candidate, weight)
                 np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
                 assert abs(err - want_err) <= TOL
-                assert_columns_reproduce(got)
 
 
 def skewed_povm_case(seed):
@@ -342,10 +365,9 @@ def test_skewed_weight_is_refused_until_normalized(seed):
         orthogonalize_povm(povm, sigma)
     sigma = sigma / linalg.tau_norm(sigma)
     want, want_err = reference_orthogonalize(povm, sigma)
-    got, err = orthogonalize_povm(povm, sigma)
+    got, err = checked_orthogonalize(povm, sigma)
     np.testing.assert_allclose(got.elements, want, rtol=0, atol=TOL)
     assert abs(err - want_err) <= TOL
-    assert_columns_reproduce(got)
 
 
 def test_no_normalized_weight_needs_more_than_sequential_rounding():
@@ -395,11 +417,10 @@ def round_corner(povm):
 
 def identity_weight_roundings(povm):
     """The slice-corner rounding and orthogonalize_povm, both at the
-    identity weight, as (pvm elements, error, columns or None)."""
-    got, err = round_corner(povm)
-    yield got, err, None
-    pvm, err = orthogonalize_povm(povm, np.eye(povm.dim))
-    yield pvm.elements, err, pvm
+    identity weight, as (pvm elements, error)."""
+    yield round_corner(povm)
+    pvm, err = checked_orthogonalize(povm, np.eye(povm.dim))
+    yield pvm.elements, err
 
 
 @pytest.mark.parametrize("seed", SKEWED_SEEDS)
@@ -407,11 +428,9 @@ def test_corner_rounding_matches_reference(seed, monkeypatch):
     povm, _ = skewed_povm_case(seed)
     n = povm.dim
     want, want_err = reference_orthogonalize(povm, np.eye(n))
-    for got, err, pvm in identity_weight_roundings(povm):
+    for got, err in identity_weight_roundings(povm):
         np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
         assert abs(err - want_err) <= TOL
-        if pvm is not None:
-            assert_columns_reproduce(pvm)
     # a bound no rounding meets
     monkeypatch.setattr(rounding, "CONTRACT_SLACK", -10.0)
     with pytest.raises(BoundViolated):
@@ -477,7 +496,7 @@ def family_sizes(st):
 
 def test_batched_rounding_matches_the_dense_weight_oracle():
     """One weighted call on a family against dense_orthogonalize per
-    question: PVMs, errors and each question's columns."""
+    question: PVMs, errors and the factor stack."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -495,7 +514,7 @@ def test_batched_rounding_matches_the_dense_weight_oracle():
             want, want_err = dense_orthogonalize(Povm(elements), np.diag(np.sqrt(w)))
             np.testing.assert_allclose(pvm[q], want.elements, rtol=0, atol=TOL)
             assert abs(masses[q] / n - want_err) <= TOL
-            assert_columns_reproduce(Povm(pvm[q], columns[q]))
+        assert_factors_reproduce(pvm, columns)
 
     search()
 
@@ -546,7 +565,7 @@ def test_padding_directions_never_join_a_complement():
         want, want_err = dense_orthogonalize(Povm(elements), np.diag(np.sqrt(w)))
         np.testing.assert_allclose(pvm[q], want.elements, rtol=0, atol=TOL)
         assert abs(masses[q] / 5 - want_err) <= TOL
-        assert_columns_reproduce(Povm(pvm[q], columns[q]))
+    assert_factors_reproduce(pvm, columns)
     assert abs(pvm[0, 2, 4, 4] - 1.0) <= TOL
 
 
@@ -593,8 +612,8 @@ def test_one_stacked_eigendecomposition_per_threshold_step(monkeypatch):
     # largest complement, never to n
     assert [shape[:-1] for shape in shapes] == [(3, 12), (3, shapes[1][-1])]
     w = np.diagonal(sym.sigma).real ** 2
-    first = [np.argmax(np.diagonal(p.elements, axis1=1, axis2=2).real @ w) for p in sym.alice]
-    widths = [12 - p.columns[a].shape[1] for p, a in zip(proj.alice, first)]
+    first = np.argmax(np.diagonal(sym.alice, axis1=2, axis2=3).real @ w, axis=1)
+    widths = [12 - round(np.trace(proj.alice[x, a]).real) for x, a in enumerate(first)]
     assert shapes[1][-1] == max(widths) < 12
     shapes.clear()
     lemma_report(game, s)
@@ -628,12 +647,11 @@ ORACLE_CASES = {
 def test_rounding_matches_the_dense_weight_oracle(name):
     game = k3_game()
     s = embed_tracial(ORACLE_CASES[name])
-    for povm in s.alice:
-        got, err = orthogonalize_povm(povm, s.sigma)
-        want, want_err = dense_orthogonalize(povm, s.sigma)
+    for elements in s.alice:
+        got, err = checked_orthogonalize(Povm(elements), s.sigma)
+        want, want_err = dense_orthogonalize(Povm(elements), s.sigma)
         np.testing.assert_allclose(got.elements, want.elements, rtol=0, atol=TOL)
         assert abs(err - want_err) <= TOL
-        assert_columns_reproduce(got)
     got_report, want_report = lemma_report(game, s), dense_lemma_report(game, s)
     for lemma, want in want_report.items():
         for side in ("lhs", "rhs", "slack"):
@@ -641,11 +659,20 @@ def test_rounding_matches_the_dense_weight_oracle(name):
     sym, c_sym, _ = symmetrize(s, game, correlation(s))
     proj, _, report = projectivize(sym, game, c_sym)
     gamma = 0.0
-    for x, (povm, pvm) in enumerate(zip(sym.alice, proj.alice)):
-        want, want_err = dense_orthogonalize(povm, sym.sigma)
-        np.testing.assert_allclose(pvm.elements, want.elements, rtol=0, atol=TOL)
+    for x, (elements, pvm) in enumerate(zip(sym.alice, proj.alice)):
+        want, want_err = dense_orthogonalize(Povm(elements), sym.sigma)
+        np.testing.assert_allclose(pvm, want.elements, rtol=0, atol=TOL)
         gamma += game.mu_x[x] * want_err
     assert abs(report["gamma"] - gamma) <= TOL
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_projectivize_factors_reproduce_its_pvms(name):
+    # F F* = P for every element, zero columns past each rank, and each
+    # question's columns an orthonormal basis
+    proj = projective_symmetric(ORACLE_CASES[name])
+    np.testing.assert_array_equal(proj.alice, proj.bob_left)
+    assert_factors_reproduce(proj.alice, proj.factors)
 
 
 def corner_perturbed(s, scale):
@@ -653,14 +680,13 @@ def corner_perturbed(s, scale):
     leading 2 x 2 block of one of Alice's elements in sigma's eigenbasis;
     scale = 1 puts that block's asymmetry at 1e-7 (1 + ||block||_F)."""
     _, v = sigma_frame(s.sigma)
-    elements = s.alice[1].elements.copy()
-    block = (v.conj().T @ elements[2] @ v)[:2, :2]
+    alice = s.alice.copy()
+    block = (v.conj().T @ alice[1, 2] @ v)[:2, :2]
     k = np.zeros((s.dim, s.dim), dtype=complex)
     k[0, 1], k[1, 0] = 1.0, -1.0
     t = scale * 1e-7 * (1.0 + np.linalg.norm(block)) / (2.0 * np.sqrt(2.0))
-    elements[2] += t * (v @ k @ v.conj().T)
-    alice = (s.alice[0], Povm(elements, s.alice[1].columns), *s.alice[2:])
-    return type(s)(s.dim, s.sigma, alice, s.bob_left)
+    alice[1, 2] += t * (v @ k @ v.conj().T)
+    return replace(s, alice=alice)
 
 
 def test_corner_asymmetry_check_matches_per_block_hermitize():
@@ -691,9 +717,9 @@ def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
 
     monkeypatch.setattr(linalg, "eig_hermitian", recording)
     dec = slice_strategies(s, game)
-    ranks = {int(round(np.trace(e).real)) for p in s.alice for e in p.elements}
+    ranks = set(np.rint(np.trace(s.alice, axis1=2, axis2=3).real).astype(int).flat)
     (k,) = ranks  # every element has the same factor width
-    assert k < n
+    assert k < n and s.factors.shape[-1] == k
     # the PVMs' columns are the rank factors and sigma is read off its
     # diagonal, so nothing n x n is decomposed
     assert sizes.count(n) == 0
@@ -732,43 +758,43 @@ def test_round_correlation_slices_without_n_by_n_eigendecompositions(monkeypatch
     assert sizes and max(sizes) < 24
 
 
-def with_columns_of(s, x, columns):
-    """s with question x's PVM carrying the given columns."""
-    alice = list(s.alice)
-    alice[x] = Povm(s.alice[x].elements, columns)
-    return type(s)(s.dim, s.sigma, tuple(alice), s.bob_left)
-
-
-def bad_columns(s):
-    """Column sets for question 1 that slicing must refuse."""
-    cols = s.alice[1].columns
-    n = s.dim
-    rotated = cols[0] @ np.diag(np.exp(1j * np.arange(cols[0].shape[1])))
-    nudge = np.zeros((n, 1), dtype=complex)
-    nudge[0, 0] = 1e-3  # V V* moves by 1e-6, past 1e-7 (1 + ||A||_F) = 3e-7
+def bad_factors(s):
+    """Factor stacks, all but the last changed in question 1 or in shape,
+    that slicing must refuse."""
+    f = s.factors
+    k = f.shape[-1]
+    swapped, not_finite, rotated = f.copy(), f.copy(), f.copy()
+    swapped[1] = f[1, [1, 0, 2]]
+    not_finite[1, 0] *= np.nan
+    # a unitary change of columns within an outcome leaves F F* alone
+    rotated[1, 0] = f[1, 0] @ np.diag(np.exp(1j * np.arange(k)))
+    extra = np.concatenate((f, np.zeros(f.shape[:3] + (1,))), axis=3)
+    extra[1, 0, 0, k] = 1e-3  # F F* moves by 1e-6, past 1e-7 (1 + ||A||_F) = 3e-7
     yield "missing", None
-    yield "too few", cols[:-1]
-    yield "swapped", (cols[1], cols[0], *cols[2:])
-    yield "not a matrix", (cols[0][:, 0], *cols[1:])
-    yield "wrong height", (cols[0][:-1], *cols[1:])
-    yield "not finite", (cols[0] * np.nan, *cols[1:])
-    yield "extra column", (np.concatenate((cols[0], nudge), axis=1), *cols[1:])
-    # a unitary change of columns within an outcome leaves V V* alone
-    yield None, (rotated, *cols[1:])
+    yield "too few answers", f[:, :-1]
+    yield "too few questions", f[:-1]
+    yield "not a stack", f[..., 0]
+    yield "wrong height", f[:, :, :-1]
+    yield "swapped", swapped
+    yield "not finite", not_finite
+    yield "extra column", extra
+    yield None, rotated
 
 
 def test_slice_strategies_checks_the_columns():
+    # the factors are the orthonormal columns projectivize built its PVMs from
     game = k3_game()
     s = projective_symmetric(random_strategy((12, 12), (3, 3), 0))
     want = slice_strategies(s, game)
-    for name, columns in bad_columns(s):
-        t = with_columns_of(s, 1, columns)
+    for name, factors in bad_factors(s):
+        t = replace(s, factors=factors)
         if name is None:
             got = slice_strategies(t, game)
             assert got.diagnostics == pytest.approx(want.diagnostics, abs=TOL)
             continue
-        with pytest.raises(ValidationError, match="columns"):
+        with pytest.raises(ValidationError, match="factors"):
             slice_strategies(t, game)
+            pytest.fail(f"slicing accepted {name} factors")
 
 
 def positive_with_spectrum(rng, spectrum):
@@ -861,13 +887,12 @@ def block_pvm_strategy(spectrum):
     """A symmetric projective 3x3 strategy at the diagonal state spectrum:
     coordinate-block PVMs, each element keeping its coordinate columns."""
     n = len(spectrum)
-    eye = np.eye(n, dtype=complex)
-    alice = []
+    factors = np.zeros((3, 3, n, -(-n // 3)), dtype=complex)
     for x in range(3):
-        blocks = np.array_split(np.roll(np.arange(n), x), 3)
-        columns = tuple(eye[:, b] for b in blocks)
-        alice.append(Povm(np.array([c @ c.conj().T for c in columns]), columns))
-    return TracialStrategy(n, np.diag(spectrum), alice, alice)
+        for a, block in enumerate(np.array_split(np.roll(np.arange(n), x), 3)):
+            factors[x, a, block, np.arange(len(block))] = 1.0
+    pvms = factors @ factors.swapaxes(-1, -2)
+    return TracialStrategy(n, np.diag(spectrum), pvms, pvms, factors)
 
 
 def assert_pieces_cover(measures, ranks, spectra):

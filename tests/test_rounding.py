@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import is_projective, projector_slices, with_columns
-from syncround import cli, games, linalg, rounding, soundness, strategies
+from reference import is_projective, projective, projector_slices
+from syncround import cli, games, io, linalg, rounding, soundness, strategies
 from syncround.errors import NotNormalized, NotSynchronousGame, ValidationError
 from syncround.games import Game, k3_game
 from syncround.rounding import (
@@ -25,6 +25,7 @@ from syncround.strategies import (
     embed_tracial,
     entangled_coloring_strategy,
     perturb_strategy,
+    povm_violations,
     random_strategy,
     synchronicity,
 )
@@ -104,7 +105,7 @@ def test_orthogonalize_binary_beats_threshold_oracle():
             sigma = normalized_sigma(rng, dim)
             out, err = orthogonalize_povm(povm, sigma)
             assert out.validate() == []
-            assert is_projective(out, 1e-8)
+            assert is_projective(out.elements, 1e-8)
             best = brute_force_best_threshold_error(povm, sigma)
             assert err <= best + 1e-10
 
@@ -159,13 +160,11 @@ def diagonal_strategy(spectrum):
     """A symmetric projective strategy for the triangle game at a diagonal
     state: answer a to question x on the coordinates i = a - x mod 3."""
     n = len(spectrum)
-    pvms = []
+    pvms = np.zeros((3, 3, n, n), dtype=complex)
     for x in range(3):
-        elements = np.zeros((3, n, n), dtype=complex)
         for i in range(n):
-            elements[(i + x) % 3, i, i] = 1.0
-        pvms.append(with_columns(Povm(elements)))
-    return TracialStrategy(n, np.diag(spectrum), pvms, pvms)
+            pvms[x, (i + x) % 3, i, i] = 1.0
+    return projective(np.diag(spectrum), pvms)
 
 
 def slice_pieces(spectrum):
@@ -278,8 +277,7 @@ def test_symmetrize_bound_on_perturbed_family():
     for eta in (1e-3, 1e-2, 1e-1):
         s = embed_tracial(perturb_strategy(base, eta, 5))
         out, _, report = symmetrize(s, g, correlation(s))
-        for a, b in zip(out.alice, out.bob_left):
-            np.testing.assert_array_equal(a.elements, b.elements)
+        np.testing.assert_array_equal(out.alice, out.bob_left)
         assert report["delta_out"] <= 2 * report["delta_in"] + 1e-8
         # distance envelope ~ sqrt(delta)
         assert report["distance"] <= 20 * np.sqrt(report["delta_in"]) + 1e-8
@@ -292,21 +290,17 @@ def test_projectivize_projective_fixed_point():
     out, _, report = projectivize(sym, g, c_sym)
     assert report["distance"] <= 1e-10
     assert report["gamma"] <= 1e-10
-    for pvm in out.alice:
-        assert is_projective(pvm)
+    assert is_projective(out.alice)
 
 
 def test_projectivize_noised_input():
     g = k3_game()
     s = embed_tracial(entangled_coloring_strategy(3))
-    noised = tuple(
-        Povm(0.99 * p.elements + 0.01 * np.eye(3) / 3) for p in s.alice
-    )
+    noised = 0.99 * s.alice + 0.01 * np.eye(3) / 3
     noisy = TracialStrategy(3, s.sigma, noised, noised)
     out, _, report = projectivize(noisy, g, correlation(noisy))
-    for pvm in out.alice:
-        assert is_projective(pvm, 1e-8)
-        assert pvm.validate() == []
+    assert is_projective(out.alice, 1e-8)
+    assert povm_violations(out.alice) == [[]] * 3
     assert np.isfinite(report["delta_out"])
     assert report["distance"] <= 1.0
 
@@ -314,20 +308,16 @@ def test_projectivize_noised_input():
 def test_slice_strategies_flat_spectrum():
     g = k3_game()
     s = embed_tracial(entangled_coloring_strategy(3))
-    pvms = tuple(map(with_columns, s.alice))
     corners = []
     dec = slice_strategies(
-        TracialStrategy(3, s.sigma, pvms, pvms),
-        g,
-        lambda m, rank, stack: corners.append(stack),
+        projective(s.sigma, s.alice), g, lambda m, rank, stack: corners.append(stack)
     )
     assert len(dec.slices) == len(corners) == 1
     sl = dec.slices[0]
     assert sl.weight == pytest.approx(1.0)
     assert sl.sub_dim == 3
-    for corner, orig in zip(corners[0], s.alice):
-        # sigma = I is diagonal, so the corner is the whole coordinate space
-        np.testing.assert_allclose(corner, orig.elements, atol=1e-9)
+    # sigma = I is diagonal, so the corner is the whole coordinate space
+    np.testing.assert_allclose(corners[0], s.alice, atol=1e-9)
     assert dec.diagnostics["slice_residual"] <= 1e-10
 
 
@@ -338,8 +328,7 @@ def test_slice_strategies_two_level_spectrum():
     s = embed_tracial(entangled_coloring_strategy(3))
     sigma = np.diag([1.0, 1.0, 0.5])
     sigma = sigma / linalg.tau_norm(sigma)
-    pvms = tuple(map(with_columns, s.alice))
-    dec = slice_strategies(TracialStrategy(3, sigma, pvms, pvms), g)
+    dec = slice_strategies(projective(sigma, s.alice), g)
     assert len(dec.slices) == 2
     weights = [sl.weight for sl in dec.slices]
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
@@ -479,12 +468,14 @@ def test_sweep_task_polarizes_once(monkeypatch):
 def test_sweep_task_call_budget(monkeypatch):
     # One game check per public entry (round_correlation, symmetrize,
     # projectivize, slice_strategies, lemma_report); correlations at a
-    # diagonal state come from stacked arrays; one kernel call per family.
+    # diagonal state come from stacked arrays; one kernel call per family;
+    # each stage's synchronicity is taken once.
     budget = {
         (games, "is_synchronous_game"): 5,
         (linalg, "eig_hermitian"): 13,
         (rounding, "_round_povm"): 5,
         (strategies, "stacked_correlation"): 11,
+        (strategies, "_synchronicity"): 10,
     }
     calls = {key: spy(monkeypatch, *key) for key in budget}
     row = cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
@@ -527,6 +518,25 @@ def test_round_correlation_correlates_the_embedding_once(monkeypatch):
     ((_, embedded),) = embeds
     assert dec.embedded is embedded
     assert sum(args[0] is embedded for args, _ in correlations) == 1
+
+
+def test_round_correlation_on_a_loaded_strategy_builds_no_povm(monkeypatch, tmp_path):
+    # every stage reads and writes element stacks; only the loader and
+    # TensorStrategy hold Povm families
+    path = tmp_path / "s.json"
+    io.save_path(str(path), io.strategy_to_dict(random_strategy((4, 6), (3, 3), 1)))
+    s = io.load_path(str(path), "strategy")
+    real = Povm.__post_init__
+    built = []
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Povm, "__post_init__", counting)
+    dec = round_correlation(k3_game(), s)
+    assert len(dec.slices) == 4
+    assert built == []
 
 
 def test_round_correlation_retains_no_corners():

@@ -280,7 +280,7 @@ def host_frame_transferred(game, inst, s):
                 if rho[x, y] == 0.0 or not block:
                     continue
                 h = sum(families[y].elements[b] for b in block)
-                left = sigma_plus @ dec.embedded.alice[x].elements[a] @ sigma_plus
+                left = sigma_plus @ dec.embedded.alice[x, a] @ sigma_plus
                 total += rho[x, y] * linalg.tau(left @ h).real
     return total
 

@@ -15,7 +15,6 @@ from syncround.strategies import (
     deterministic_strategy,
     embed_tracial,
     entangled_coloring_strategy,
-    opposite,
     perturb_strategy,
     povm_violations,
     random_povm_strategy,
@@ -36,7 +35,7 @@ def basis_pvm(dim):
 def test_povm_validate_accepts_pvm():
     p = basis_pvm(3)
     assert p.validate() == []
-    assert is_projective(p)
+    assert is_projective(p.elements)
 
 
 def test_povm_validate_flags_bad_sum():
@@ -115,19 +114,23 @@ def test_stacked_check_names_the_failing_family():
             assert [i for i, v in enumerate(got) if v] == [at]
 
 
-def test_opposite_examples():
-    np.testing.assert_array_equal(opposite(np.eye(2)), np.eye(2))
-    np.testing.assert_array_equal(
-        opposite(np.array([[0.0, 1.0], [0.0, 0.0]])),
-        np.array([[0.0, 0.0], [1.0, 0.0]]),
-    )
-
-
-def test_opposite_reverses_products():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(opposite(a @ b), opposite(b) @ opposite(a), atol=1e-12)
+@pytest.mark.parametrize("dims", [(3, 5), (5, 3)])
+def test_embed_pads_each_side_into_one_stack(dims):
+    # each side is one (nq, na, n, n) stack: the elements in the leading
+    # block, the padding's identity on answer 0, Bob's side transposed
+    s = random_strategy(dims, (2, 3), 1)
+    emb = embed_tracial(s)
+    n = max(dims)
+    for side, povms, d in ((emb.alice, s.alice, dims[0]), (emb.bob_left, s.bob, dims[1])):
+        assert side.shape == (2, 3, n, n) and side.dtype == complex
+        block = np.array([p.elements for p in povms])
+        if side is emb.bob_left:
+            block = block.swapaxes(-1, -2)
+        np.testing.assert_array_equal(side[:, :, :d, :d], block)
+        padding = np.zeros((3, n - d, n - d))
+        padding[0] = np.eye(n - d)
+        np.testing.assert_array_equal(side[:, :, d:, d:], np.stack([padding, padding]))
+        assert not side[:, :, :d, d:].any() and not side[:, :, d:, :d].any()
 
 
 def test_embed_product_state_sigma():
@@ -144,8 +147,7 @@ def test_embed_maximally_entangled_sigma_is_identity():
     emb = embed_tracial(s)
     np.testing.assert_allclose(emb.sigma, np.eye(3), atol=1e-12)
     # bob's diagonal projectors are fixed by the transpose
-    for p, q in zip(emb.bob_left, s.bob):
-        np.testing.assert_allclose(p.elements, q.elements, atol=1e-12)
+    np.testing.assert_allclose(emb.bob_left, [q.elements for q in s.bob], atol=1e-12)
 
 
 def test_embed_normalization():
@@ -154,8 +156,7 @@ def test_embed_normalization():
         emb = embed_tracial(s)
         sig = emb.sigma
         assert np.trace(sig.conj().T @ sig).real / emb.dim == pytest.approx(1.0)
-        for povm in emb.alice + emb.bob_left:
-            assert povm.validate() == []
+        assert povm_violations(np.concatenate((emb.alice, emb.bob_left))) == [[]] * 4
 
 
 def test_correlation_matches_tensor_oracle():
