@@ -138,6 +138,7 @@ def _round_povm(elements: np.ndarray, weight, factors=None):
         columns = np.zeros((nq, na, n, n), dtype=complex)
         basis = None  # (nq, n, m) complement bases, zero-padded; None is C^n
         width = np.full(nq, n)  # each question's complement dimension
+        widest = 0  # the widest outcome's rank so far
         for x in order[:, :-1].T:
             corner = elements[rows, x]
             if basis is not None:
@@ -156,6 +157,7 @@ def _round_povm(elements: np.ndarray, weight, factors=None):
                 basis[q, :, : end - k] = vectors[q, :, k:end]
             width = rest
             cols = vectors[:, :, : kept.max()]
+            widest = max(widest, cols.shape[2])
             if kept.min() < cols.shape[2]:
                 cols = cols * (np.arange(cols.shape[2]) < kept[:, None])[:, None]
             columns[rows, x, :, : cols.shape[2]] = cols
@@ -164,8 +166,7 @@ def _round_povm(elements: np.ndarray, weight, factors=None):
             basis = np.broadcast_to(np.eye(n, dtype=complex), (nq, n, n))
         columns[rows, order[:, -1], :, : basis.shape[2]] = basis
         pvm[rows, order[:, -1]] = basis @ _adjoint(basis)
-        # every column past the widest outcome's rank is zero
-        columns = columns[..., : np.any(columns, axis=(0, 1, 2)).sum()].copy()
+        columns = columns[..., : max(widest, basis.shape[2])].copy()
     else:
         kept = np.empty((nq, n, 0), dtype=complex)
         for x in order[:, :-1].T:

@@ -226,10 +226,14 @@ def test_slices_reconstruct_sigma_squared():
     ],
 )
 def test_slice_strategies_refuses_sigma_outside_its_eigenbasis(sigma):
-    # every sigma here has tau(sigma* sigma) = 1
+    # every sigma here has tau(sigma* sigma) = 1; the strategy keeps its
+    # factors, so only the sigma checks can refuse it
     s = diagonal_strategy(np.ones(2))
-    with pytest.raises(ValidationError, match="slicing needs"):
-        slice_strategies(TracialStrategy(2, sigma, s.alice, s.alice), k3_game())
+    t = TracialStrategy(2, sigma, s.alice, s.alice, s.factors)
+    with pytest.raises(
+        ValidationError, match="real diagonal sigma|nonnegative nonincreasing sigma"
+    ):
+        slice_strategies(t, k3_game())
 
 
 @pytest.mark.parametrize(
