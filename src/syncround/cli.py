@@ -16,6 +16,7 @@ order, and the CSV rows already written are flushed when a task fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -240,7 +241,9 @@ def cmd_soundness_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process rather than per main call."""
     parser = argparse.ArgumentParser(
         prog="syncround",
         description="Round almost-synchronous strategies to synchronous mixtures.",
@@ -297,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -3,12 +3,19 @@
 Moves a per-synchronous-strategy guarantee (a family of auxiliary
 measurements witnessing some structure) from the rounded slices back to a
 single POVM for the original strategy, via the dominated-operator
-factorization trick.
+factorization trick.  The demo only meets its diagonal case: in sigma+'s
+eigenbasis sigma = diag(s) and dominated_factorization(sigma^2, T) is
+H = sigma^-1 T sigma^-1 on the support, which aggregate_slice_povms
+computes by scaling; the demo never calls the general function.
 
 The rounding keeps no corner PVMs: its decomposition is O(n^2).  The
 corners stream through round_correlation's on_slice hook, and the demo
 folds each slice's corners into one (nq, na, n, n) target as they pass, the
 only state it keeps for them.
+
+The consistency test is a game on the strategy's alphabets, so the
+transferred expectation and the marginal synchronicity are that game's
+value and synchronicity on correlation tables.
 """
 
 from __future__ import annotations
@@ -20,10 +27,11 @@ import numpy as np
 
 from . import linalg
 from .errors import DominationViolated, NotPovm, ValidationError
-from .games import Game
-from .linalg import GIVEN_SUM_TOL, PSD_FLOOR, RECONSTRUCT_TOL, SUPPORT_CUTOFF
+from .games import Game, validate_game
+from .linalg import PSD_FLOOR, RECONSTRUCT_TOL, SUPPORT_CUTOFF
 from .rounding import round_correlation
-from .strategies import Povm, TensorStrategy, povm_violations
+from .strategies import TensorStrategy, _check_alphabets, _diagonal_correlation
+from .strategies import _synchronicity, povm_violations
 from .strategies import winning_probability_from_correlation
 
 # Unused here: perfbench's tracer test lists this module among the places
@@ -35,32 +43,23 @@ from .strategies import correlation  # noqa: F401
 class SoundnessInstance:
     """Auxiliary data for a soundness-transfer statement.
 
-    g maps (x, y, a) to the subset of auxiliary answers consistent with a;
-    for fixed (x, y) the subsets must be pairwise disjoint over a.
+    test is the consistency test as a game on the strategy's own
+    alphabets, since the auxiliary families are the slices' corner PVMs:
+    test.mu is rho over question pairs (x, y) and test.win[x, y, a, b]
+    marks Bob's auxiliary answer b as consistent with Alice's a.  For fixed
+    (x, y) each b is consistent with at most one a.
     """
 
-    aux_questions: tuple[str, ...]
-    aux_answers: tuple[str, ...]
-    rho: np.ndarray  # joint distribution over X x Y
-    g: Callable[[int, int, int], frozenset[int]]
+    test: Game
     kappa: Callable[[float], float]
 
     def validate(self, n_questions: int, n_answers: int) -> None:
-        rho = np.asarray(self.rho, dtype=float)
-        if rho.shape != (n_questions, len(self.aux_questions)):
-            raise ValidationError(f"rho shape {rho.shape} mismatches alphabets")
-        if abs(rho.sum() - 1.0) > GIVEN_SUM_TOL or rho.min() < 0:
-            raise ValidationError("rho is not a probability distribution")
-        for x in range(n_questions):
-            for y in range(len(self.aux_questions)):
-                seen: set[int] = set()
-                for a in range(n_answers):
-                    block = self.g(x, y, a)
-                    if seen & block:
-                        raise ValidationError(
-                            f"g blocks overlap at (x={x}, y={y})"
-                        )
-                    seen |= block
+        violations = validate_game(self.test)
+        if violations:
+            raise ValidationError(f"consistency test: {', '.join(violations)}")
+        _check_alphabets(self.test, n_questions, n_answers)
+        if np.any(self.test.win.sum(axis=2) > 1):
+            raise ValidationError("consistent answer sets overlap")
 
 
 def dominated_factorization(a, b) -> np.ndarray:
@@ -81,8 +80,8 @@ def dominated_factorization(a, b) -> np.ndarray:
     return root_inv @ b_h @ root_inv
 
 
-def aggregate_slice_povms(spectrum, targets) -> list[Povm]:
-    """Combine the folded slice corner POVMs into one family on the host.
+def aggregate_slice_povms(spectrum, targets) -> np.ndarray:
+    """Combine the folded slice corner POVMs into one (nq, na, n, n) stack H.
 
     All in sigma's eigenbasis, sigma = diag(s): targets[y, b] is the
     measure-weighted sum T of the slices' corner elements for question y,
@@ -97,21 +96,19 @@ def aggregate_slice_povms(spectrum, targets) -> list[Povm]:
     support = s2 > SUPPORT_CUTOFF * s2.max()
     inv = np.where(support, 1.0, 0.0) / np.where(support, s, 1.0)
     kernel = np.diag(np.where(support, 0.0, 1.0))
-    scale, unscale = np.outer(inv, inv), np.outer(s, s)
 
-    stack = np.asarray(targets) * scale
+    stack = np.asarray(targets) * np.outer(inv, inv)
     stack[:, 0] += kernel
-    violations = povm_violations(stack)
-    for y, (target, elements) in enumerate(zip(targets, stack)):
-        if violations[y]:
+    for y, violations in enumerate(povm_violations(stack)):
+        if violations:
             raise NotPovm(f"aggregated family for question {y} is not a POVM")
-        # sigma annihilates the kernel completion, so the identity holds
-        # for b = 0 as well.
-        error = np.linalg.norm(unscale * elements - target, axis=(1, 2))
-        if np.any(error > RECONSTRUCT_TOL * (1.0 + np.linalg.norm(s2))):
-            b = int(np.argmax(error))
-            raise NotPovm(f"sigma H sigma reconstruction failed at (y={y}, b={b})")
-    return [Povm(elements) for elements in stack]
+    # sigma annihilates the kernel completion, so the identity holds for
+    # b = 0 as well.
+    error = np.linalg.norm(np.outer(s, s) * stack - targets, axis=(-2, -1))
+    if np.any(error > RECONSTRUCT_TOL * (1.0 + np.linalg.norm(s2))):
+        y, b = np.unravel_index(np.argmax(error), error.shape)
+        raise NotPovm(f"sigma H sigma reconstruction failed at (y={y}, b={b})")
+    return stack
 
 
 def soundness_transfer_demo(
@@ -140,40 +137,20 @@ def soundness_transfer_demo(
     delta = dec.diagnostics["delta_in"]
     omega = winning_probability_from_correlation(game, c_in)
 
-    # Marginal synchronicity condition under rho's X-marginal.
-    rho = np.asarray(inst.rho, dtype=float)
-    rho_x = rho.sum(axis=1)
-    off = ~np.eye(game.n_answers, dtype=bool)
-    marginal_sync = float(
-        sum(rho_x[x] * c_in.table[x, x][off].sum() for x in range(game.n_questions))
-    )
-
     # H lives on the symmetric stage whose slices were computed, in sigma+'s
-    # eigenbasis V: sigma+ = diag(s) and Alice's elements are V* A V.
+    # eigenbasis: sigma+ = diag(s), so tau(sigma+ A sigma+ H) is the
+    # diagonal-state correlation of the stage's Alice against H.
     sym = dec.symmetric
     s = np.diagonal(sym.sigma).real
     families = aggregate_slice_povms(s, targets)
-    weight = np.outer(s, s)
-
-    transferred = 0.0
-    for x in range(game.n_questions):
-        for y in range(len(inst.aux_questions)):
-            if rho[x, y] == 0.0:
-                continue
-            for a in range(game.n_answers):
-                block = inst.g(x, y, a)
-                if not block:
-                    continue
-                h = sum(families[y].elements[b] for b in block)
-                # tau(sigma+ A sigma+ H) = sum_ij s_i A_ij s_j H_ji / n
-                left = weight * sym.alice[x, a]
-                val = np.sum(left * h.T).real / sym.dim
-                transferred += rho[x, y] * float(val)
+    transferred = winning_probability_from_correlation(
+        inst.test, _diagonal_correlation(s, sym.alice, families)
+    )
 
     return {
         "omega": omega,
         "delta": delta,
-        "marginal_sync": marginal_sync,
+        "marginal_sync": _synchronicity(inst.test, c_in),
         "transferred_expectation": transferred,
         "kappa_at_omega": float(inst.kappa(omega)),
         "kappa_adjusted": float(
@@ -185,14 +162,9 @@ def soundness_transfer_demo(
 
 
 def identity_consistency_instance(game: Game) -> SoundnessInstance:
-    """Default toy instance: auxiliary questions mirror the game questions,
-    auxiliary answers mirror the game answers, rho is the diagonal
-    distribution with Alice's marginal and g is the identity map."""
-    rho = np.diag(game.mu_x)
-    return SoundnessInstance(
-        aux_questions=game.questions,
-        aux_answers=game.answers,
-        rho=rho,
-        g=lambda x, y, a: frozenset({a}),
-        kappa=lambda w: max(0.0, 2.0 * w - 1.0),
-    )
+    """Default toy instance: the test asks (x, x) with Alice's marginal and
+    accepts b = a."""
+    nq, eye = game.n_questions, np.eye(game.n_answers, dtype=bool)
+    win = np.broadcast_to(eye, (nq, nq) + eye.shape)
+    test = Game(game.questions, game.answers, np.diag(game.mu_x), win)
+    return SoundnessInstance(test=test, kappa=lambda w: max(0.0, 2.0 * w - 1.0))

@@ -344,6 +344,14 @@ def test_soundness_demo(capsys):
     assert float(report["transferred_expectation"]) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        code, _, _ = run(capsys, "round", "--game", "k3", "--strategy", "k3-entangled")
+        assert code == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_sweep_flushes_finished_rows_when_a_task_fails(capsys, tmp_path, monkeypatch):
     argv = ["sweep", "--eta", "1e-3,1e-2", "--trials", "2", "--seed", "0", "--csv"]
     full_path = tmp_path / "full.csv"

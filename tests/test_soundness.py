@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from reference import expand_corner, host_aggregate, padded_targets
-from syncround import linalg
-from syncround.errors import DominationViolated, NotPovm, ValidationError
-from syncround.games import k3_game
+from syncround import linalg, soundness
+from syncround.errors import (
+    AlphabetMismatch,
+    DominationViolated,
+    NotPovm,
+    ValidationError,
+)
+from syncround.games import Game, k3_game
 from syncround.rounding import round_correlation
 from syncround.soundness import (
     SoundnessInstance,
@@ -17,8 +22,11 @@ from syncround.soundness import (
 )
 from syncround.strategies import (
     Povm,
+    correlation,
+    embed_tracial,
     entangled_coloring_strategy,
     perturb_strategy,
+    povm_violations,
     random_strategy,
 )
 
@@ -119,7 +127,7 @@ def padded(x, n):
 def test_aggregate_single_slice_identity_sigma():
     pvm = basis_pvm(3)
     families = aggregate_slice_povms(np.ones(3), padded_targets(3, [(1.0, 3, [pvm])]))
-    np.testing.assert_allclose(families[0].elements, pvm.elements, atol=1e-9)
+    np.testing.assert_allclose(families[0], pvm.elements, atol=1e-9)
 
 
 def test_aggregate_degenerate_all_mass_on_one_outcome():
@@ -129,8 +137,8 @@ def test_aggregate_degenerate_all_mass_on_one_outcome():
     families = aggregate_slice_povms(
         np.ones(3), padded_targets(3, [(1.0, 3, [Povm(elements)])])
     )
-    np.testing.assert_allclose(families[0].elements[0], np.eye(3), atol=1e-9)
-    np.testing.assert_allclose(families[0].elements[1], 0, atol=1e-9)
+    np.testing.assert_allclose(families[0][0], np.eye(3), atol=1e-9)
+    np.testing.assert_allclose(families[0][1], 0, atol=1e-9)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2])
@@ -147,13 +155,12 @@ def test_aggregate_two_slice_reconstruction():
     sigma = np.diag(spectrum)
     families = aggregate_slice_povms(spectrum, padded_targets(2, slices))
     assert len(families) == 1
-    family = families[0]
-    assert family.validate() == []
+    assert povm_violations(families) == [[]]
     for b in range(2):
         target = sum(
             m * padded(corner[0].elements[b], 2) for m, _, corner in slices
         )
-        recon = sigma @ family.elements[b] @ sigma
+        recon = sigma @ families[0][b] @ sigma
         assert linalg.frobenius(recon - target) <= 1e-8
 
 
@@ -163,9 +170,8 @@ def test_aggregate_kernel_deficit_goes_to_outcome_zero():
     families = aggregate_slice_povms(
         np.array([np.sqrt(2.0), 0.0]), padded_targets(2, [(2.0, 1, corner)])
     )
-    family = families[0]
-    assert family.validate() == []
-    assert family.elements[0][1, 1] == pytest.approx(1.0)
+    assert povm_violations(families) == [[]]
+    assert families[0][0][1, 1] == pytest.approx(1.0)
 
 
 def test_aggregate_support_cut_matches_pseudo_inv_sqrt():
@@ -183,26 +189,101 @@ def test_aggregate_support_cut_matches_pseudo_inv_sqrt():
             np.diag(spectrum),
             [(measures[0], np.eye(2)[:, :1], [top]), (measures[1], np.eye(2), [pvm])],
         )
-        np.testing.assert_allclose(
-            families[0].elements, host[0].elements, atol=1e-10
-        )
+        np.testing.assert_allclose(families[0], host[0].elements, atol=1e-10)
         expected = 1.0 if on_support else 0.0
-        assert families[0].elements[1][1, 1].real == pytest.approx(expected)
+        assert families[0][1][1, 1].real == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------
 # soundness instance + demo
 
 
+def consistency_test(mu, win, n_questions=3, n_answers=3):
+    """A consistency-test game asking mu over its question pairs and
+    accepting the answer pairs win marks."""
+    return Game(
+        tuple(f"y{i}" for i in range(n_questions)),
+        tuple(f"b{i}" for i in range(n_answers)),
+        np.asarray(mu, dtype=float),
+        win,
+    )
+
+
+def shifted_win(nq, na, nb, shift=0):
+    """win[x, y, a, b] = [b == a + shift], for b in range(nb)."""
+    win = np.zeros((nq, nq, na, nb), dtype=bool)
+    for a in range(na):
+        if 0 <= a + shift < nb:
+            win[:, :, a, a + shift] = True
+    return win
+
+
+def overlapping_win():
+    win = np.zeros((3, 3, 3, 3), dtype=bool)
+    win[..., 0] = True  # every a is consistent with b = 0
+    return win
+
+
+# Each instance the k3 game's 3x3 strategies cannot carry, with the error
+# validate must raise for it.
+MALFORMED = {
+    "four-aux-questions": (
+        consistency_test(np.full((4, 4), 1 / 16), shifted_win(4, 3, 3), n_questions=4),
+        AlphabetMismatch,
+    ),
+    "rho-over-four-aux-questions": (
+        consistency_test(np.full((3, 4), 1 / 12), shifted_win(3, 3, 3)),
+        ValidationError,
+    ),
+    "two-aux-questions": (
+        consistency_test(np.full((2, 2), 1 / 4), shifted_win(2, 3, 3), n_questions=2),
+        AlphabetMismatch,
+    ),
+    "five-aux-answers": (
+        consistency_test(np.eye(3) / 3, shifted_win(3, 5, 5), n_answers=5),
+        AlphabetMismatch,
+    ),
+    "answer-outside-alphabet": (
+        consistency_test(np.eye(3) / 3, shifted_win(3, 3, 4, shift=1)),
+        ValidationError,
+    ),
+    "unnormalized-rho": (
+        consistency_test(np.eye(3) / 6, shifted_win(3, 3, 3)),
+        ValidationError,
+    ),
+    "negative-rho": (
+        consistency_test(np.diag([0.5, 0.75, -0.25]), shifted_win(3, 3, 3)),
+        ValidationError,
+    ),
+    "overlapping-consistent-answers": (
+        consistency_test(np.eye(3) / 3, overlapping_win()),
+        ValidationError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_instance_is_refused_before_rounding(name, monkeypatch):
+    test, error = MALFORMED[name]
+    inst = SoundnessInstance(test, kappa=lambda w: w)
+    g = k3_game()
+    with pytest.raises(error):
+        inst.validate(g.n_questions, g.n_answers)
+
+    def no_rounding(*args, **kwargs):
+        raise AssertionError("rounding started on a malformed instance")
+
+    monkeypatch.setattr(soundness, "round_correlation", no_rounding)
+    with pytest.raises(error):
+        soundness_transfer_demo(g, inst, entangled_coloring_strategy(3))
+
+
 def test_instance_validation_rejects_overlapping_blocks():
     g = k3_game()
     inst = identity_consistency_instance(g)
+    test = inst.test
     bad = SoundnessInstance(
-        inst.aux_questions,
-        inst.aux_answers,
-        inst.rho,
-        lambda x, y, a: frozenset({0}),
-        inst.kappa,
+        Game(test.questions, test.answers, test.mu, overlapping_win()), inst.kappa
     )
     with pytest.raises(ValidationError):
         bad.validate(g.n_questions, g.n_answers)
@@ -211,8 +292,9 @@ def test_instance_validation_rejects_overlapping_blocks():
 def test_instance_validation_rejects_bad_rho():
     g = k3_game()
     inst = identity_consistency_instance(g)
+    test = inst.test
     bad = SoundnessInstance(
-        inst.aux_questions, inst.aux_answers, inst.rho * 0.5, inst.g, inst.kappa
+        Game(test.questions, test.answers, test.mu * 0.5, test.win), inst.kappa
     )
     with pytest.raises(ValidationError):
         bad.validate(g.n_questions, g.n_answers)
@@ -231,9 +313,7 @@ def test_demo_perfect_strategy():
 def test_demo_kappa_zero():
     g = k3_game()
     inst = identity_consistency_instance(g)
-    zero = SoundnessInstance(
-        inst.aux_questions, inst.aux_answers, inst.rho, inst.g, lambda w: 0.0
-    )
+    zero = SoundnessInstance(inst.test, lambda w: 0.0)
     s = entangled_coloring_strategy(3)
     report = soundness_transfer_demo(g, zero, s)
     assert report["kappa_at_omega"] == 0.0
@@ -258,7 +338,8 @@ def host_frame_transferred(game, inst, s):
     each slice's corner, collected through on_slice, expanded by sigma+'s
     leading eigenvectors, the families aggregated with
     pseudo_inv_sqrt(sigma+^2), and tau(sigma+ A sigma+ H) taken with the
-    embedded strategy's elements."""
+    embedded strategy's elements, summed over the test's rho and its
+    consistent answers."""
     corners = []
     dec = round_correlation(
         game, s, on_slice=lambda m, rank, stack: corners.append((m, rank, stack))
@@ -271,18 +352,63 @@ def host_frame_transferred(game, inst, s):
         for m, rank, stack in corners
     ]
     families = host_aggregate(sigma_plus, slices)
-    rho = np.asarray(inst.rho, dtype=float)
+    rho, win = inst.test.mu, inst.test.win
     total = 0.0
     for x in range(game.n_questions):
-        for y in range(len(inst.aux_questions)):
+        for y in range(game.n_questions):
             for a in range(game.n_answers):
-                block = inst.g(x, y, a)
+                block = [b for b in range(game.n_answers) if win[x, y, a, b]]
                 if rho[x, y] == 0.0 or not block:
                     continue
                 h = sum(families[y].elements[b] for b in block)
                 left = sigma_plus @ dec.embedded.alice[x, a] @ sigma_plus
                 total += rho[x, y] * linalg.tau(left @ h).real
     return total
+
+
+def loop_marginal_sync(inst, c):
+    """Off-diagonal answer mass on (x, x) under rho's X-marginal, by loops."""
+    rho, table = inst.test.mu, c.table
+    total = 0.0
+    for x in range(rho.shape[0]):
+        rho_x = sum(rho[x, y] for y in range(rho.shape[1]))
+        for a in range(table.shape[2]):
+            for b in range(table.shape[3]):
+                if a != b:
+                    total += rho_x * table[x, x, a, b]
+    return total
+
+
+def asymmetric_test(game):
+    """rho asymmetric and off the diagonal; b = a + x + 2y mod 3 is
+    consistent, so swapping x with y or a with b changes the value."""
+    rho = np.array([[0.2, 0.1, 0.0], [0.0, 0.05, 0.3], [0.15, 0.0, 0.2]])
+    win = np.zeros(game.win.shape, dtype=bool)
+    for x, y, a in np.ndindex(3, 3, 3):
+        win[x, y, a, (a + x + 2 * y) % 3] = True
+    return Game(game.questions, game.answers, rho, win)
+
+
+def partial_test(game):
+    """Under the k3 game's own rho, answer a = x has no consistent b."""
+    win = np.broadcast_to(np.eye(3, dtype=bool), game.win.shape).copy()
+    for x in range(3):
+        win[x, :, x, :] = False
+    return Game(game.questions, game.answers, game.mu, win)
+
+
+def shifted_test(game):
+    """Under the k3 game's own rho, b = a + 1 mod 3 is consistent."""
+    win = np.broadcast_to(np.roll(np.eye(3, dtype=bool), 1, axis=1), game.win.shape)
+    return Game(game.questions, game.answers, game.mu, win)
+
+
+CONSISTENCY_TESTS = {
+    "identity": lambda g: identity_consistency_instance(g).test,
+    "shifted": shifted_test,
+    "partial": partial_test,
+    "asymmetric": asymmetric_test,
+}
 
 
 DEMO_CASES = {
@@ -297,8 +423,13 @@ DEMO_CASES = {
 @pytest.mark.parametrize("name", sorted(DEMO_CASES))
 def test_demo_matches_host_frame_reference(name):
     g = k3_game()
-    inst = identity_consistency_instance(g)
     s = DEMO_CASES[name]
-    report = soundness_transfer_demo(g, inst, s)
-    want = host_frame_transferred(g, inst, s)
-    assert abs(report["transferred_expectation"] - want) <= 1e-10
+    c_in = correlation(embed_tracial(s))
+    for test_name, make_test in CONSISTENCY_TESTS.items():
+        inst = SoundnessInstance(make_test(g), kappa=lambda w: w)
+        report = soundness_transfer_demo(g, inst, s)
+        want = host_frame_transferred(g, inst, s)
+        got = report["transferred_expectation"]
+        assert abs(got - want) <= 1e-10, (test_name, got, want)
+        sync = loop_marginal_sync(inst, c_in)
+        assert abs(report["marginal_sync"] - sync) <= 1e-12, (test_name, sync)
