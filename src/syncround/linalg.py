@@ -23,7 +23,7 @@ CONTRACT_SLACK = 1e-8  # slack of a proved inequality: 2 delta, 9 eps, sync 0, l
 SUPPORT_CUTOFF = 1e-10  # eigenvalues at or below this times the largest are kernel
 NORM_TOL = 1e-9  # a computed normalization: tau(sigma sigma*), slice weights, POVM sums
 HERMITIZE_TOL = 1e-9  # relative asymmetry hermitize accepts by default
-CORNER_TOL = 1e-7  # relative asymmetry of a corner V* A V, and of V V* against A
+CORNER_TOL = 1e-7  # relative asymmetry of a compression B* A B, and gap of F F* to A
 POVM_ASYM_TOL = 1e-8  # relative asymmetry of a POVM element that validates
 INV_SQRT_FLOOR = -1e-12  # lowest eigenvalue pseudo_inv_sqrt's input may show
 CORR_IMAG_TOL = 1e-7  # imaginary residue a correlation entry may carry
@@ -100,31 +100,6 @@ def frobenius_each(m: np.ndarray) -> np.ndarray:
     imaginary parts side by side and without a temporary of m's size."""
     parts = np.ascontiguousarray(m).view(float)
     return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
-
-
-def check_leading_blocks(m, ranks) -> None:
-    """hermitize's test at CORNER_TOL on every leading block m[..., :r, :r].
-
-    m is a stack of square matrices and r runs over ranks.  The Frobenius
-    norms of each block E and of E - E* come from the diagonals of the 2-D
-    prefix sums of |m|^2 and |m - m*|^2, one pass over m instead of one
-    hermitize call per block.
-    """
-    a = np.asarray(m, dtype=complex)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has NaN or Inf entries")
-    last = np.asarray(ranks, dtype=int) - 1
-
-    def block_norms(x: np.ndarray) -> np.ndarray:
-        prefix = (x.real**2 + x.imag**2).cumsum(axis=-2).cumsum(axis=-1)
-        return np.sqrt(prefix[..., last, last])
-
-    asym = block_norms(a - a.conj().swapaxes(-1, -2))
-    bad = asym > CORNER_TOL * (1.0 + block_norms(a))
-    if bad.any():
-        raise AsymmetryExceedsTolerance(
-            f"asymmetry {asym[bad].max():.3e} exceeds tolerance {CORNER_TOL:.3e}"
-        )
 
 
 @dataclass(frozen=True)

@@ -40,22 +40,22 @@ Cost of the slice stage at dimension n, with nq questions of na answers.
 Every slice spans a leading block of coordinates and sigma's spectrum is
 its diagonal.  projectivize stores the orthonormal columns F of its PVMs,
 P = F F*, as the strategy's factors, one (nq, na, n, k) stack zero-padded
-to the widest rank k, and the slice stage uses them as rank factors:
-checking F F* against each element costs O(n^2 k), and the asymmetry of
-every leading block is read from prefix sums.  Slice j of rank r rounds
-its corner, whose factor is the leading r rows of F, with one kernel
-call: na - 1 stacked eigendecompositions of nq min(r, k)-sized matrices
-and O(r k (r + k)) products per question.  Its residual ||A[:, :r] - [P;
-0]||_F^2 is the off-corner mass ||A[r:, :r]||_F^2, read from prefix sums
-of |A|^2, plus the corner's rounding error.  The corner PVMs fill one (nq, na, r, r)
-array, the slice's correlation is one product of it with its transpose,
-and it is dropped after an optional on_slice hook has seen it, so the
-decomposition is O(n^2) although the corners add up to about n^3 nq na / 3
-entries when every slice has its own rank.  The joint-distribution check
-takes its pieces from both operands' spectra at once and needs one
-eigendecomposition per operand: every threshold projector is a leading
-eigenvector block, so its distance on each piece is read from a prefix sum
-of eigenvector overlaps.
+to the widest rank k, and the slice stage uses them as rank factors: it
+forms F F* once, O(n^2 k) per element, checks it against Alice's elements
+and reads her PVMs only from it, Hermitian by construction.  Slice j of
+rank r rounds its corner, whose factor is the leading r rows of F, with
+one kernel call: na - 1 stacked eigendecompositions of nq min(r, k)-sized
+matrices and O(r k (r + k)) products per question.  Its residual ||P[:,
+:r] - [Q; 0]||_F^2 is the off-corner mass ||P[r:, :r]||_F^2, read from
+prefix sums of |P|^2, plus the corner's rounding error to its PVM Q.  The
+corner PVMs fill one (nq, na, r, r) array, the slice's correlation is one
+product of it with its transpose, and it is dropped after an optional
+on_slice hook has seen it, so the decomposition is O(n^2) although the
+corners add up to about n^3 nq na / 3 entries when every slice has its own
+rank.  The joint-distribution check takes its pieces from both operands'
+spectra at once and needs one eigendecomposition per operand: every
+threshold projector is a leading eigenvector block, so its distance on
+each piece is read from a prefix sum of eigenvector overlaps.
 """
 
 from __future__ import annotations
@@ -380,17 +380,19 @@ def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
 
 
 def _checked_factors(s: TracialStrategy) -> np.ndarray:
-    """s.factors, refused unless an (nq, na, n, k) stack with ||F F* - A||_F <=
-    CORNER_TOL * (1 + ||A||_F), hermitize's test, for every element A of Alice's."""
+    """The PVMs F F* of the factors F = s.factors, refused unless F is an (nq,
+    na, n, k) stack with ||F F* - A||_F <= CORNER_TOL * (1 + ||A||_F) for
+    every element A of Alice's."""
     f = s.factors
     if f is None or f.ndim != 4 or f.shape[:3] != s.alice.shape[:3]:
         raise ValidationError(f"slicing needs {s.alice.shape[:3]} + (k,) PVM factors")
-    gap = np.linalg.norm(f @ _adjoint(f) - s.alice, axis=(-2, -1))
+    pvms = f @ _adjoint(f)
+    gap = np.linalg.norm(pvms - s.alice, axis=(-2, -1))
     bad = ~(gap <= CORNER_TOL * (1.0 + np.linalg.norm(s.alice, axis=(-2, -1))))
     if bad.any():
         x, a = np.unravel_index(bad.argmax(), bad.shape)
         raise ValidationError(f"factors {a} of PVM {x} miss by {gap[x, a]:.3e}")
-    return f
+    return pvms
 
 
 def slice_strategies(
@@ -399,12 +401,13 @@ def slice_strategies(
     """Decompose a symmetric projective strategy into synchronous corners.
 
     s is in its state's eigenbasis, as symmetrize leaves it: sigma is real,
-    diagonal, nonnegative and nonincreasing.  s.factors holds the columns
-    projectivize built Alice's PVMs from, which serve as rank factors.  Each
-    spectral slice, a leading block of coordinates, hosts a corner
-    sub-strategy whose tracial state is the corner identity; compressed
-    measurements are rounded back to PVMs there, making every per-slice
-    correlation synchronous.
+    diagonal, nonnegative and nonincreasing.  s.factors holds the columns F
+    projectivize built Alice's PVMs from, which serve as rank factors; every
+    corner, outcome mass and off-corner sum is read from F F*, once checked
+    against s.alice.  Each spectral slice, a leading block of coordinates,
+    hosts a corner sub-strategy whose tracial state is the corner identity;
+    compressed measurements are rounded back to PVMs there, making every
+    per-slice correlation synchronous.
 
     The corner PVMs are not kept: the decomposition holds each slice's
     weight, measure, dimension and correlation, O(n^2) in all.  A caller
@@ -419,16 +422,14 @@ def slice_strategies(
     _normalized(spectrum**2)
     n, nq = s.dim, s.n_questions
     measures, (ranks,) = _spectral_pieces(spectrum)
-    # Slice j's corner is the leading rank x rank block of every element, so
-    # no slice touches the n x n operators again.
-    linalg.check_leading_blocks(s.alice, ranks)
-    factors = _checked_factors(s)
-    herm = (s.alice + _adjoint(s.alice)) / 2.0
-    # ||A[r:, :r]||_F^2 summed over answers, for every slice rank r: sums of
-    # |A|^2 over the rows from r down, accumulated over the columns below r.
+    # Slice j's corner is the leading rank x rank block of every PVM F F*,
+    # so no slice touches the n x n operators again.
+    pvms = _checked_factors(s)
+    # ||P[r:, :r]||_F^2 summed over answers, for every slice rank r: sums of
+    # |P|^2 over the rows from r down, accumulated over the columns below r.
     # Row n is empty, so the full-rank slice reads 0.
     tails = np.zeros((nq, n + 1, n))
-    sq = (s.alice.real**2 + s.alice.imag**2).sum(axis=1)
+    sq = (pvms.real**2 + pvms.imag**2).sum(axis=1)
     tails[:, :n] = sq[:, ::-1].cumsum(axis=1)[:, ::-1]
     del sq
     off_corner = tails.cumsum(axis=2)[:, ranks, ranks - 1]
@@ -437,9 +438,9 @@ def slice_strategies(
     correlations = []
     residual = 0.0
     for j, (measure, rank) in enumerate(zip(measures.tolist(), ranks.tolist())):
-        # ||(A - P) Pi_r||_F^2 = ||A[r:, :r]||_F^2 + ||A[:r, :r] - P||_F^2;
-        # the corner term is the mass _round_povm returns
-        stack, _, masses = _round_povm(herm[:, :, :rank, :rank], None, factors)
+        # ||(P - Q) Pi_r||_F^2 = ||P[r:, :r]||_F^2 + ||P[:r, :r] - Q||_F^2 for
+        # the corner PVM Q; the corner term is the mass _round_povm returns
+        stack, _, masses = _round_povm(pvms[:, :, :rank, :rank], None, s.factors)
         residual += measure * float(mu_x @ (masses + off_corner[:, j])) / n
         c_sub = stacked_correlation(stack.swapaxes(-1, -2), stack)
         sync_sub = _synchronicity(game, c_sub)

@@ -11,7 +11,9 @@ import numpy as np
 from reference import expand_corner, is_projective, padded_targets, projective
 from syncround import linalg
 from syncround.cli import main as cli_main
+from syncround.errors import MathContractError
 from syncround.games import edge_game, k3_game
+from syncround.linalg import CONTRACT_SLACK, NORM_TOL
 from syncround.rounding import (
     lemma_report,
     orthogonalize_povm,
@@ -24,6 +26,7 @@ from syncround.strategies import (
     Povm,
     TensorStrategy,
     correlation,
+    correlation_distance,
     deterministic_strategy,
     embed_tracial,
     entangled_coloring_strategy,
@@ -179,8 +182,13 @@ def test_lemma_suite():
 
 def rank_deficient_strategy(dims, rank, seed):
     """random_strategy with its coefficient matrix truncated to `rank`."""
-    s = random_strategy(dims, (3, 3), seed)
-    u, sv, vh = np.linalg.svd(s.state.reshape(dims))
+    return with_schmidt_rank(random_strategy(dims, (3, 3), seed), rank)
+
+
+def with_schmidt_rank(s, rank):
+    """s with its coefficient matrix truncated to `rank`; rank 1 is a
+    product state."""
+    u, sv, vh = np.linalg.svd(s.state.reshape(s.dim_a, s.dim_b))
     sv[rank:] = 0.0
     state = ((u[:, : len(sv)] * sv) @ vh[: len(sv)]).reshape(-1)
     state /= np.linalg.norm(state)
@@ -228,6 +236,71 @@ def test_lemma_suite_rank_deficient():
         "lemma-suite-rank-deficient",
         worst >= -1e-8 and elapsed < 60,
         f"min slack {worst:.3e} (tol -1e-8), {elapsed:.1f}s (< 60s)",
+    )
+
+
+def robustness_cases():
+    """Unbalanced dims 1-6 on each side, seeds 0-3, PVM and generic POVM
+    strategies at full Schmidt rank and truncated to ranks 1 and 2, then
+    two inputs whose symmetrized synchronicity misses 2 delta."""
+    for da in range(1, 7):
+        for db in range(1, 7):
+            for seed in range(4):
+                blend = seed / 4
+                for base in (
+                    random_strategy((da, db), (3, 3), seed),
+                    random_povm_strategy((da, db), (3, 3), seed, blend),
+                ):
+                    yield base
+                    yield with_schmidt_rank(base, 1)
+                    yield with_schmidt_rank(base, 2)
+    yield random_strategy((1, 2), (3, 3), 4)
+    yield random_strategy((2, 1), (3, 3), 16)
+
+
+def test_robustness_suite():
+    """Every strategy either rounds with every guarantee met or stops at
+    symmetrize's 2 delta contract; no other stage fails.  A rounded input
+    has slice weights summing to 1, synchronous slices and a distance that
+    the direct tensor correlation reproduces; both lemma slacks hold on
+    every input."""
+    game = k3_game()
+    start = time.perf_counter()
+    rounded = stopped = 0
+    worst_weight = worst_sync = worst_oracle = 0.0
+    worst_slack = np.inf
+    for s in robustness_cases():
+        try:
+            dec = round_correlation(game, s)
+        except MathContractError as exc:
+            assert "symmetrized synchronicity" in str(exc), exc
+            stopped += 1
+            rep = lemma_report(game, embed_tracial(s))
+        else:
+            rounded += 1
+            weights = sum(sl.weight for sl in dec.slices)
+            worst_weight = max(worst_weight, abs(weights - 1.0))
+            for c in dec.correlations:
+                worst_sync = max(worst_sync, synchronicity(game, c))
+            oracle = correlation_distance(game, tensor_correlation(s), dec.mixed)
+            worst_oracle = max(
+                worst_oracle, abs(oracle - dec.diagnostics["distance"])
+            )
+            rep = lemma_report(game, dec.embedded, dec.polar)
+        worst_slack = min(worst_slack, *(e["slack"] for e in rep.values()))
+    elapsed = time.perf_counter() - start
+    report(
+        "robustness-suite",
+        worst_weight <= NORM_TOL
+        and worst_sync <= CONTRACT_SLACK
+        and worst_oracle <= 1e-10
+        and worst_slack >= -1e-8
+        and elapsed < 60,
+        f"{rounded} rounded, {stopped} stopped at 2 delta; weight-sum error "
+        f"{worst_weight:.3e} (tol {NORM_TOL:.0e}), max slice sync "
+        f"{worst_sync:.3e} (tol {CONTRACT_SLACK:.0e}), oracle distance gap "
+        f"{worst_oracle:.3e} (tol 1e-10), min lemma slack {worst_slack:.3e} "
+        f"(tol -1e-8), {elapsed:.1f}s (< 60s)",
     )
 
 

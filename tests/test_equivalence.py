@@ -26,7 +26,6 @@ from reference import (
 )
 from syncround import linalg, rounding
 from syncround.errors import (
-    AsymmetryExceedsTolerance,
     BoundViolated,
     NotNormalized,
     NotPositive,
@@ -689,17 +688,20 @@ def corner_perturbed(s, scale):
     return replace(s, alice=alice)
 
 
-def test_corner_asymmetry_check_matches_per_block_hermitize():
+def test_slicing_reads_alice_only_through_her_factors():
+    # an element within the factor tolerance of F F*, Hermitian or not, is
+    # rounded exactly as F F* is: every corner, mass and off-corner sum is
+    # cut from F F*, which is Hermitian by construction
     game = k3_game()
     s = projective_symmetric(random_strategy((24, 24), (3, 3), 0))
-    passing = corner_perturbed(s, 0.3)
-    slice_strategies(passing, game)
-    reference_slices(passing, game)
-    failing = corner_perturbed(s, 3.0)
-    with pytest.raises(AsymmetryExceedsTolerance):
-        slice_strategies(failing, game)
-    with pytest.raises(AsymmetryExceedsTolerance):
-        reference_slices(failing, game)
+    want = slice_strategies(s, game)
+    for scale in (0.3, 3.0):
+        got = slice_strategies(corner_perturbed(s, scale), game)
+        assert got.slices == want.slices  # weights, measures, corner dims
+        for c_got, c_want in zip(got.correlations, want.correlations, strict=True):
+            np.testing.assert_array_equal(c_got.table, c_want.table)
+        np.testing.assert_array_equal(got.mixed.table, want.mixed.table)
+        assert got.diagnostics == want.diagnostics
 
 
 def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
@@ -795,6 +797,17 @@ def test_slice_strategies_checks_the_columns():
         with pytest.raises(ValidationError, match="factors"):
             slice_strategies(t, game)
             pytest.fail(f"slicing accepted {name} factors")
+    # the factors are checked against every element of Alice's, so an
+    # element that is not finite, or moved past CORNER_TOL, is refused too
+    not_finite = s.alice.copy()
+    not_finite[1, 2, 0, 1] = np.nan
+    for name, t in (
+        ("not finite", replace(s, alice=not_finite)),
+        ("perturbed", corner_perturbed(s, 30.0)),
+    ):
+        with pytest.raises(ValidationError, match="factors"):
+            slice_strategies(t, game)
+            pytest.fail(f"slicing accepted a {name} element")
 
 
 def positive_with_spectrum(rng, spectrum):

@@ -53,35 +53,6 @@ def test_hermitize_rejects_strict_upper_triangular():
         linalg.hermitize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_check_leading_blocks_agrees_with_hermitize():
-    rng = np.random.default_rng(3)
-    tol = linalg.CORNER_TOL
-    for trial in range(40):
-        m = np.array([random_hermitian(rng, 6) for _ in range(2)])
-        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        m[trial % 2] += 10.0 ** rng.uniform(-10, -5) * (g - g.conj().T)
-        ranks = sorted(rng.choice(np.arange(1, 7), size=3, replace=False))
-        want_raise = False
-        for e in m:
-            for r in ranks:
-                try:
-                    linalg.hermitize(e[:r, :r], tol=tol)
-                except AsymmetryExceedsTolerance:
-                    want_raise = True
-        if want_raise:
-            with pytest.raises(AsymmetryExceedsTolerance):
-                linalg.check_leading_blocks(m, ranks)
-        else:
-            linalg.check_leading_blocks(m, ranks)
-
-
-def test_check_leading_blocks_rejects_nan():
-    m = np.eye(3, dtype=complex)[None]
-    m[0, 2, 2] = np.nan
-    with pytest.raises(ValueError):
-        linalg.check_leading_blocks(m, [1])
-
-
 def test_hermitize_stack_agrees_with_hermitize():
     rng = np.random.default_rng(4)
     tol = linalg.CORNER_TOL
