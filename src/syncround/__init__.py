@@ -8,6 +8,7 @@ from .rounding import (
     lemma_report,
     orthogonalize_povm,
     round_correlation,
+    rounding_stages,
     slice_strategies,
     verify_connes,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "lemma_report",
     "orthogonalize_povm",
     "round_correlation",
+    "rounding_stages",
     "slice_strategies",
     "verify_connes",
     "Correlation",

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .games import BUILTIN_GAMES, Game, with_sync_test
 from .linalg import FIT_FLOOR
-from .rounding import lemma_report, round_correlation
+from .rounding import lemma_report, round_correlation, rounding_stages
 from .soundness import identity_consistency_instance, soundness_transfer_demo
 from .strategies import (
     BUILTIN_STRATEGIES,
@@ -113,7 +113,7 @@ def cmd_round(args) -> int:
 def cmd_lemmas(args) -> int:
     game = _resolve_game(args.game)
     strategy = _resolve_strategy(args.strategy)
-    report = lemma_report(game, embed_tracial(strategy))
+    report = lemma_report(game, rounding_stages(game, strategy))
     print("lemma lhs rhs slack")
     for name in sorted(report):
         entry = report[name]
@@ -129,7 +129,7 @@ CSV_HEADER = "eta,seed,delta,distance,slices,slack_min,wall_ms"
 def _sweep_task(game, base, eta, task_seed, timing):
     start = time.perf_counter()
     dec = round_correlation(game, perturb_strategy(base, eta, task_seed))
-    report = lemma_report(game, dec.embedded, dec.polar)
+    report = lemma_report(game, dec.stages)
     slacks = [e["slack"] for e in report.values()]
     wall_ms = int(round((time.perf_counter() - start) * 1000)) if timing else 0
     return {

@@ -49,10 +49,6 @@ class NotNormalized(ValidationError):
     """State fails its trace normalization."""
 
 
-class DominationViolated(ValidationError):
-    """B is not dominated by A beyond tolerance."""
-
-
 class MathContractError(SyncRoundError):
     """A lemma-backed numerical contract failed."""
 

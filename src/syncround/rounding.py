@@ -9,31 +9,31 @@ bounds.  Both lambda-integrals, the slicing of sigma+^2 and the
 joint-distribution integral, are cut into the pieces of one rule,
 _spectral_pieces, on which the integrands are constant.
 
-round_correlation is the one pipeline.  Each stage takes its input
-correlation from the stage before, and the decomposition keeps the
-embedded strategy, its correlation, the polar decomposition and the
-symmetric stage, so the CLI, the lemma report and the soundness demo
-continue from them instead of embedding, correlating or polar-decomposing
-a second time.  Every stage reads and writes the strategy's
-(nq, na, n, n) element stacks.  Every stage after symmetrize works in the
-eigenbasis V of the symmetric state sigma+, from that one SVD: sigma+ is
-the diagonal of its singular values and Alice's elements are rotated
-once, V* A V.  Correlations, weights and residuals are normalized traces,
-so the basis does not change them.
+round_correlation is the one pipeline.  Its prefix, rounding_stages,
+polar-decomposes the embedded state once and keeps every stage before the
+slices, so the CLI, the lemma report and the soundness demo continue from
+it instead of embedding, correlating or polar-decomposing a second time,
+and the lemmas bound the stages the pipeline produced.  Every stage reads
+and writes the strategy's (nq, na, n, n) element stacks.  Every stage
+after symmetrize works in Alice's frame L, the left singular vectors of
+the one SVD sigma = L S V*: the symmetric state is sigma+ = |sigma*| = L S
+L*, written as the diagonal S, and Alice's elements are rotated once, L* A
+L.  Correlations, weights and residuals are normalized traces, so the
+basis does not change them.
 
 One kernel, _round_povm, does every POVM-to-PVM rounding: projectivize's,
-the lemma report's, orthogonalize_povm's and each slice corner's.  It is
-sequential spectral rounding, which meets the 9-epsilon orthogonalization
-bound at a weight sigma sigma* with tau(sigma sigma*) = 1 (BoundViolated
-when any question misses it; a weight off that normalization is refused).
+orthogonalize_povm's and each slice corner's.  It is sequential spectral
+rounding, which meets the 9-epsilon orthogonalization bound at a weight
+sigma sigma* with tau(sigma sigma*) = 1 (BoundViolated when any question
+misses it; a weight off that normalization is refused).
 It works in the weight's eigenbasis, where the weight is a vector s^2, or
 the identity at a corner, and rounds a whole family of nq questions in one
 call, one stacked eigendecomposition per threshold step.
 
 Small-n cost.  At d = 3 a call costs more than its arithmetic.  Each
 public entry checks the game once, then takes synchronicities unchecked,
-each stage's once.  A k3 sweep task makes 5 game checks, 13
-eigendecompositions, 5 kernel calls, 11 correlation products and 10
+each stage's once.  A k3 sweep task makes 5 game checks, 11
+eigendecompositions, 4 kernel calls, 9 correlation products and 8
 synchronicity evaluations, counts a test pins.
 
 Cost of the slice stage at dimension n, with nq questions of na answers.
@@ -60,7 +60,7 @@ each piece is read from a prefix sum of eigenvector overlaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -83,11 +83,14 @@ from .strategies import (
     TracialStrategy,
     _diagonal_correlation,
     _synchronicity,
-    correlation,
     correlation_distance,
     embed_tracial,
     stacked_correlation,
 )
+
+# Unused here: perfbench's tracer test lists this module among the places
+# that bind correlation.
+from .strategies import correlation  # noqa: F401
 
 # on_slice(measure, rank, stack): a slice's measure, corner dimension and
 # (nq, na, rank, rank) corner PVMs.
@@ -300,39 +303,55 @@ class Slice:
 
 
 @dataclass(frozen=True)
+class RoundingStages:
+    """The pipeline before slicing, from one polar decomposition.
+
+    embedded is the standard-form strategy, c_in its correlation and polar
+    the polar decomposition of its state.  symmetric is (sigma+, {A}) in
+    Alice's frame L, whose diagonal sigma+ the slices cut, and projective
+    its rounded strategy.  report holds delta_in, sym_delta, sym_distance,
+    proj_delta, proj_distance and proj_gamma, the names round_correlation's
+    diagnostics carry."""
+
+    embedded: TracialStrategy
+    c_in: Correlation
+    polar: linalg.PolarParts
+    symmetric: TracialStrategy
+    projective: TracialStrategy
+    report: dict
+
+
+@dataclass(frozen=True)
 class RoundingDecomposition:
     slices: tuple[Slice, ...]
     correlations: tuple[Correlation, ...]
     mixed: Correlation
     diagnostics: dict
-    # Earlier stages, set by round_correlation and None on a bare
-    # slice_strategies result.  symmetric is (sigma+, {A}) in sigma+'s
-    # eigenbasis V, whose diagonal sigma+ the slices cut; polar is the
-    # polar decomposition of the embedded state that symmetrize took.
-    embedded: TracialStrategy | None
-    c_in: Correlation | None
-    symmetric: TracialStrategy | None
-    polar: linalg.PolarParts | None
+    # Set by round_correlation, None on a bare slice_strategies result.
+    stages: RoundingStages | None = None
 
 
-def symmetrize(s: TracialStrategy, game: Game, c_in: Correlation, polar=None):
+def symmetrize(s: TracialStrategy, game: Game, polar: linalg.PolarParts):
     """Replace the strategy by the symmetric one (sigma+, {A}).
 
-    c_in is the correlation of s and polar the polar decomposition of its
-    state, taken here when not passed.  The result is written in sigma+'s
-    eigenbasis V: its state is diag(singular values) and Alice's elements
-    are V* A V.  Returns it, its correlation and a report with the
-    input/output synchronicities and the mu-weighted correlation distance;
-    the factor-2 synchronicity bound is enforced.
+    polar is the polar decomposition of s.sigma, whose SVD sigma = L diag(s)
+    V* gives the frames.  Alice's marginal tau(sigma* A sigma) = tau(A
+    sigma sigma*) sees sigma+ = |sigma*| = L diag(s) L*, so the result is
+    written in Alice's frame L: its state is diag(s) and her elements are
+    L* A L.  The input correlation c_in is taken at the same diagonal state,
+    tau(sigma* A sigma B) = tau(diag(s) L*AL diag(s) V*BV).  Returns the
+    symmetric strategy, c_in, its correlation and a report with their
+    synchronicities and the mu-weighted correlation distance; the factor-2
+    synchronicity bound is enforced.
     """
     check_synchronous(game, "symmetrize")
+    left, right = polar.left_basis, polar.eigenbasis
+    singular = polar.singular_values
+    rotated = left.conj().T @ s.alice @ left
+    c_in = _diagonal_correlation(singular, rotated, right.conj().T @ s.bob_left @ right)
     delta_in = _synchronicity(game, c_in)
-    if polar is None:
-        polar = linalg.polar_decompose(s.sigma)
-    v = polar.eigenbasis
-    rotated = v.conj().T @ s.alice @ v
-    out = TracialStrategy(s.dim, np.diag(polar.singular_values), rotated, rotated)
-    c_out = _diagonal_correlation(polar.singular_values, rotated, rotated)
+    out = TracialStrategy(s.dim, np.diag(singular), rotated, rotated)
+    c_out = _diagonal_correlation(singular, rotated, rotated)
     delta_out = _synchronicity(game, c_out)
     if delta_out > 2.0 * delta_in + CONTRACT_SLACK:
         raise MathContractError(
@@ -344,7 +363,7 @@ def symmetrize(s: TracialStrategy, game: Game, c_in: Correlation, polar=None):
         "delta_out": delta_out,
         "distance": correlation_distance(game, c_in, c_out),
     }
-    return out, c_out, report
+    return out, c_in, c_out, report
 
 
 def _diagonal(sigma: np.ndarray, stage: str) -> np.ndarray:
@@ -462,97 +481,94 @@ def slice_strategies(
         "weight_sum": float(weights.sum()),
         "slice_residual": residual,
     }
-    return RoundingDecomposition(
-        tuple(slices), tuple(correlations), mixed, diagnostics, None, None, None, None
-    )
+    return RoundingDecomposition(tuple(slices), tuple(correlations), mixed, diagnostics)
+
+
+def rounding_stages(game: Game, s: TensorStrategy) -> RoundingStages:
+    """The pipeline's prefix: embed -> symmetrize -> projectivize.
+
+    The embedded state is polar-decomposed once; symmetrize takes the input
+    correlation at its diagonal state and projectivize continues from the
+    symmetric stage's correlation.
+    """
+    check_synchronous(game, "rounding")
+    embedded = embed_tracial(s)
+    polar = linalg.polar_decompose(embedded.sigma)
+    sym, c_in, c_sym, sym_report = symmetrize(embedded, game, polar)
+    proj, _, proj_report = projectivize(sym, game, c_sym)
+    report = {
+        "delta_in": sym_report["delta_in"],
+        "sym_delta": sym_report["delta_out"],
+        "sym_distance": sym_report["distance"],
+        "proj_delta": proj_report["delta_out"],
+        "proj_distance": proj_report["distance"],
+        "proj_gamma": proj_report["gamma"],
+    }
+    return RoundingStages(embedded, c_in, polar, sym, proj, report)
 
 
 def round_correlation(
     game: Game, s: TensorStrategy, on_slice: SliceHook | None = None
 ) -> RoundingDecomposition:
-    """Full pipeline: embed -> symmetrize -> projectivize -> slice.
+    """Full pipeline: rounding_stages, then slice.
 
-    Each stage's correlation is computed once and handed to the next.  The
-    returned diagnostics carry the input synchronicity, every stage's
+    The returned diagnostics carry the input synchronicity, every stage's
     residual and the final mu-weighted distance between the input
     correlation and the synchronous mixture; the decomposition also keeps
-    the embedded strategy, its correlation and the symmetric stage.
-    on_slice is passed to slice_strategies, the one place a caller sees
-    the corner PVMs.
+    the stages.  on_slice is passed to slice_strategies, the one place a
+    caller sees the corner PVMs.
     """
-    check_synchronous(game, "rounding")
-    embedded = embed_tracial(s)
-    c_in = correlation(embedded)
-    polar = linalg.polar_decompose(embedded.sigma)
-    sym, c_sym, sym_report = symmetrize(embedded, game, c_in, polar)
-    proj, _, proj_report = projectivize(sym, game, c_sym)
-    dec = slice_strategies(proj, game, on_slice)
-    diagnostics = dict(dec.diagnostics)
-    diagnostics.update(
-        {
-            "delta_in": sym_report["delta_in"],
-            "sym_delta": sym_report["delta_out"],
-            "sym_distance": sym_report["distance"],
-            "proj_delta": proj_report["delta_out"],
-            "proj_distance": proj_report["distance"],
-            "proj_gamma": proj_report["gamma"],
-            "distance": correlation_distance(game, c_in, dec.mixed),
-        }
-    )
-    return RoundingDecomposition(
-        dec.slices, dec.correlations, dec.mixed, diagnostics, embedded, c_in, sym,
-        polar,
-    )
+    stages = rounding_stages(game, s)
+    dec = slice_strategies(stages.projective, game, on_slice)
+    diagnostics = {
+        **dec.diagnostics,
+        **stages.report,
+        "distance": correlation_distance(game, stages.c_in, dec.mixed),
+    }
+    return replace(dec, diagnostics=diagnostics, stages=stages)
 
 
-def lemma_report(game: Game, s: TracialStrategy, polar=None) -> dict:
+def lemma_report(game: Game, stages: RoundingStages) -> dict:
     """Evaluate both sides of the implemented lemma inequalities.
 
-    polar is the polar decomposition of s.sigma, taken here when not passed
-    (round_correlation keeps the one symmetrize took).  Its SVD sigma = L
-    diag(s) V* gives the frame: Alice's elements are rotated once into L,
-    the eigenbasis of sigma sigma*, and once into V, the eigenbasis of
-    |sigma|, and Bob's into V.  Every correlation below is then one at the
-    diagonal state diag(s), tau(sigma* A sigma B) = tau(diag(s) L*AL diag(s)
-    V*BV), and the rounding weight sigma sigma* is the vector s^2.
-    Returns {lemma: {lhs, rhs, slack}} with slack = rhs - lhs; every slack
-    should be >= -CONTRACT_SLACK when the lemmas hold.
+    The inequalities bound the stages the pipeline produced.  The SVD
+    sigma = L diag(s) V* of the embedded state gives the frames: the
+    symmetric stage holds Alice's elements in L, the eigenbasis of sigma
+    sigma*, and here they and Bob's are rotated once into V, the eigenbasis
+    of |sigma|.  Every correlation below is then one at the diagonal state
+    diag(s), tau(sigma* A sigma B) = tau(diag(s) L*AL diag(s) V*BV), the
+    one c_in was taken at.  Returns {lemma: {lhs, rhs, slack}} with slack =
+    rhs - lhs; every slack should be >= -CONTRACT_SLACK when the lemmas
+    hold.
     """
     check_synchronous(game, "the lemma report")
-    if polar is None:
-        polar = linalg.polar_decompose(s.sigma)
-    left, right = polar.left_basis, polar.eigenbasis
-    singular = polar.singular_values
-    alice_l = left.conj().T @ s.alice @ left
+    s, right = stages.embedded, stages.polar.eigenbasis
+    alice_l = stages.symmetric.alice
     alice_r = right.conj().T @ s.alice @ right
     bob_r = right.conj().T @ s.bob_left @ right
-
-    at_singular_values = partial(_diagonal_correlation, singular)
-    c_s = at_singular_values(alice_l, bob_r)
-    delta = _synchronicity(game, c_s)
+    at_singular_values = partial(_diagonal_correlation, stages.polar.singular_values)
+    report = stages.report
 
     # Synchronicity factorization.  Cauchy-Schwarz through sigma = u|sigma|
-    # = |sigma*|u weighs Alice's operators at |sigma*| = L diag(s) L* and
-    # Bob's at |sigma| = V diag(s) V*; at |sigma| on both sides the bound
-    # fails for unbalanced embeddings, where sigma is far from normal.
+    # = |sigma*|u weighs Alice's operators at |sigma*| = L diag(s) L*, where
+    # symmetrize measured delta_A+, and Bob's at |sigma| = V diag(s) V*; at
+    # |sigma| on both sides the bound fails for unbalanced embeddings, where
+    # sigma is far from normal.
     delta_a = _synchronicity(game, at_singular_values(alice_l, alice_r))
-    delta_a_plus = _synchronicity(game, at_singular_values(alice_l, alice_l))
     delta_b = _synchronicity(game, at_singular_values(bob_r, bob_r))
     vienna = {
-        "lhs": 1.0 - delta,
-        "rhs": np.sqrt(max(1.0 - delta_a_plus, 0.0))
+        "lhs": 1.0 - report["delta_in"],
+        "rhs": np.sqrt(max(1.0 - report["sym_delta"], 0.0))
         * np.sqrt(max(1.0 - delta_b, 0.0)),
     }
     vienna["slack"] = vienna["rhs"] - vienna["lhs"]
 
     # Measurement substitution: compare correlations of {A} and of the
-    # spectrally-rounded {C} inside the same strategy.
-    stack, _, masses = _round_povm(alice_l, singular**2)
-    gamma = float(game.mu_x @ masses) / s.dim
-    lhs = correlation_distance(game, c_s, at_singular_values(stack, bob_r))
+    # PVMs {C} projectivize rounded them to, inside the same strategy.
+    swapped = at_singular_values(stages.projective.alice, bob_r)
     meas = {
-        "lhs": lhs,
-        "rhs": 6.0 * (delta_a + np.sqrt(max(gamma, 0.0))),
+        "lhs": correlation_distance(game, stages.c_in, swapped),
+        "rhs": 6.0 * (delta_a + np.sqrt(max(report["proj_gamma"], 0.0))),
     }
     meas["slack"] = meas["rhs"] - meas["lhs"]
     return {"theviennalemma": vienna, "measurementtocoorlation": meas}

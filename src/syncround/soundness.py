@@ -3,10 +3,10 @@
 Moves a per-synchronous-strategy guarantee (a family of auxiliary
 measurements witnessing some structure) from the rounded slices back to a
 single POVM for the original strategy, via the dominated-operator
-factorization trick.  The demo only meets its diagonal case: in sigma+'s
-eigenbasis sigma = diag(s) and dominated_factorization(sigma^2, T) is
-H = sigma^-1 T sigma^-1 on the support, which aggregate_slice_povms
-computes by scaling; the demo never calls the general function.
+factorization trick: find H with sigma+ H sigma+ = T.  The demo only meets
+its diagonal case: in Alice's frame L, sigma+ = |sigma*| = L diag(s) L* is
+diag(s), and H = sigma+^-1 T sigma+^-1 on the support, which
+aggregate_slice_povms computes by scaling.
 
 The rounding keeps no corner PVMs: its decomposition is O(n^2).  The
 corners stream through round_correlation's on_slice hook, and the demo
@@ -25,10 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg
-from .errors import DominationViolated, NotPovm, ValidationError
+from .errors import NotPovm, ValidationError
 from .games import Game, validate_game
-from .linalg import PSD_FLOOR, RECONSTRUCT_TOL, SUPPORT_CUTOFF
+from .linalg import RECONSTRUCT_TOL, SUPPORT_CUTOFF
 from .rounding import round_correlation
 from .strategies import TensorStrategy, _check_alphabets, _diagonal_correlation
 from .strategies import _synchronicity, povm_violations
@@ -60,24 +59,6 @@ class SoundnessInstance:
         _check_alphabets(self.test, n_questions, n_answers)
         if np.any(self.test.win.sum(axis=2) > 1):
             raise ValidationError("consistent answer sets overlap")
-
-
-def dominated_factorization(a, b) -> np.ndarray:
-    """Find 0 <= C <= I with A^(1/2) C A^(1/2) = B, given 0 <= B <= A.
-
-    C is built spectrally as A^(-1/2) B A^(-1/2) on the support of A and
-    vanishes on its kernel.  B and A - B may show eigenvalues down to
-    PSD_FLOOR.
-    """
-    a_h = linalg.hermitize(a)
-    b_h = linalg.hermitize(b)
-    gap = np.linalg.eigvalsh(a_h - b_h)
-    if np.linalg.eigvalsh(b_h)[0] < PSD_FLOOR or gap[0] < PSD_FLOOR:
-        raise DominationViolated(
-            f"domination margin {gap[0]:.3e} below {PSD_FLOOR:.0e}"
-        )
-    root_inv = linalg.pseudo_inv_sqrt(a_h)
-    return root_inv @ b_h @ root_inv
 
 
 def aggregate_slice_povms(spectrum, targets) -> np.ndarray:
@@ -133,14 +114,15 @@ def soundness_transfer_demo(
         targets[:, :, :rank, :rank] += measure * stack
 
     dec = round_correlation(game, s, fold)
-    c_in = dec.c_in
+    c_in = dec.stages.c_in
     delta = dec.diagnostics["delta_in"]
     omega = winning_probability_from_correlation(game, c_in)
 
-    # H lives on the symmetric stage whose slices were computed, in sigma+'s
-    # eigenbasis: sigma+ = diag(s), so tau(sigma+ A sigma+ H) is the
-    # diagonal-state correlation of the stage's Alice against H.
-    sym = dec.symmetric
+    # H lives on the symmetric stage whose slices were computed, in Alice's
+    # frame L: sigma+ = |sigma*| = L diag(s) L* is diag(s) there, so
+    # tau(sigma+ A sigma+ H) is the diagonal-state correlation of the
+    # stage's Alice against H.
+    sym = dec.stages.symmetric
     s = np.diagonal(sym.sigma).real
     families = aggregate_slice_povms(s, targets)
     transferred = winning_probability_from_correlation(

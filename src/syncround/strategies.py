@@ -208,7 +208,7 @@ def correlation(s: TracialStrategy) -> Correlation:
     tau(L B) = sum_ij (L^T)_ij B_ij / n, so the table is stacked_correlation
     of the left factors (sigma* A sigma)^T = sigma^T A^T conj(sigma) with
     Bob's elements.  At a diagonal state d (every stage after symmetrize,
-    which works in sigma+'s eigenbasis) that left factor is
+    which works in Alice's frame, where sigma+ is diagonal) that left factor is
     d_i A^T_ij conj(d_j), an O(n^2) scaling instead of two products.
     """
     sig = s.sigma

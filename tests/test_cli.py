@@ -204,8 +204,7 @@ GOLDEN_SWEEP = Path(__file__).parent / "data" / "sweep-golden.csv"
 
 
 def test_sweep_matches_the_golden_csv(capsys, tmp_path):
-    # data/sweep-golden.csv is this command's output before the per-call
-    # overhead cuts, which change no computed value.  The float fields are
+    # data/sweep-golden.csv is this command's output.  The float fields are
     # compared to 1e-12, not byte for byte: OpenBLAS picks its kernels by
     # CPU, and the same code on a Haswell kernel moves them by ~1e-16.
     csv_path = tmp_path / "sweep.csv"
@@ -265,9 +264,8 @@ def golden_tokens(text):
 
 def test_unbalanced_povm_outputs_match_the_golden_files(capsys, tmp_path):
     # data/round-golden.json and data/*-golden.txt are these commands'
-    # outputs from before the strategy sides became element stacks, which
-    # changes no computed value.  The input is a generic-POVM strategy
-    # whose sides differ in dimension, so the embedding pads Alice's.
+    # outputs.  The input is a generic-POVM strategy whose sides differ in
+    # dimension, so the embedding pads Alice's.
     # Floats are compared to 1e-12, as in test_sweep_matches_the_golden_csv.
     path = tmp_path / "s.json"
     io.save_path(str(path), io.strategy_to_dict(random_povm_strategy((6, 12), (3, 3), 0, 0.5)))

@@ -38,10 +38,9 @@ from syncround.rounding import (
     _spectral_pieces,
     lemma_report,
     orthogonalize_povm,
-    projectivize,
     round_correlation,
+    rounding_stages,
     slice_strategies,
-    symmetrize,
     verify_connes,
 )
 from syncround.strategies import (
@@ -219,11 +218,7 @@ TENSOR_CASES = tensor_cases()
 
 
 def projective_symmetric(s):
-    game = k3_game()
-    embedded = embed_tracial(s)
-    sym, c_sym, _ = symmetrize(embedded, game, correlation(embedded))
-    proj, _, _ = projectivize(sym, game, c_sym)
-    return proj
+    return rounding_stages(k3_game(), s).projective
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +591,7 @@ def test_one_question_past_its_bound_raises_bound_violated():
 
 def test_one_stacked_eigendecomposition_per_threshold_step(monkeypatch):
     game = k3_game()
-    s = embed_tracial(random_povm_strategy((12, 12), (3, 3), 0, 0.5))
-    sym, c_sym, _ = symmetrize(s, game, correlation(s))
+    s = random_povm_strategy((12, 12), (3, 3), 0, 0.5)
     real = linalg.eig_hermitian
     shapes = []
 
@@ -606,17 +600,18 @@ def test_one_stacked_eigendecomposition_per_threshold_step(monkeypatch):
         return real(h)
 
     monkeypatch.setattr(linalg, "eig_hermitian", recording)
-    proj, _, _ = projectivize(sym, game, c_sym)
-    # na - 1 calls for all three questions; the second is padded to the
-    # largest complement, never to n
+    stages = rounding_stages(game, s)
+    sym, proj = stages.symmetric, stages.projective
+    # projectivize makes na - 1 calls for all three questions; the second is
+    # padded to the largest complement, never to n
     assert [shape[:-1] for shape in shapes] == [(3, 12), (3, shapes[1][-1])]
     w = np.diagonal(sym.sigma).real ** 2
     first = np.argmax(np.diagonal(sym.alice, axis1=2, axis2=3).real @ w, axis=1)
     widths = [12 - round(np.trace(proj.alice[x, a]).real) for x, a in enumerate(first)]
     assert shapes[1][-1] == max(widths) < 12
     shapes.clear()
-    lemma_report(game, s)
-    assert len(shapes) == 2 and shapes[0] == (3, 12, 12)
+    lemma_report(game, stages)  # reads projectivize's PVMs, rounds nothing
+    assert shapes == []
 
 
 def degenerate_strategy(seed):
@@ -645,24 +640,24 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_rounding_matches_the_dense_weight_oracle(name):
     game = k3_game()
-    s = embed_tracial(ORACLE_CASES[name])
+    stages = rounding_stages(game, ORACLE_CASES[name])
+    s = stages.embedded
     for elements in s.alice:
         got, err = checked_orthogonalize(Povm(elements), s.sigma)
         want, want_err = dense_orthogonalize(Povm(elements), s.sigma)
         np.testing.assert_allclose(got.elements, want.elements, rtol=0, atol=TOL)
         assert abs(err - want_err) <= TOL
-    got_report, want_report = lemma_report(game, s), dense_lemma_report(game, s)
+    got_report, want_report = lemma_report(game, stages), dense_lemma_report(game, s)
     for lemma, want in want_report.items():
         for side in ("lhs", "rhs", "slack"):
             assert abs(got_report[lemma][side] - want[side]) <= TOL
-    sym, c_sym, _ = symmetrize(s, game, correlation(s))
-    proj, _, report = projectivize(sym, game, c_sym)
+    sym, proj = stages.symmetric, stages.projective
     gamma = 0.0
     for x, (elements, pvm) in enumerate(zip(sym.alice, proj.alice)):
         want, want_err = dense_orthogonalize(Povm(elements), sym.sigma)
         np.testing.assert_allclose(pvm, want.elements, rtol=0, atol=TOL)
         gamma += game.mu_x[x] * want_err
-    assert abs(report["gamma"] - gamma) <= TOL
+    assert abs(stages.report["proj_gamma"] - gamma) <= TOL
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))

@@ -13,6 +13,7 @@ from syncround.rounding import (
     lemma_report,
     orthogonalize_povm,
     round_correlation,
+    rounding_stages,
     slice_strategies,
     symmetrize,
     projectivize,
@@ -268,7 +269,7 @@ def test_rank_deficient_state_gives_no_kernel_slice(dims):
 
 def test_symmetrize_fixed_point():
     s = embed_tracial(entangled_coloring_strategy(3))
-    out, _, report = symmetrize(s, k3_game(), correlation(s))
+    out, _, _, report = symmetrize(s, k3_game(), linalg.polar_decompose(s.sigma))
     assert report["distance"] <= 1e-10
     assert report["delta_out"] <= 1e-10
     # sigma = I, so the eigenbasis frame leaves the state unchanged
@@ -280,7 +281,8 @@ def test_symmetrize_bound_on_perturbed_family():
     base = entangled_coloring_strategy(3)
     for eta in (1e-3, 1e-2, 1e-1):
         s = embed_tracial(perturb_strategy(base, eta, 5))
-        out, _, report = symmetrize(s, g, correlation(s))
+        out, c_in, _, report = symmetrize(s, g, linalg.polar_decompose(s.sigma))
+        np.testing.assert_allclose(c_in.table, correlation(s).table, atol=1e-12)
         np.testing.assert_array_equal(out.alice, out.bob_left)
         assert report["delta_out"] <= 2 * report["delta_in"] + 1e-8
         # distance envelope ~ sqrt(delta)
@@ -288,13 +290,10 @@ def test_symmetrize_bound_on_perturbed_family():
 
 
 def test_projectivize_projective_fixed_point():
-    g = k3_game()
-    s = embed_tracial(entangled_coloring_strategy(3))
-    sym, c_sym, _ = symmetrize(s, g, correlation(s))
-    out, _, report = projectivize(sym, g, c_sym)
-    assert report["distance"] <= 1e-10
-    assert report["gamma"] <= 1e-10
-    assert is_projective(out.alice)
+    stages = rounding_stages(k3_game(), entangled_coloring_strategy(3))
+    assert stages.report["proj_distance"] <= 1e-10
+    assert stages.report["proj_gamma"] <= 1e-10
+    assert is_projective(stages.projective.alice)
 
 
 def test_projectivize_noised_input():
@@ -344,10 +343,8 @@ def test_slice_correlations_synchronous_on_perturbed():
     g = k3_game()
     base = entangled_coloring_strategy(3)
     for seed in range(10):
-        s = embed_tracial(perturb_strategy(base, 1e-2, seed))
-        sym, c_sym, _ = symmetrize(s, g, correlation(s))
-        proj, _, _ = projectivize(sym, g, c_sym)
-        dec = slice_strategies(proj, g)
+        stages = rounding_stages(g, perturb_strategy(base, 1e-2, seed))
+        dec = slice_strategies(stages.projective, g)
         for c in dec.correlations:
             assert synchronicity(g, c) <= 1e-8
         assert dec.diagnostics["weight_sum"] == pytest.approx(1.0, abs=1e-9)
@@ -390,7 +387,7 @@ def test_round_correlation_mixture_is_convex():
 
 def test_lemma_report_perfect_strategy():
     g = k3_game()
-    rep = lemma_report(g, embed_tracial(entangled_coloring_strategy(3)))
+    rep = lemma_report(g, rounding_stages(g, entangled_coloring_strategy(3)))
     vienna = rep["theviennalemma"]
     assert vienna["lhs"] == pytest.approx(1.0, abs=1e-10)
     assert vienna["rhs"] == pytest.approx(1.0, abs=1e-10)
@@ -403,8 +400,8 @@ def test_lemma_report_random_strategies():
     g = k3_game()
     for seed in range(20):
         d = 2 + seed % 4
-        s = embed_tracial(random_strategy((d, d), (3, 3), seed))
-        rep = lemma_report(g, s)
+        s = random_strategy((d, d), (3, 3), seed)
+        rep = lemma_report(g, rounding_stages(g, s))
         for entry in rep.values():
             assert entry["slack"] >= -1e-8
 
@@ -412,8 +409,7 @@ def test_lemma_report_random_strategies():
 def test_measurement_substitution_trivial_case():
     # substituting projective measurements for themselves gives lhs = 0
     g = k3_game()
-    s = embed_tracial(entangled_coloring_strategy(3))
-    rep = lemma_report(g, s)
+    rep = lemma_report(g, rounding_stages(g, entangled_coloring_strategy(3)))
     assert rep["measurementtocoorlation"]["lhs"] <= 1e-10
 
 
@@ -463,23 +459,24 @@ def test_sweep_task_embeds_once(monkeypatch):
 
 
 def test_sweep_task_polarizes_once(monkeypatch):
-    # lemma_report takes the polar parts round_correlation computed
+    # lemma_report reads the stages round_correlation computed
     polars = spy(monkeypatch, linalg, "polar_decompose")
     cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
     assert len(polars) == 1
 
 
 def test_sweep_task_call_budget(monkeypatch):
-    # One game check per public entry (round_correlation, symmetrize,
+    # One game check per public entry (rounding_stages, symmetrize,
     # projectivize, slice_strategies, lemma_report); correlations at a
-    # diagonal state come from stacked arrays; one kernel call per family;
-    # each stage's synchronicity is taken once.
+    # diagonal state come from stacked arrays; one kernel call per family,
+    # none in the lemma report, which reads projectivize's; each stage's
+    # synchronicity is taken once.
     budget = {
         (games, "is_synchronous_game"): 5,
-        (linalg, "eig_hermitian"): 13,
-        (rounding, "_round_povm"): 5,
-        (strategies, "stacked_correlation"): 11,
-        (strategies, "_synchronicity"): 10,
+        (linalg, "eig_hermitian"): 11,
+        (rounding, "_round_povm"): 4,
+        (strategies, "stacked_correlation"): 9,
+        (strategies, "_synchronicity"): 8,
     }
     calls = {key: spy(monkeypatch, *key) for key in budget}
     row = cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
@@ -498,15 +495,15 @@ def test_every_public_entry_checks_the_game():
     g = k3_game()
     bad = non_synchronous(g)
     s = perturb_strategy(entangled_coloring_strategy(3), 1e-2, 5)
-    dec = round_correlation(g, s)
-    sym, c_sym, _ = symmetrize(dec.embedded, g, dec.c_in, dec.polar)
-    proj, _, _ = projectivize(sym, g, c_sym)
+    stages = rounding_stages(g, s)
+    sym = stages.symmetric
     entries = {
-        "synchronicity": lambda: synchronicity(bad, dec.c_in),
-        "symmetrize": lambda: symmetrize(dec.embedded, bad, dec.c_in, dec.polar),
-        "projectivize": lambda: projectivize(sym, bad, c_sym),
-        "slice_strategies": lambda: slice_strategies(proj, bad),
-        "lemma_report": lambda: lemma_report(bad, dec.embedded, dec.polar),
+        "synchronicity": lambda: synchronicity(bad, stages.c_in),
+        "symmetrize": lambda: symmetrize(stages.embedded, bad, stages.polar),
+        "projectivize": lambda: projectivize(sym, bad, correlation(sym)),
+        "slice_strategies": lambda: slice_strategies(stages.projective, bad),
+        "lemma_report": lambda: lemma_report(bad, stages),
+        "rounding_stages": lambda: rounding_stages(bad, s),
         "round_correlation": lambda: round_correlation(bad, s),
     }
     for name, call in entries.items():
@@ -516,12 +513,19 @@ def test_every_public_entry_checks_the_game():
 
 
 def test_round_correlation_correlates_the_embedding_once(monkeypatch):
+    # c_in is taken once, at the diagonal state of the one SVD, so no dense
+    # correlation of the embedding is formed
     embeds = spy(monkeypatch, strategies, "embed_tracial")
     correlations = spy(monkeypatch, strategies, "correlation")
-    dec = round_correlation(k3_game(), random_strategy((4, 6), (3, 3), 2))
+    polars = spy(monkeypatch, linalg, "polar_decompose")
+    s = random_strategy((4, 6), (3, 3), 2)
+    dec = round_correlation(k3_game(), s)
     ((_, embedded),) = embeds
-    assert dec.embedded is embedded
-    assert sum(args[0] is embedded for args, _ in correlations) == 1
+    ((_, polar),) = polars
+    assert dec.stages.embedded is embedded and dec.stages.polar is polar
+    assert correlations == []
+    want = strategies.tensor_correlation(s).table
+    np.testing.assert_allclose(dec.stages.c_in.table, want, rtol=0, atol=1e-12)
 
 
 def test_round_correlation_on_a_loaded_strategy_builds_no_povm(monkeypatch, tmp_path):
@@ -545,8 +549,8 @@ def test_round_correlation_on_a_loaded_strategy_builds_no_povm(monkeypatch, tmp_
 
 def test_round_correlation_retains_no_corners():
     # At d=48 the corner PVMs add up to sum_r 9 r^2 complex entries, about
-    # 5.4 MB; the embedded and symmetric stages and the slice tables the
-    # decomposition does keep are about 1.1 MB.
+    # 5.4 MB; the embedded, symmetric and projective stages and the slice
+    # tables the decomposition does keep are about 1.8 MB.
     g = k3_game()
     s = random_strategy((48, 48), (3, 3), 0)
     round_correlation(g, random_strategy((3, 3), (3, 3), 0))  # warm caches

@@ -7,7 +7,6 @@ from reference import expand_corner, host_aggregate, padded_targets
 from syncround import linalg, soundness
 from syncround.errors import (
     AlphabetMismatch,
-    DominationViolated,
     NotPovm,
     ValidationError,
 )
@@ -16,7 +15,6 @@ from syncround.rounding import round_correlation
 from syncround.soundness import (
     SoundnessInstance,
     aggregate_slice_povms,
-    dominated_factorization,
     identity_consistency_instance,
     soundness_transfer_demo,
 )
@@ -29,68 +27,6 @@ from syncround.strategies import (
     povm_violations,
     random_strategy,
 )
-
-
-def random_positive(rng, n):
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return g @ g.conj().T / n
-
-
-def sqrtm_psd(a):
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
-
-
-# ---------------------------------------------------------------------------
-# dominated_factorization
-
-
-def test_factorization_diagonal_example():
-    a = np.diag([1.0, 0.5])
-    b = np.diag([0.5, 0.5])
-    c = dominated_factorization(a, b)
-    np.testing.assert_allclose(c, np.diag([0.5, 1.0]), atol=1e-12)
-    root = sqrtm_psd(a)
-    np.testing.assert_allclose(root @ c @ root, b, atol=1e-12)
-
-
-def test_factorization_saturation():
-    rng = np.random.default_rng(0)
-    a = random_positive(rng, 4) + 0.1 * np.eye(4)
-    c = dominated_factorization(a, a)
-    np.testing.assert_allclose(c, np.eye(4), atol=1e-9)
-
-
-def test_factorization_zero():
-    rng = np.random.default_rng(1)
-    a = random_positive(rng, 3)
-    np.testing.assert_allclose(
-        dominated_factorization(a, np.zeros((3, 3))), 0, atol=1e-12
-    )
-
-
-def test_factorization_rejects_undominated():
-    with pytest.raises(DominationViolated):
-        dominated_factorization(np.diag([1.0, 0.5]), np.diag([0.5, 1.0]))
-
-
-def test_factorization_reconstructs_random_pairs():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = int(rng.integers(2, 9))
-        a = random_positive(rng, n) + 0.05 * np.eye(n)
-        # build a dominated B = sqrt(A) C0 sqrt(A) with 0 <= C0 <= I
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = (g + g.conj().T) / 2
-        vals, vecs = np.linalg.eigh(h)
-        c0 = (vecs * rng.uniform(0, 1, size=n)) @ vecs.conj().T
-        root = sqrtm_psd(a)
-        b = root @ c0 @ root
-        c = dominated_factorization(a, b)
-        np.testing.assert_allclose(root @ c @ root, b, atol=1e-8)
-        # 0 <= C <= I
-        cv = np.linalg.eigvalsh(linalg.hermitize(c))
-        assert cv[0] >= -1e-8 and cv[-1] <= 1 + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +271,9 @@ def test_demo_degrades_continuously():
 
 def host_frame_transferred(game, inst, s):
     """soundness_transfer_demo's transferred expectation in the host frame:
-    each slice's corner, collected through on_slice, expanded by sigma+'s
-    leading eigenvectors, the families aggregated with
+    sigma+ = |sigma*| = u |sigma| u*, whose eigenbasis is Alice's frame L;
+    each slice's corner, collected through on_slice, expanded by L's
+    leading columns, the families aggregated with
     pseudo_inv_sqrt(sigma+^2), and tau(sigma+ A sigma+ H) taken with the
     embedded strategy's elements, summed over the test's rho and its
     consistent answers."""
@@ -345,10 +282,11 @@ def host_frame_transferred(game, inst, s):
         game, s, on_slice=lambda m, rank, stack: corners.append((m, rank, stack))
     )
     assert [rank for _, rank, _ in corners] == [sl.sub_dim for sl in dec.slices]
-    polar = linalg.polar_decompose(dec.embedded.sigma)
-    v, sigma_plus = polar.eigenbasis, polar.positive_part
+    polar = linalg.polar_decompose(dec.stages.embedded.sigma)
+    u, frame = polar.isometry_part, polar.left_basis
+    sigma_plus = u @ polar.positive_part @ u.conj().T
     slices = [
-        (m, v[:, :rank], [Povm(corner) for corner in stack])
+        (m, frame[:, :rank], [Povm(corner) for corner in stack])
         for m, rank, stack in corners
     ]
     families = host_aggregate(sigma_plus, slices)
@@ -361,7 +299,7 @@ def host_frame_transferred(game, inst, s):
                 if rho[x, y] == 0.0 or not block:
                     continue
                 h = sum(families[y].elements[b] for b in block)
-                left = sigma_plus @ dec.embedded.alice[x, a] @ sigma_plus
+                left = sigma_plus @ dec.stages.embedded.alice[x, a] @ sigma_plus
                 total += rho[x, y] * linalg.tau(left @ h).real
     return total
 
