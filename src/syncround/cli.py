@@ -9,8 +9,9 @@ default.
 
 Each command runs the rounding pipeline at most once per strategy and reads
 every earlier stage (embedding, input correlation, synchronicity) from the
-decomposition it returns.  Sweep tasks run one after another in (eta, seed)
-order, and the CSV rows already written are flushed when a task fails.
+decomposition it returns.  Sweep tasks run in blocks, in (eta, seed) order,
+and each block's tasks are sliced together; the CSV rows already written
+are flushed when a task fails.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ from .errors import (
 )
 from .games import BUILTIN_GAMES, Game, with_sync_test
 from .linalg import FIT_FLOOR
-from .rounding import lemma_report, round_correlation, rounding_stages
+from .rounding import (
+    lemma_report,
+    round_correlation,
+    round_correlations,
+    rounding_stages,
+)
 from .soundness import identity_consistency_instance, soundness_transfer_demo
 from .strategies import (
     BUILTIN_STRATEGIES,
@@ -125,13 +131,19 @@ def cmd_lemmas(args) -> int:
 
 CSV_HEADER = "eta,seed,delta,distance,slices,slack_min,wall_ms"
 
+# Bytes of projective element stacks one sweep block holds: at d = 3 a k3
+# task's stack is 1.3 kB, so up to 809 tasks share a block; at d = 96 it is
+# 1.3 MB, so every task is its own block and memory stays that of one task.
+SWEEP_BLOCK_BYTES = 1 << 20
 
-def _sweep_task(game, base, eta, task_seed, timing):
+
+def _sweep_row(game, eta, task_seed, dec, seconds, timing):
+    """A task's CSV row from its decomposition; seconds is the time spent
+    on it before its lemma report, which is added."""
     start = time.perf_counter()
-    dec = round_correlation(game, perturb_strategy(base, eta, task_seed))
     report = lemma_report(game, dec.stages)
     slacks = [e["slack"] for e in report.values()]
-    wall_ms = int(round((time.perf_counter() - start) * 1000)) if timing else 0
+    seconds += time.perf_counter() - start
     return {
         "eta": eta,
         "seed": task_seed,
@@ -139,8 +151,33 @@ def _sweep_task(game, base, eta, task_seed, timing):
         "distance": dec.diagnostics["distance"],
         "slices": len(dec.slices),
         "slack_min": float(min(slacks)),
-        "wall_ms": wall_ms,
+        "wall_ms": int(round(seconds * 1000)) if timing else 0,
     }
+
+
+def _sweep_task(game, base, eta, task_seed, timing):
+    """One task's row on its own, the reference a block is re-run with."""
+    start = time.perf_counter()
+    dec = round_correlation(game, perturb_strategy(base, eta, task_seed))
+    return _sweep_row(game, eta, task_seed, dec, time.perf_counter() - start, timing)
+
+
+def _sweep_block(game, base, tasks, timing):
+    """The rows of a block of (eta, seed) tasks, sliced together.  A task's
+    time is its own stages and lemma report plus an equal share of the
+    block's slicing."""
+    stages, seconds = [], []
+    for eta, task_seed in tasks:
+        start = time.perf_counter()
+        stages.append(rounding_stages(game, perturb_strategy(base, eta, task_seed)))
+        seconds.append(time.perf_counter() - start)
+    start = time.perf_counter()
+    decs = round_correlations(game, stages)
+    share = (time.perf_counter() - start) / len(tasks)
+    return [
+        _sweep_row(game, eta, task_seed, dec, spent + share, timing)
+        for (eta, task_seed), dec, spent in zip(tasks, decs, seconds)
+    ]
 
 
 def fit_envelope(deltas, distances) -> dict:
@@ -187,17 +224,28 @@ def cmd_sweep(args) -> int:
 
     game = _resolve_game(cfg.get("game", args.game))
     base = _resolve_strategy(cfg.get("strategy", args.strategy))
-    # One task after another, so rows come out in (eta, seed) order of the
-    # sorted grid; a thread pool measured slower on these small-matrix tasks.
     # Each eta gets its own run of seeds: the stride is at least the number
-    # of trials, so no two tasks share a seed.
+    # of trials, so no two tasks share a seed.  Consecutive tasks form blocks
+    # whose projective element stacks fill SWEEP_BLOCK_BYTES, one block after
+    # another, so rows come out in (eta, seed) order of the sorted grid; a
+    # thread pool measured slower on these small-matrix tasks.
     stride = max(1000, trials)
+    tasks = [
+        (eta, seed + stride * ei + t) for ei, eta in enumerate(etas) for t in range(trials)
+    ]
+    n = max(base.dim_a, base.dim_b)
+    size = max(1, SWEEP_BLOCK_BYTES // (16 * base.n_questions * base.n_answers * n * n))
     rows = []
     try:
-        for ei, eta in enumerate(etas):
-            for t in range(trials):
-                task_seed = seed + stride * ei + t
-                rows.append(_sweep_task(game, base, eta, task_seed, args.timing))
+        for first in range(0, len(tasks), size):
+            block = tasks[first : first + size]
+            try:
+                rows.extend(_sweep_block(game, base, block, args.timing))
+            except Exception:
+                # Re-run the block task by task: rows up to the first failing
+                # task are written and its own error is raised.
+                for eta, task_seed in block:
+                    rows.append(_sweep_task(game, base, eta, task_seed, args.timing))
     finally:
         # Partial results are still flushed if a task or interrupt aborts us.
         lines = [CSV_HEADER]
@@ -288,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timing",
         action="store_true",
-        help="record real wall_ms (breaks byte reproducibility)",
+        help="record real wall_ms: a task's stages and lemma report plus an "
+        "equal share of its block's slicing (breaks byte reproducibility)",
     )
     p.set_defaults(func=cmd_sweep)
 

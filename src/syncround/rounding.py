@@ -9,7 +9,8 @@ bounds.  Both lambda-integrals, the slicing of sigma+^2 and the
 joint-distribution integral, are cut into the pieces of one rule,
 _spectral_pieces, on which the integrands are constant.
 
-round_correlation is the one pipeline.  Its prefix, rounding_stages,
+round_correlation is the one pipeline, and round_correlations runs it on a
+block of strategies, slicing them together.  The prefix, rounding_stages,
 polar-decomposes the embedded state once and keeps every stage before the
 slices, so the CLI, the lemma report and the soundness demo continue from
 it instead of embedding, correlating or polar-decomposing a second time,
@@ -32,9 +33,14 @@ call, one stacked eigendecomposition per threshold step.
 
 Small-n cost.  At d = 3 a call costs more than its arithmetic.  Each
 public entry checks the game once, then takes synchronicities unchecked,
-each stage's once.  A k3 sweep task makes 5 game checks, 11
-eigendecompositions, 4 kernel calls, 9 correlation products and 8
-synchronicity evaluations, counts a test pins.
+each stage's once.  One slicing core, _slice_corners, slices a block of
+strategies with one kernel call, one batched correlation product and one
+vectorized synchronicity check per corner dimension r among them, shared
+by every (strategy, question) row with a rank-r slice; slice_strategies
+is its one-strategy case, one call per slice.  A 32-task k3 sweep, one
+block, makes 129 game checks, 166 eigendecompositions, 35 kernel calls,
+195 correlation products and 163 synchronicity evaluations, counts a test
+pins.
 
 Cost of the slice stage at dimension n, with nq questions of na answers.
 Every slice spans a leading block of coordinates and sigma's spectrum is
@@ -81,11 +87,13 @@ from .strategies import (
     Povm,
     TensorStrategy,
     TracialStrategy,
+    _check_alphabets,
     _diagonal_correlation,
+    _stacked_tables,
+    _synchronicities,
     _synchronicity,
     correlation_distance,
     embed_tracial,
-    stacked_correlation,
 )
 
 # Unused here: perfbench's tracer test lists this module among the places
@@ -398,20 +406,125 @@ def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
     return out, c_out, report
 
 
-def _checked_factors(s: TracialStrategy) -> np.ndarray:
-    """The PVMs F F* of the factors F = s.factors, refused unless F is an (nq,
-    na, n, k) stack with ||F F* - A||_F <= CORNER_TOL * (1 + ||A||_F) for
-    every element A of Alice's."""
-    f = s.factors
-    if f is None or f.ndim != 4 or f.shape[:3] != s.alice.shape[:3]:
-        raise ValidationError(f"slicing needs {s.alice.shape[:3]} + (k,) PVM factors")
-    pvms = f @ _adjoint(f)
-    gap = np.linalg.norm(pvms - s.alice, axis=(-2, -1))
-    bad = ~(gap <= CORNER_TOL * (1.0 + np.linalg.norm(s.alice, axis=(-2, -1))))
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """Arrays of one rank stacked on a new first axis, each zero-padded to
+    the largest extent of every axis; a lone array is viewed, not copied."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    out = np.zeros((len(arrays), *np.max([a.shape for a in arrays], axis=0)), complex)
+    for slot, a in zip(out, arrays):
+        slot[tuple(slice(m) for m in a.shape)] = a
+    return out
+
+
+def _checked_factors(projectives: list[TracialStrategy]) -> tuple[np.ndarray, np.ndarray]:
+    """The factors F of the strategies as one (S, nq, na, n, k) stack, n and
+    k the widest, and their PVMs F F*; refused unless every F is an (nq, na,
+    n, k) stack with ||F F* - A||_F <= CORNER_TOL * (1 + ||A||_F) for every
+    element A of Alice's."""
+    for s in projectives:
+        f = s.factors
+        if f is None or f.ndim != 4 or f.shape[:3] != s.alice.shape[:3]:
+            raise ValidationError(f"slicing needs {s.alice.shape[:3]} + (k,) PVM factors")
+    factors = _stacked([s.factors for s in projectives])
+    alice = _stacked([s.alice for s in projectives])
+    pvms = factors @ _adjoint(factors)
+    gap = np.linalg.norm(pvms - alice, axis=(-2, -1))
+    bad = ~(gap <= CORNER_TOL * (1.0 + np.linalg.norm(alice, axis=(-2, -1))))
     if bad.any():
-        x, a = np.unravel_index(bad.argmax(), bad.shape)
-        raise ValidationError(f"factors {a} of PVM {x} miss by {gap[x, a]:.3e}")
-    return pvms
+        i, x, a = np.unravel_index(bad.argmax(), bad.shape)
+        raise ValidationError(f"factors {a} of PVM {x} miss by {gap[i, x, a]:.3e}")
+    return factors, pvms
+
+
+def _slice_corners(
+    projectives: list[TracialStrategy], game: Game, on_slice: SliceHook | None = None
+) -> list[RoundingDecomposition]:
+    """slice_strategies for each of a block of strategies, with one
+    _round_povm call, one correlation product and one synchronicity check
+    per corner dimension r among them: every (strategy, question) row whose
+    strategy has a rank-r slice shares them.  A strategy has each rank at
+    most once, so on one strategy this is one call per slice.  F F*, the
+    off-corner sums and the factor stack are built once for the block,
+    zero-padded to its widest n and k.  on_slice sees the slices rank by
+    rank, smallest first."""
+    check_synchronous(game, "slicing")
+    if not projectives:
+        return []
+    mu_x = game.mu_x
+    pieces = []
+    for s in projectives:
+        _check_alphabets(game, s.n_questions, s.n_answers)
+        spectrum = _diagonal(s.sigma, "slicing")
+        if np.any(spectrum < 0) or np.any(np.diff(spectrum) > 0):
+            raise ValidationError("slicing needs a nonnegative nonincreasing sigma")
+        _normalized(spectrum**2)
+        measures, (ranks,) = _spectral_pieces(spectrum)
+        pieces.append((measures.tolist(), ranks.tolist()))
+    # Slice j's corner is the leading rank x rank block of every PVM F F*,
+    # so no slice touches the n x n operators again.
+    factors, pvms = _checked_factors(projectives)
+    count, nq, na, n = pvms.shape[:4]
+    # ||P[r:, :r]||_F^2 summed over answers, for every slice rank r: sums of
+    # |P|^2 over the rows from r down, accumulated over the columns below r.
+    # Row n is empty, so the full-rank slice reads 0.
+    tails = np.zeros((count, nq, n + 1, n))
+    sq = (pvms.real**2 + pvms.imag**2).sum(axis=2)
+    tails[:, :, :n] = sq[:, :, ::-1].cumsum(axis=2)[:, :, ::-1]
+    del sq
+    tails = tails.cumsum(axis=3)
+    members: dict[int, list[tuple[int, int]]] = {}  # rank: (strategy, slice)
+    for i, (_, ranks) in enumerate(pieces):
+        for j, rank in enumerate(ranks):
+            members.setdefault(rank, []).append((i, j))
+    rounded = {}  # (strategy, slice): (corner masses, slice table)
+    for rank in sorted(members):
+        block = members[rank]
+        # ||(P - Q) Pi_r||_F^2 = ||P[r:, :r]||_F^2 + ||P[:r, :r] - Q||_F^2 for
+        # the corner PVM Q; the corner term is the mass _round_povm returns
+        if len(block) == count:  # every strategy, in order: views, no copies
+            corners, rows = pvms[..., :rank, :rank], factors
+        else:
+            index = [i for i, _ in block]
+            corners, rows = pvms[index, ..., :rank, :rank], factors[index]
+        stack, _, masses = _round_povm(
+            corners.reshape(-1, na, rank, rank), None, rows.reshape(-1, *rows.shape[2:])
+        )
+        stack = stack.reshape(len(block), nq, na, rank, rank)
+        tables = _stacked_tables(stack.swapaxes(-1, -2), stack)
+        sync = float(_synchronicities(game, tables).max())
+        if sync > CONTRACT_SLACK:
+            raise MathContractError(
+                f"slice correlation synchronicity {sync:.3e} > {CONTRACT_SLACK:.0e}"
+            )
+        for k, (i, j) in enumerate(block):
+            if on_slice is not None:
+                on_slice(pieces[i][0][j], rank, stack[k])
+            rounded[i, j] = masses[k * nq : (k + 1) * nq], tables[k]
+    out = []
+    for i, (s, (measures, ranks)) in enumerate(zip(projectives, pieces)):
+        off_corner = tails[i][:, ranks, np.subtract(ranks, 1)]
+        slices = []
+        correlations = []
+        residual = 0.0
+        for j, (measure, rank) in enumerate(zip(measures, ranks)):
+            masses, table = rounded[i, j]
+            residual += measure * float(mu_x @ (masses + off_corner[:, j])) / s.dim
+            slices.append(Slice(measure * rank / s.dim, measure, rank))
+            correlations.append(Correlation(table))
+        weights = np.array([sl.weight for sl in slices])
+        if abs(weights.sum() - 1.0) > NORM_TOL:
+            raise MathContractError(f"slice weights sum to {weights.sum()!r}")
+        mixed = Correlation(sum(w * c.table for w, c in zip(weights, correlations)))
+        diagnostics = {
+            "n_slices": float(len(slices)),
+            "weight_sum": float(weights.sum()),
+            "slice_residual": residual,
+        }
+        out.append(
+            RoundingDecomposition(tuple(slices), tuple(correlations), mixed, diagnostics)
+        )
+    return out
 
 
 def slice_strategies(
@@ -426,7 +539,8 @@ def slice_strategies(
     against s.alice.  Each spectral slice, a leading block of coordinates,
     hosts a corner sub-strategy whose tracial state is the corner identity;
     compressed measurements are rounded back to PVMs there, making every
-    per-slice correlation synchronous.
+    per-slice correlation synchronous.  This is _slice_corners on one
+    strategy, one kernel call per slice.
 
     The corner PVMs are not kept: the decomposition holds each slice's
     weight, measure, dimension and correlation, O(n^2) in all.  A caller
@@ -434,54 +548,8 @@ def slice_strategies(
     first, as on_slice(measure, rank, stack) with the slice's (nq, na, rank,
     rank) corner PVMs; the stack is not reused, so the hook may keep it.
     """
-    check_synchronous(game, "slicing")
-    spectrum = _diagonal(s.sigma, "slicing")
-    if np.any(spectrum < 0) or np.any(np.diff(spectrum) > 0):
-        raise ValidationError("slicing needs a nonnegative nonincreasing sigma")
-    _normalized(spectrum**2)
-    n, nq = s.dim, s.n_questions
-    measures, (ranks,) = _spectral_pieces(spectrum)
-    # Slice j's corner is the leading rank x rank block of every PVM F F*,
-    # so no slice touches the n x n operators again.
-    pvms = _checked_factors(s)
-    # ||P[r:, :r]||_F^2 summed over answers, for every slice rank r: sums of
-    # |P|^2 over the rows from r down, accumulated over the columns below r.
-    # Row n is empty, so the full-rank slice reads 0.
-    tails = np.zeros((nq, n + 1, n))
-    sq = (pvms.real**2 + pvms.imag**2).sum(axis=1)
-    tails[:, :n] = sq[:, ::-1].cumsum(axis=1)[:, ::-1]
-    del sq
-    off_corner = tails.cumsum(axis=2)[:, ranks, ranks - 1]
-    mu_x = game.mu_x
-    slices = []
-    correlations = []
-    residual = 0.0
-    for j, (measure, rank) in enumerate(zip(measures.tolist(), ranks.tolist())):
-        # ||(P - Q) Pi_r||_F^2 = ||P[r:, :r]||_F^2 + ||P[:r, :r] - Q||_F^2 for
-        # the corner PVM Q; the corner term is the mass _round_povm returns
-        stack, _, masses = _round_povm(pvms[:, :, :rank, :rank], None, s.factors)
-        residual += measure * float(mu_x @ (masses + off_corner[:, j])) / n
-        c_sub = stacked_correlation(stack.swapaxes(-1, -2), stack)
-        sync_sub = _synchronicity(game, c_sub)
-        if sync_sub > CONTRACT_SLACK:
-            raise MathContractError(
-                f"slice correlation synchronicity {sync_sub:.3e} > "
-                f"{CONTRACT_SLACK:.0e}"
-            )
-        if on_slice is not None:
-            on_slice(measure, rank, stack)
-        slices.append(Slice(measure * rank / n, measure, rank))
-        correlations.append(c_sub)
-    weights = np.array([sl.weight for sl in slices])
-    if abs(weights.sum() - 1.0) > NORM_TOL:
-        raise MathContractError(f"slice weights sum to {weights.sum()!r}")
-    mixed = Correlation(sum(w * c.table for w, c in zip(weights, correlations)))
-    diagnostics = {
-        "n_slices": float(len(slices)),
-        "weight_sum": float(weights.sum()),
-        "slice_residual": residual,
-    }
-    return RoundingDecomposition(tuple(slices), tuple(correlations), mixed, diagnostics)
+    (dec,) = _slice_corners([s], game, on_slice)
+    return dec
 
 
 def rounding_stages(game: Game, s: TensorStrategy) -> RoundingStages:
@@ -519,7 +587,31 @@ def round_correlation(
     caller sees the corner PVMs.
     """
     stages = rounding_stages(game, s)
-    dec = slice_strategies(stages.projective, game, on_slice)
+    return _finished(game, slice_strategies(stages.projective, game, on_slice), stages)
+
+
+def round_correlations(
+    game: Game, strategies: list[TensorStrategy | RoundingStages]
+) -> list[RoundingDecomposition]:
+    """round_correlation for each of a block of strategies, with their
+    diagnostics, slicing them together: one kernel call, correlation product
+    and synchronicity check per corner dimension in the block, not per slice
+    per strategy.  An entry may be given as its rounding_stages, which a
+    caller that times the stages runs itself.  The block's element stacks
+    are held at once, so a caller bounds its size."""
+    stages = [
+        s if isinstance(s, RoundingStages) else rounding_stages(game, s)
+        for s in strategies
+    ]
+    decs = _slice_corners([st.projective for st in stages], game)
+    return [_finished(game, dec, st) for dec, st in zip(decs, stages)]
+
+
+def _finished(
+    game: Game, dec: RoundingDecomposition, stages: RoundingStages
+) -> RoundingDecomposition:
+    """A slice decomposition with its stages and round_correlation's
+    diagnostics."""
     diagnostics = {
         **dec.diagnostics,
         **stages.report,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AlphabetMismatch, NonRealCorrelation
+from .errors import AlphabetMismatch, NonRealCorrelation, ValidationError
 from .games import Game, check_synchronous
 from .linalg import CORR_IMAG_TOL, CORR_RANGE_TOL, CORR_SUM_TOL
 from .linalg import NORM_TOL, POVM_ASYM_TOL, PSD_FLOOR
@@ -235,13 +235,21 @@ def stacked_correlation(left: np.ndarray, right: np.ndarray) -> Correlation:
     whose state is the identity, passes its stacked PVMs and their
     transpose.  Imaginary residue above CORR_IMAG_TOL is refused.
     """
-    nq, na, n = left.shape[:3]
-    vals = left.reshape(nq * na, n * n) @ right.reshape(nq * na, n * n).T
-    vals = vals.reshape(nq, na, nq, na).transpose(0, 2, 1, 3) / n
+    return Correlation(_stacked_tables(left, right))
+
+
+def _stacked_tables(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """stacked_correlation's table for each pair of a batch (..., nq, na, n,
+    n) of left and right stacks, as one (..., nq, nq, na, na) array from one
+    batched product."""
+    *batch, nq, na, n = left.shape[:-1]
+    rows = (*batch, nq * na, n * n)
+    vals = left.reshape(rows) @ right.reshape(rows).swapaxes(-1, -2)
+    vals = vals.reshape(*batch, nq, na, nq, na).swapaxes(-3, -2) / n
     worst_imag = float(np.max(np.abs(vals.imag)))
     if worst_imag > CORR_IMAG_TOL:
         raise NonRealCorrelation(f"imaginary residue {worst_imag:.3e}")
-    return Correlation(vals.real)
+    return vals.real
 
 
 def _check_alphabets(game: Game, nq: int, na: int):
@@ -268,11 +276,15 @@ def synchronicity(game: Game, c: Correlation) -> float:
 
 def _synchronicity(game: Game, c: Correlation) -> float:
     """synchronicity() for a game already checked to be synchronous."""
-    _check_alphabets(game, c.table.shape[0], c.table.shape[2])
-    nq, na = c.table.shape[1:3]
-    same = c.table[np.arange(nq), np.arange(nq)]
-    off = (same * ~np.eye(na, dtype=bool)).sum(axis=(1, 2))
-    return float(game.mu_x @ off)
+    return float(_synchronicities(game, c.table))
+
+
+def _synchronicities(game: Game, tables: np.ndarray) -> np.ndarray:
+    """_synchronicity of each table of a (..., nq, nq, na, na) batch."""
+    _check_alphabets(game, tables.shape[-4], tables.shape[-2])
+    nq, na = tables.shape[-3:-1]
+    same = tables[..., np.arange(nq), np.arange(nq), :, :]
+    return (same * ~np.eye(na, dtype=bool)).sum(axis=(-2, -1)) @ game.mu_x
 
 
 def correlation_distance(game: Game, c1: Correlation, c2: Correlation) -> float:
@@ -356,7 +368,10 @@ def random_povm_strategy(
 def perturb_strategy(s: TensorStrategy, eta: float, seed: int) -> TensorStrategy:
     """Conjugate Bob's measurements by exp(i eta H) and add eta state noise.
 
-    Deterministic per seed; eta = 0 returns the input unchanged.
+    Deterministic per seed; eta = 0 returns the input unchanged.  Above eta
+    = 1 the state is normalized along psi/eta + noise, the direction of psi +
+    eta noise, so no norm overflows; an eta whose rotation angles eta
+    lambda(H) overflow is refused (ValidationError).
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
@@ -370,10 +385,18 @@ def perturb_strategy(s: TensorStrategy, eta: float, seed: int) -> TensorStrategy
         )
         h = (g + g.conj().T) / 2
         dec = linalg.eig_hermitian(h)
-        u = (dec.eigenvectors * np.exp(1j * eta * dec.eigenvalues)) @ dec.eigenvectors.conj().T
+        with np.errstate(over="ignore"):
+            angles = eta * dec.eigenvalues
+        if not np.isfinite(angles).all():
+            raise ValidationError(f"eta {eta!r} overflows the rotation angles")
+        u = (dec.eigenvectors * np.exp(1j * angles)) @ dec.eigenvectors.conj().T
         bob.append(Povm(u @ povm.elements @ u.conj().T))
     noise = rng.normal(size=s.state.size) + 1j * rng.normal(size=s.state.size)
-    state = s.state + eta * noise / np.linalg.norm(noise)
+    scale = np.linalg.norm(noise)
+    if eta <= 1:
+        state = s.state + eta * noise / scale
+    else:
+        state = s.state / eta + noise / scale
     state /= np.linalg.norm(state)
     return TensorStrategy(s.dim_a, s.dim_b, state, s.alice, tuple(bob))
 

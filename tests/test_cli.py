@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,12 @@ from syncround import cli, io, rounding
 from syncround.cli import CSV_HEADER, main
 from syncround.errors import MathContractError
 from syncround.games import Game, k3_game
-from syncround.strategies import entangled_coloring_strategy, random_povm_strategy
+from syncround.strategies import (
+    entangled_coloring_strategy,
+    perturb_strategy,
+    random_povm_strategy,
+    random_strategy,
+)
 
 
 def run(capsys, *args):
@@ -350,44 +358,150 @@ def test_main_builds_the_parser_once(capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
-def test_sweep_flushes_finished_rows_when_a_task_fails(capsys, tmp_path, monkeypatch):
-    argv = ["sweep", "--eta", "1e-3,1e-2", "--trials", "2", "--seed", "0", "--csv"]
-    full_path = tmp_path / "full.csv"
-    assert run(capsys, *argv, str(full_path))[0] == 0
-    real = cli.round_correlation
-    calls = []
+FAILING_ARGV = ["sweep", "--eta", "1e-3,1e-2", "--trials", "2", "--seed", "0", "--csv"]
+# The third task of FAILING_ARGV: the first seed of its second eta.
+THIRD_TASK = (1e-2, 1000)
 
-    def fails_on_third(game, s):
-        calls.append(s)
-        if len(calls) == 3:
+
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Bind replacement in every package module that binds module.name."""
+    original = getattr(module, name)
+    for mod in (cli, rounding):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+    return original
+
+
+def fail_in_stages(monkeypatch):
+    """rounding_stages raises on the third task's strategy, wherever called."""
+    third = perturb_strategy(entangled_coloring_strategy(3), *THIRD_TASK).state
+
+    def failing(game, s):
+        if np.array_equal(s.state, third):
             raise MathContractError("injected failure")
         return real(game, s)
 
-    monkeypatch.setattr(cli, "round_correlation", fails_on_third)
+    real = patch_everywhere(monkeypatch, rounding, "rounding_stages", failing)
+
+
+def fail_in_slices(monkeypatch):
+    """The slicing core raises on any block holding the third task."""
+    third = perturb_strategy(entangled_coloring_strategy(3), *THIRD_TASK)
+    sigma = rounding.rounding_stages(k3_game(), third).projective.sigma
+    blocks = []
+
+    def failing(projectives, game, on_slice=None):
+        blocks.append(len(projectives))
+        if any(np.array_equal(s.sigma, sigma) for s in projectives):
+            raise MathContractError("injected failure")
+        return real(projectives, game, on_slice)
+
+    real = patch_everywhere(monkeypatch, rounding, "_slice_corners", failing)
+    return blocks
+
+
+def assert_flushes_the_first_two_rows(capsys, tmp_path, monkeypatch, inject):
+    """Run FAILING_ARGV in full, then with inject(monkeypatch) in place, and
+    check that the failed run wrote the header and the first two rows and
+    exited 4 with the injected error; returns what inject returned."""
+    full_path = tmp_path / "full.csv"
     partial_path = tmp_path / "partial.csv"
-    code, _, err = run(capsys, *argv, str(partial_path))
+    assert run(capsys, *FAILING_ARGV, str(full_path))[0] == 0
+    injected = inject(monkeypatch)
+    code, _, err = run(capsys, *FAILING_ARGV, str(partial_path))
     assert code == 4
     assert "injected failure" in err
     lines = partial_path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines == full_path.read_text().splitlines()[:3]
     assert [line.split(",")[:2] for line in lines[1:]] == [["0.001", "0"], ["0.001", "1"]]
+    return injected
+
+
+def test_sweep_flushes_finished_rows_when_a_task_fails(capsys, tmp_path, monkeypatch):
+    # The third task's stages fail: its block fails, and the re-run task by
+    # task writes the first two rows and raises the third task's error.
+    assert_flushes_the_first_two_rows(capsys, tmp_path, monkeypatch, fail_in_stages)
+
+
+def test_sweep_flushes_finished_rows_when_a_slice_stage_fails(capsys, tmp_path, monkeypatch):
+    blocks = assert_flushes_the_first_two_rows(capsys, tmp_path, monkeypatch, fail_in_slices)
+    # The four tasks were sliced as one block, then one at a time up to the third.
+    assert blocks == [4, 1, 1, 1]
 
 
 def stubbed_sweep_seeds(capsys, monkeypatch, *argv):
-    """The task seeds a sweep hands out, with every task stubbed."""
+    """The task seeds a sweep hands out, with every block stubbed."""
     seeds = []
 
-    def stub_task(game, base, eta, task_seed, timing):
-        seeds.append(task_seed)
-        return {
-            "eta": eta, "seed": task_seed, "delta": 0.0, "distance": 0.0,
-            "slices": 1, "slack_min": 0.0, "wall_ms": 0,
-        }
+    def stub_block(game, base, tasks, timing):
+        seeds.extend(task_seed for _, task_seed in tasks)
+        return [
+            {
+                "eta": eta, "seed": task_seed, "delta": 0.0, "distance": 0.0,
+                "slices": 1, "slack_min": 0.0, "wall_ms": 0,
+            }
+            for eta, task_seed in tasks
+        ]
 
-    monkeypatch.setattr(cli, "_sweep_task", stub_task)
+    monkeypatch.setattr(cli, "_sweep_block", stub_block)
     assert run(capsys, "sweep", "--eta", "1e-3,1e-2", *argv)[0] == 0
     return seeds
+
+
+# base, eta grid, trials, the slice counts its rows show and its blocks.
+# A d = 32 task's element stack is 147 kB, so its 8 tasks make two blocks.
+BATCH_CASES = {
+    "k3-one-and-three-slices": (lambda: entangled_coloring_strategy(3), "1e-300,1e-2", 3, {1, 3}, 1),
+    "unbalanced-1x5": (lambda: random_strategy((1, 5), (3, 3), 2), "1e-3,1e-1", 2, {1}, 1),
+    "povm-2x4": (lambda: random_povm_strategy((2, 4), (3, 3), 1, 0.5), "1e-3,1e-1", 2, {2}, 1),
+    "d32-two-blocks": (lambda: random_strategy((32, 32), (3, 3), 0), "1e-3,1e-1", 4, {32}, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_sweep_block_rows_match_per_task_rows(case, capsys, tmp_path, monkeypatch):
+    make, etas, trials, slice_counts, n_blocks = BATCH_CASES[case]
+    base = make()
+    path = tmp_path / "base.json"
+    io.save_path(str(path), io.strategy_to_dict(base))
+    blocks = []
+    real = cli._sweep_block
+
+    def counted(game, base, tasks, timing):
+        blocks.append(len(tasks))
+        return real(game, base, tasks, timing)
+
+    monkeypatch.setattr(cli, "_sweep_block", counted)
+    csv_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--strategy", str(path), "--eta", etas, "--trials", str(trials)]
+    assert run(capsys, *argv, "--csv", str(csv_path)) == (0, "", "")
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 1 + 2 * trials
+    assert len(blocks) == n_blocks and sum(blocks) == 2 * trials
+    for line in lines[1:]:
+        got = line.split(",")
+        want = cli._sweep_task(k3_game(), base, float(got[0]), int(got[1]), False)
+        assert got[4] == str(want["slices"]) and got[6] == "0"
+        for i, key in ((2, "delta"), (3, "distance"), (5, "slack_min")):
+            assert abs(float(got[i]) - want[key]) <= 1e-12, (key, line, want)
+    assert {int(line.split(",")[4]) for line in lines[1:]} == slice_counts
+
+
+def test_sweep_at_huge_eta_warns_of_no_overflow(tmp_path):
+    # The noise normalization used to overflow above eta ~ 1e154, leaving a
+    # zero state; an eta whose rotation angles overflow is refused by name.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    command = [sys.executable, "-W", "default", "-m", "syncround.cli", "sweep"]
+    done = subprocess.run([*command, "--eta", "1e200", "--trials", "2"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = done.stdout.splitlines()[1:]
+    assert len(rows) == 2 and all(math.isfinite(float(v)) for r in rows for v in r.split(","))
+    done = subprocess.run([*command, "--eta", "1.7e308"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr == "validation error: ValidationError: eta 1.7e+308 overflows the rotation angles\n"
 
 
 def test_sweep_seeds_stay_distinct_past_a_thousand_trials(capsys, monkeypatch):

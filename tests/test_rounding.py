@@ -13,6 +13,7 @@ from syncround.rounding import (
     lemma_report,
     orthogonalize_povm,
     round_correlation,
+    round_correlations,
     rounding_stages,
     slice_strategies,
     symmetrize,
@@ -27,6 +28,7 @@ from syncround.strategies import (
     entangled_coloring_strategy,
     perturb_strategy,
     povm_violations,
+    random_povm_strategy,
     random_strategy,
     synchronicity,
 )
@@ -465,23 +467,55 @@ def test_sweep_task_polarizes_once(monkeypatch):
     assert len(polars) == 1
 
 
-def test_sweep_task_call_budget(monkeypatch):
-    # One game check per public entry (rounding_stages, symmetrize,
-    # projectivize, slice_strategies, lemma_report); correlations at a
-    # diagonal state come from stacked arrays; one kernel call per family,
-    # none in the lemma report, which reads projectivize's; each stage's
-    # synchronicity is taken once.
+def test_sweep_call_budget(monkeypatch, capsys):
+    # A 32-task k3 sweep is one block.  Per task: one game check at each
+    # public entry (rounding_stages, symmetrize, projectivize, lemma_report),
+    # 3 eigendecompositions in perturb_strategy and 2 in projectivize's
+    # kernel call, 6 correlation products (symmetrize 2, projectivize 1,
+    # lemma report 3) and 5 synchronicities (2, 1, 2), each a batch of one.
+    # The block is sliced together: one game check, and per corner
+    # dimension r = 1, 2, 3 one kernel call (2 eigendecompositions), one
+    # batched correlation product and one batched synchronicity.
     budget = {
-        (games, "is_synchronous_game"): 5,
-        (linalg, "eig_hermitian"): 11,
-        (rounding, "_round_povm"): 4,
-        (strategies, "stacked_correlation"): 9,
-        (strategies, "_synchronicity"): 8,
+        (games, "is_synchronous_game"): 4 * 32 + 1,
+        (linalg, "eig_hermitian"): 96 + 64 + 6,
+        (rounding, "_round_povm"): 32 + 3,
+        (strategies, "stacked_correlation"): 6 * 32,
+        (strategies, "_stacked_tables"): 6 * 32 + 3,
+        (strategies, "_synchronicity"): 5 * 32,
+        (strategies, "_synchronicities"): 5 * 32 + 3,
     }
     calls = {key: spy(monkeypatch, *key) for key in budget}
-    row = cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
-    assert row["slices"] == 3
+    argv = ["sweep", "--eta", "1e-4,1e-3,1e-2,1e-1", "--trials", "8", "--seed", "0"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 32 and {row.split(",")[4] for row in rows} == {"3"}
     assert {key: len(c) for key, c in calls.items()} == budget
+
+
+def test_round_correlations_match_one_at_a_time_across_dims():
+    # One block of strategies whose embeddings differ in n and whose factors
+    # differ in width k, so the block's stacks are zero-padded in both.
+    g = k3_game()
+    block = [
+        perturb_strategy(entangled_coloring_strategy(3), 1e-2, 5),
+        random_strategy((1, 5), (3, 3), 2),
+        random_povm_strategy((2, 4), (3, 3), 1, 0.5),
+        random_strategy((6, 4), (3, 3), 3),
+        entangled_coloring_strategy(3),
+    ]
+    stages = rounding_stages(g, block[3])
+    decs = round_correlations(g, block[:3] + [stages] + block[4:])
+    assert decs[3].stages is stages
+    assert round_correlations(g, []) == []
+    for s, got in zip(block, decs):
+        want = round_correlation(g, s)
+        assert [sl.sub_dim for sl in got.slices] == [sl.sub_dim for sl in want.slices]
+        assert got.diagnostics.keys() == want.diagnostics.keys()
+        for key, value in want.diagnostics.items():
+            assert abs(got.diagnostics[key] - value) <= 1e-12, key
+        for c_got, c_want in zip(got.correlations, want.correlations):
+            np.testing.assert_allclose(c_got.table, c_want.table, rtol=0, atol=1e-12)
 
 
 def non_synchronous(game):
@@ -505,6 +539,7 @@ def test_every_public_entry_checks_the_game():
         "lemma_report": lambda: lemma_report(bad, stages),
         "rounding_stages": lambda: rounding_stages(bad, s),
         "round_correlation": lambda: round_correlation(bad, s),
+        "round_correlations": lambda: round_correlations(bad, [stages]),
     }
     for name, call in entries.items():
         with pytest.raises(NotSynchronousGame):
