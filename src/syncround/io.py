@@ -399,9 +399,14 @@ def eta_grid(values) -> list[float]:
 
 
 def sweep_from_dict(obj: dict) -> dict:
-    """The fields a sweep config sets, null counting as unset; trials and
-    seed must be integers, and eta_grid checks the etas."""
+    """The fields a sweep config sets, null counting as unset; a field the
+    sweep does not know is refused, trials and seed must be integers, and
+    eta_grid checks the etas."""
     _check_schema(obj, SWEEP_SCHEMA)
+    known = ("schema", "game", "strategy", "etas", "trials", "seed", "csv", "out")
+    for field in obj:
+        if field not in known:
+            raise ParseError(f"sweep config has unknown field {field!r}")
     cfg = {field: value for field, value in obj.items() if value is not None}
     for field in ("game", "strategy", "csv", "out"):
         if not isinstance(cfg.get(field, ""), str):

@@ -23,7 +23,7 @@ CONTRACT_SLACK = 1e-8  # slack of a proved inequality: 2 delta, 9 eps, sync 0, l
 SUPPORT_CUTOFF = 1e-10  # eigenvalues at or below this times the largest are kernel
 NORM_TOL = 1e-9  # a computed normalization: tau(sigma sigma*), slice weights, POVM sums
 HERMITIZE_TOL = 1e-9  # relative asymmetry hermitize accepts by default
-CORNER_TOL = 1e-7  # relative asymmetry of a compression B* A B, and gap of F F* to A
+CORNER_TOL = 1e-7  # relative asymmetry of a compression B* A B
 POVM_ASYM_TOL = 1e-8  # relative asymmetry of a POVM element that validates
 INV_SQRT_FLOOR = -1e-12  # lowest eigenvalue pseudo_inv_sqrt's input may show
 CORR_IMAG_TOL = 1e-7  # imaginary residue a correlation entry may carry

@@ -15,12 +15,12 @@ polar-decomposes the embedded state once and keeps every stage before the
 slices, so the CLI, the lemma report and the soundness demo continue from
 it instead of embedding, correlating or polar-decomposing a second time,
 and the lemmas bound the stages the pipeline produced.  Every stage reads
-and writes the strategy's (nq, na, n, n) element stacks.  Every stage
-after symmetrize works in Alice's frame L, the left singular vectors of
-the one SVD sigma = L S V*: the symmetric state is sigma+ = |sigma*| = L S
-L*, written as the diagonal S, and Alice's elements are rotated once, L* A
-L.  Correlations, weights and residuals are normalized traces, so the
-basis does not change them.
+and writes (nq, na, n, n) element stacks.  Every stage after symmetrize
+works in Alice's frame L, the left singular vectors of the one SVD sigma =
+L S V*, and passes on the spectrum S, which is sigma+ = |sigma*| = L S L*
+there, and stacks such as Alice's elements, rotated once to L* A L.
+Correlations, weights and residuals are normalized traces, so the basis
+does not change them.
 
 One kernel, _round_povm, does every POVM-to-PVM rounding: projectivize's,
 orthogonalize_povm's and each slice corner's.  It is sequential spectral
@@ -43,16 +43,15 @@ block, makes 129 game checks, 166 eigendecompositions, 35 kernel calls,
 pins.
 
 Cost of the slice stage at dimension n, with nq questions of na answers.
-Every slice spans a leading block of coordinates and sigma's spectrum is
-its diagonal.  projectivize stores the orthonormal columns F of its PVMs,
-P = F F*, as the strategy's factors, one (nq, na, n, k) stack zero-padded
-to the widest rank k, and the slice stage uses them as rank factors: it
-forms F F* once, O(n^2 k) per element, checks it against Alice's elements
-and reads her PVMs only from it, Hermitian by construction.  Slice j of
-rank r rounds its corner, whose factor is the leading r rows of F, with
-one kernel call: na - 1 stacked eigendecompositions of nq min(r, k)-sized
-matrices and O(r k (r + k)) products per question.  Its residual ||P[:,
-:r] - [Q; 0]||_F^2 is the off-corner mass ||P[r:, :r]||_F^2, read from
+Every slice spans a leading block of coordinates of sigma's eigenbasis.
+projectivize returns the orthonormal columns F of its PVMs, P = F F*, as
+one (nq, na, n, k) stack zero-padded to the widest rank k, and the slice
+stage takes them alone as rank factors: it forms F F* once, O(n^2 k) per
+element, and reads Alice's PVMs only from it, Hermitian by construction.
+Slice j of rank r rounds its corner, whose factor is the leading r rows of
+F, with one kernel call: na - 1 stacked eigendecompositions of nq min(r,
+k)-sized matrices and O(r k (r + k)) products per question.  Its residual
+||P[:, :r] - [Q; 0]||_F^2 is the off-corner mass ||P[r:, :r]||_F^2, read from
 prefix sums of |P|^2, plus the corner's rounding error to its PVM Q.  The
 corner PVMs fill one (nq, na, r, r) array, the slice's correlation is one
 product of it with its transpose, and it is dropped after an optional
@@ -81,7 +80,7 @@ from .errors import (
     ValidationError,
 )
 from .games import Game, check_synchronous
-from .linalg import CLUSTER_TOL, CONTRACT_SLACK, CORNER_TOL, NORM_TOL, PSD_FLOOR
+from .linalg import CLUSTER_TOL, CONTRACT_SLACK, NORM_TOL, PSD_FLOOR
 from .strategies import (
     Correlation,
     Povm,
@@ -312,20 +311,24 @@ class Slice:
 
 @dataclass(frozen=True)
 class RoundingStages:
-    """The pipeline before slicing, from one polar decomposition.
+    """The pipeline before slicing, from one polar decomposition sigma = L S
+    V* of the embedded state, each stage once, as stacks.
 
-    embedded is the standard-form strategy, c_in its correlation and polar
-    the polar decomposition of its state.  symmetric is (sigma+, {A}) in
-    Alice's frame L, whose diagonal sigma+ the slices cut, and projective
-    its rounded strategy.  report holds delta_in, sym_delta, sym_distance,
-    proj_delta, proj_distance and proj_gamma, the names round_correlation's
-    diagnostics carry."""
+    embedded_alice is the embedded strategy's Alice, c_in its correlation
+    and polar.singular_values the spectrum S of sigma+ = |sigma*| the slices
+    cut.  alice_l = L* A L is the symmetric stage's Alice, bob_v = V* B V
+    the Bob c_in was taken with, pvms the PVMs projectivize rounded alice_l
+    to and factors their (nq, na, n, k) columns F, P = F F*.  report holds
+    delta_in, sym_delta, sym_distance, proj_delta, proj_distance and
+    proj_gamma, the names round_correlation's diagnostics carry."""
 
-    embedded: TracialStrategy
+    embedded_alice: np.ndarray
     c_in: Correlation
     polar: linalg.PolarParts
-    symmetric: TracialStrategy
-    projective: TracialStrategy
+    alice_l: np.ndarray
+    bob_v: np.ndarray
+    pvms: np.ndarray
+    factors: np.ndarray
     report: dict
 
 
@@ -335,31 +338,33 @@ class RoundingDecomposition:
     correlations: tuple[Correlation, ...]
     mixed: Correlation
     diagnostics: dict
-    # Set by round_correlation, None on a bare slice_strategies result.
+    # Set by round_correlation and round_correlations, None on a bare
+    # slice_strategies result.
     stages: RoundingStages | None = None
 
 
 def symmetrize(s: TracialStrategy, game: Game, polar: linalg.PolarParts):
     """Replace the strategy by the symmetric one (sigma+, {A}).
 
-    polar is the polar decomposition of s.sigma, whose SVD sigma = L diag(s)
-    V* gives the frames.  Alice's marginal tau(sigma* A sigma) = tau(A
-    sigma sigma*) sees sigma+ = |sigma*| = L diag(s) L*, so the result is
-    written in Alice's frame L: its state is diag(s) and her elements are
-    L* A L.  The input correlation c_in is taken at the same diagonal state,
-    tau(sigma* A sigma B) = tau(diag(s) L*AL diag(s) V*BV).  Returns the
-    symmetric strategy, c_in, its correlation and a report with their
-    synchronicities and the mu-weighted correlation distance; the factor-2
-    synchronicity bound is enforced.
+    polar is the polar decomposition of s.sigma, whose SVD sigma = L S V*
+    gives the frames.  Alice's marginal tau(sigma* A sigma) = tau(A sigma
+    sigma*) sees sigma+ = |sigma*| = L S L*, so the symmetric strategy is
+    written in Alice's frame L, where sigma+ is the spectrum S =
+    polar.singular_values and her elements are L* A L.  The input
+    correlation c_in is taken at the same spectrum, tau(sigma* A sigma B) =
+    tau(S L*AL S V*BV).  Returns Alice in L, Bob in V (V* B V), c_in, the
+    symmetric correlation and a report with their synchronicities and the
+    mu-weighted correlation distance; the factor-2 synchronicity bound is
+    enforced.
     """
     check_synchronous(game, "symmetrize")
     left, right = polar.left_basis, polar.eigenbasis
     singular = polar.singular_values
-    rotated = left.conj().T @ s.alice @ left
-    c_in = _diagonal_correlation(singular, rotated, right.conj().T @ s.bob_left @ right)
+    alice = left.conj().T @ s.alice @ left
+    bob = right.conj().T @ s.bob_left @ right
+    c_in = _diagonal_correlation(singular, alice, bob)
     delta_in = _synchronicity(game, c_in)
-    out = TracialStrategy(s.dim, np.diag(singular), rotated, rotated)
-    c_out = _diagonal_correlation(singular, rotated, rotated)
+    c_out = _diagonal_correlation(singular, alice, alice)
     delta_out = _synchronicity(game, c_out)
     if delta_out > 2.0 * delta_in + CONTRACT_SLACK:
         raise MathContractError(
@@ -371,39 +376,29 @@ def symmetrize(s: TracialStrategy, game: Game, polar: linalg.PolarParts):
         "delta_out": delta_out,
         "distance": correlation_distance(game, c_in, c_out),
     }
-    return out, c_in, c_out, report
+    return alice, bob, c_in, c_out, report
 
 
-def _diagonal(sigma: np.ndarray, stage: str) -> np.ndarray:
-    """The diagonal of a state in its eigenbasis, as symmetrize leaves it."""
-    spectrum = np.diagonal(sigma)
-    if not np.array_equal(sigma, np.diag(spectrum)) or np.any(spectrum.imag):
-        raise ValidationError(f"{stage} needs a real diagonal sigma")
-    return spectrum.real
-
-
-def projectivize(s: TracialStrategy, game: Game, c_in: Correlation):
+def projectivize(spectrum: np.ndarray, alice: np.ndarray, game: Game, c_in: Correlation):
     """Round each question's POVM to a PVM in the sigma-weighted norm.
 
-    Requires a symmetric strategy in its state's eigenbasis, as symmetrize
-    leaves it, and its correlation c_in.  sigma is real and diagonal, so the
-    weight sigma sigma* is its squared diagonal, which goes straight to
-    _round_povm.  Returns the symmetric projective strategy, carrying the
-    PVMs' orthonormal columns as its factors, its correlation and a report
-    of its synchronicity delta_out, the mu-weighted correlation distance to
-    c_in and the weighted rounding error gamma.
+    Takes the symmetric strategy as symmetrize leaves it: the spectrum s of
+    its state and Alice's (nq, na, n, n) elements in the state's eigenbasis,
+    with its correlation c_in.  The weight sigma sigma* is s^2 there, which
+    goes straight to _round_povm.  Returns the PVMs, their orthonormal
+    columns F (P = F F*, an (nq, na, n, k) stack), the symmetric projective
+    correlation and a report of its synchronicity delta_out, the mu-weighted
+    correlation distance to c_in and the weighted rounding error gamma.
     """
     check_synchronous(game, "projectivize")
-    weight = _diagonal(s.sigma, "projectivize") ** 2
-    stack, columns, masses = _round_povm(s.alice, weight)
-    out = TracialStrategy(s.dim, s.sigma, stack, stack, columns)
-    c_out = _diagonal_correlation(np.diagonal(s.sigma), stack, stack)
+    pvms, factors, masses = _round_povm(alice, spectrum**2)
+    c_out = _diagonal_correlation(spectrum, pvms, pvms)
     report = {
         "delta_out": _synchronicity(game, c_out),
         "distance": correlation_distance(game, c_in, c_out),
-        "gamma": float(game.mu_x @ masses) / s.dim,
+        "gamma": float(game.mu_x @ masses) / len(spectrum),
     }
-    return out, c_out, report
+    return pvms, factors, c_out, report
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
@@ -417,34 +412,16 @@ def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _checked_factors(projectives: list[TracialStrategy]) -> tuple[np.ndarray, np.ndarray]:
-    """The factors F of the strategies as one (S, nq, na, n, k) stack, n and
-    k the widest, and their PVMs F F*; refused unless every F is an (nq, na,
-    n, k) stack with ||F F* - A||_F <= CORNER_TOL * (1 + ||A||_F) for every
-    element A of Alice's."""
-    for s in projectives:
-        f = s.factors
-        if f is None or f.ndim != 4 or f.shape[:3] != s.alice.shape[:3]:
-            raise ValidationError(f"slicing needs {s.alice.shape[:3]} + (k,) PVM factors")
-    factors = _stacked([s.factors for s in projectives])
-    alice = _stacked([s.alice for s in projectives])
-    pvms = factors @ _adjoint(factors)
-    gap = np.linalg.norm(pvms - alice, axis=(-2, -1))
-    bad = ~(gap <= CORNER_TOL * (1.0 + np.linalg.norm(alice, axis=(-2, -1))))
-    if bad.any():
-        i, x, a = np.unravel_index(bad.argmax(), bad.shape)
-        raise ValidationError(f"factors {a} of PVM {x} miss by {gap[i, x, a]:.3e}")
-    return factors, pvms
-
-
 def _slice_corners(
-    projectives: list[TracialStrategy], game: Game, on_slice: SliceHook | None = None
+    projectives: list[tuple[np.ndarray, np.ndarray]],
+    game: Game,
+    on_slice: SliceHook | None = None,
 ) -> list[RoundingDecomposition]:
-    """slice_strategies for each of a block of strategies, with one
-    _round_povm call, one correlation product and one synchronicity check
-    per corner dimension r among them: every (strategy, question) row whose
-    strategy has a rank-r slice shares them.  A strategy has each rank at
-    most once, so on one strategy this is one call per slice.  F F*, the
+    """slice_strategies for each (spectrum, factors) pair of a block, with
+    one _round_povm call, one correlation product and one synchronicity
+    check per corner dimension r among them: every (strategy, question) row
+    whose strategy has a rank-r slice shares them.  A strategy has each rank
+    at most once, so on one strategy this is one call per slice.  F F*, the
     off-corner sums and the factor stack are built once for the block,
     zero-padded to its widest n and k.  on_slice sees the slices rank by
     rank, smallest first."""
@@ -453,17 +430,23 @@ def _slice_corners(
         return []
     mu_x = game.mu_x
     pieces = []
-    for s in projectives:
-        _check_alphabets(game, s.n_questions, s.n_answers)
-        spectrum = _diagonal(s.sigma, "slicing")
-        if np.any(spectrum < 0) or np.any(np.diff(spectrum) > 0):
-            raise ValidationError("slicing needs a nonnegative nonincreasing sigma")
+    for spectrum, factors in projectives:
+        if factors.ndim != 4 or factors.shape[2:3] != spectrum.shape:
+            shapes = f"{factors.shape} at spectrum {spectrum.shape}"
+            raise ValidationError(f"slicing needs (nq, na, n, k) factors, not {shapes}")
+        _check_alphabets(game, *factors.shape[:2])
+        if not np.isfinite(factors).all():
+            raise ValidationError("slicing needs finite factors")
+        ordered = np.isrealobj(spectrum) and np.all(np.diff(spectrum) <= 0)
+        if not (ordered and np.all(spectrum >= 0)):
+            raise ValidationError("slicing needs a real nonnegative nonincreasing spectrum")
         _normalized(spectrum**2)
         measures, (ranks,) = _spectral_pieces(spectrum)
         pieces.append((measures.tolist(), ranks.tolist()))
     # Slice j's corner is the leading rank x rank block of every PVM F F*,
     # so no slice touches the n x n operators again.
-    factors, pvms = _checked_factors(projectives)
+    factors = _stacked([f for _, f in projectives])
+    pvms = factors @ _adjoint(factors)
     count, nq, na, n = pvms.shape[:4]
     # ||P[r:, :r]||_F^2 summed over answers, for every slice rank r: sums of
     # |P|^2 over the rows from r down, accumulated over the columns below r.
@@ -502,15 +485,16 @@ def _slice_corners(
                 on_slice(pieces[i][0][j], rank, stack[k])
             rounded[i, j] = masses[k * nq : (k + 1) * nq], tables[k]
     out = []
-    for i, (s, (measures, ranks)) in enumerate(zip(projectives, pieces)):
+    for i, (measures, ranks) in enumerate(pieces):
+        dim = len(projectives[i][0])
         off_corner = tails[i][:, ranks, np.subtract(ranks, 1)]
         slices = []
         correlations = []
         residual = 0.0
         for j, (measure, rank) in enumerate(zip(measures, ranks)):
             masses, table = rounded[i, j]
-            residual += measure * float(mu_x @ (masses + off_corner[:, j])) / s.dim
-            slices.append(Slice(measure * rank / s.dim, measure, rank))
+            residual += measure * float(mu_x @ (masses + off_corner[:, j])) / dim
+            slices.append(Slice(measure * rank / dim, measure, rank))
             correlations.append(Correlation(table))
         weights = np.array([sl.weight for sl in slices])
         if abs(weights.sum() - 1.0) > NORM_TOL:
@@ -528,19 +512,20 @@ def _slice_corners(
 
 
 def slice_strategies(
-    s: TracialStrategy, game: Game, on_slice: SliceHook | None = None
+    spectrum: np.ndarray, factors: np.ndarray, game: Game, on_slice: SliceHook | None = None
 ) -> RoundingDecomposition:
     """Decompose a symmetric projective strategy into synchronous corners.
 
-    s is in its state's eigenbasis, as symmetrize leaves it: sigma is real,
-    diagonal, nonnegative and nonincreasing.  s.factors holds the columns F
-    projectivize built Alice's PVMs from, which serve as rank factors; every
-    corner, outcome mass and off-corner sum is read from F F*, once checked
-    against s.alice.  Each spectral slice, a leading block of coordinates,
-    hosts a corner sub-strategy whose tracial state is the corner identity;
-    compressed measurements are rounded back to PVMs there, making every
-    per-slice correlation synchronous.  This is _slice_corners on one
-    strategy, one kernel call per slice.
+    The strategy is given in its state's eigenbasis, as symmetrize and
+    projectivize leave it: spectrum is the state's real, nonnegative,
+    nonincreasing spectrum s with tau(s^2) = 1, and factors the finite (nq,
+    na, n, k) columns F projectivize built Alice's PVMs from, P = F F*.  F serves
+    as a rank factor, and every corner, outcome mass and off-corner sum is
+    read from F F*, Hermitian by construction.  Each spectral slice, a
+    leading block of coordinates, hosts a corner sub-strategy whose tracial
+    state is the corner identity; compressed measurements are rounded back
+    to PVMs there, making every per-slice correlation synchronous.  This is
+    _slice_corners on one strategy, one kernel call per slice.
 
     The corner PVMs are not kept: the decomposition holds each slice's
     weight, measure, dimension and correlation, O(n^2) in all.  A caller
@@ -548,7 +533,7 @@ def slice_strategies(
     first, as on_slice(measure, rank, stack) with the slice's (nq, na, rank,
     rank) corner PVMs; the stack is not reused, so the hook may keep it.
     """
-    (dec,) = _slice_corners([s], game, on_slice)
+    (dec,) = _slice_corners([(spectrum, factors)], game, on_slice)
     return dec
 
 
@@ -556,14 +541,14 @@ def rounding_stages(game: Game, s: TensorStrategy) -> RoundingStages:
     """The pipeline's prefix: embed -> symmetrize -> projectivize.
 
     The embedded state is polar-decomposed once; symmetrize takes the input
-    correlation at its diagonal state and projectivize continues from the
+    correlation at its spectrum and projectivize continues from the
     symmetric stage's correlation.
     """
     check_synchronous(game, "rounding")
     embedded = embed_tracial(s)
     polar = linalg.polar_decompose(embedded.sigma)
-    sym, c_in, c_sym, sym_report = symmetrize(embedded, game, polar)
-    proj, _, proj_report = projectivize(sym, game, c_sym)
+    alice, bob, c_in, c_sym, sym_report = symmetrize(embedded, game, polar)
+    pvms, factors, _, proj_report = projectivize(polar.singular_values, alice, game, c_sym)
     report = {
         "delta_in": sym_report["delta_in"],
         "sym_delta": sym_report["delta_out"],
@@ -572,7 +557,7 @@ def rounding_stages(game: Game, s: TensorStrategy) -> RoundingStages:
         "proj_distance": proj_report["distance"],
         "proj_gamma": proj_report["gamma"],
     }
-    return RoundingStages(embedded, c_in, polar, sym, proj, report)
+    return RoundingStages(embedded.alice, c_in, polar, alice, bob, pvms, factors, report)
 
 
 def round_correlation(
@@ -587,7 +572,8 @@ def round_correlation(
     caller sees the corner PVMs.
     """
     stages = rounding_stages(game, s)
-    return _finished(game, slice_strategies(stages.projective, game, on_slice), stages)
+    dec = slice_strategies(stages.polar.singular_values, stages.factors, game, on_slice)
+    return _finished(game, dec, stages)
 
 
 def round_correlations(
@@ -603,7 +589,7 @@ def round_correlations(
         s if isinstance(s, RoundingStages) else rounding_stages(game, s)
         for s in strategies
     ]
-    decs = _slice_corners([st.projective for st in stages], game)
+    decs = _slice_corners([(st.polar.singular_values, st.factors) for st in stages], game)
     return [_finished(game, dec, st) for dec, st in zip(decs, stages)]
 
 
@@ -624,26 +610,23 @@ def lemma_report(game: Game, stages: RoundingStages) -> dict:
     """Evaluate both sides of the implemented lemma inequalities.
 
     The inequalities bound the stages the pipeline produced.  The SVD
-    sigma = L diag(s) V* of the embedded state gives the frames: the
-    symmetric stage holds Alice's elements in L, the eigenbasis of sigma
-    sigma*, and here they and Bob's are rotated once into V, the eigenbasis
-    of |sigma|.  Every correlation below is then one at the diagonal state
-    diag(s), tau(sigma* A sigma B) = tau(diag(s) L*AL diag(s) V*BV), the
-    one c_in was taken at.  Returns {lemma: {lhs, rhs, slack}} with slack =
-    rhs - lhs; every slack should be >= -CONTRACT_SLACK when the lemmas
-    hold.
+    sigma = L S V* of the embedded state gives the frames: the stages hold
+    Alice's elements in L, the eigenbasis of sigma sigma*, and Bob's in V,
+    the eigenbasis of |sigma|, and here Alice's are rotated once into V as
+    well.  Every correlation below is then one at the spectrum S,
+    tau(sigma* A sigma B) = tau(S L*AL S V*BV), the one c_in was taken at.
+    Returns {lemma: {lhs, rhs, slack}} with slack = rhs - lhs; every slack
+    should be >= -CONTRACT_SLACK when the lemmas hold.
     """
     check_synchronous(game, "the lemma report")
-    s, right = stages.embedded, stages.polar.eigenbasis
-    alice_l = stages.symmetric.alice
-    alice_r = right.conj().T @ s.alice @ right
-    bob_r = right.conj().T @ s.bob_left @ right
+    right, alice_l, bob_r = stages.polar.eigenbasis, stages.alice_l, stages.bob_v
+    alice_r = right.conj().T @ stages.embedded_alice @ right
     at_singular_values = partial(_diagonal_correlation, stages.polar.singular_values)
     report = stages.report
 
     # Synchronicity factorization.  Cauchy-Schwarz through sigma = u|sigma|
-    # = |sigma*|u weighs Alice's operators at |sigma*| = L diag(s) L*, where
-    # symmetrize measured delta_A+, and Bob's at |sigma| = V diag(s) V*; at
+    # = |sigma*|u weighs Alice's operators at |sigma*| = L S L*, where
+    # symmetrize measured delta_A+, and Bob's at |sigma| = V S V*; at
     # |sigma| on both sides the bound fails for unbalanced embeddings, where
     # sigma is far from normal.
     delta_a = _synchronicity(game, at_singular_values(alice_l, alice_r))
@@ -657,7 +640,7 @@ def lemma_report(game: Game, stages: RoundingStages) -> dict:
 
     # Measurement substitution: compare correlations of {A} and of the
     # PVMs {C} projectivize rounded them to, inside the same strategy.
-    swapped = at_singular_values(stages.projective.alice, bob_r)
+    swapped = at_singular_values(stages.pvms, bob_r)
     meas = {
         "lhs": correlation_distance(game, stages.c_in, swapped),
         "rhs": 6.0 * (delta_a + np.sqrt(max(report["proj_gamma"], 0.0))),

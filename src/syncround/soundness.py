@@ -4,9 +4,9 @@ Moves a per-synchronous-strategy guarantee (a family of auxiliary
 measurements witnessing some structure) from the rounded slices back to a
 single POVM for the original strategy, via the dominated-operator
 factorization trick: find H with sigma+ H sigma+ = T.  The demo only meets
-its diagonal case: in Alice's frame L, sigma+ = |sigma*| = L diag(s) L* is
-diag(s), and H = sigma+^-1 T sigma+^-1 on the support, which
-aggregate_slice_povms computes by scaling.
+its diagonal case: in Alice's frame L, sigma+ = |sigma*| = L S L* is the
+spectrum S the rounding record keeps, and H = sigma+^-1 T sigma+^-1 on the
+support, which aggregate_slice_povms computes by scaling.
 
 The rounding keeps no corner PVMs: its decomposition is O(n^2).  The
 corners stream through round_correlation's on_slice hook, and the demo
@@ -119,14 +119,13 @@ def soundness_transfer_demo(
     omega = winning_probability_from_correlation(game, c_in)
 
     # H lives on the symmetric stage whose slices were computed, in Alice's
-    # frame L: sigma+ = |sigma*| = L diag(s) L* is diag(s) there, so
-    # tau(sigma+ A sigma+ H) is the diagonal-state correlation of the
-    # stage's Alice against H.
-    sym = dec.stages.symmetric
-    s = np.diagonal(sym.sigma).real
+    # frame L: sigma+ = |sigma*| = L S L* is the spectrum S there, so
+    # tau(sigma+ A sigma+ H) is the diagonal-state correlation of Alice in L
+    # against H.
+    s = dec.stages.polar.singular_values
     families = aggregate_slice_povms(s, targets)
     transferred = winning_probability_from_correlation(
-        inst.test, _diagonal_correlation(s, sym.alice, families)
+        inst.test, _diagonal_correlation(s, dec.stages.alice_l, families)
     )
 
     return {

@@ -7,7 +7,8 @@ tau(sigma* sigma) = 1, Alice's POVMs acting by left multiplication and
 Bob's stored as left-algebra matrices whose opposite action is right
 multiplication, so every correlation entry is tau(sigma* A sigma B).  Each
 side is one (nq, na, n, n) element stack, the form every rounding stage
-reads and writes.
+reads and writes.  Only the embedding is a TracialStrategy: the stages after
+symmetrize pass its state's spectrum and element stacks.
 """
 
 from __future__ import annotations
@@ -121,27 +122,17 @@ class TensorStrategy:
 class TracialStrategy:
     """(sigma, {A}, {B^op}) at dimension n.  alice and bob_left are
     (nq, na, n, n) stacks, Bob's as left-algebra matrices (his tensor-form
-    elements transposed); factors, which projectivize sets, holds Alice's
-    PVM rank factors, a zero-padded (nq, na, n, k) stack with A = F F*."""
+    elements transposed)."""
 
     dim: int
     sigma: np.ndarray
     alice: np.ndarray
     bob_left: np.ndarray
-    factors: np.ndarray | None = None
 
     def __post_init__(self):  # arrays in C order: the kernel views their rows
-        for name in ("sigma", "alice", "bob_left", "factors"):
-            if (value := getattr(self, name)) is not None:
-                object.__setattr__(self, name, np.ascontiguousarray(value, complex))
-
-    @property
-    def n_questions(self) -> int:
-        return self.alice.shape[0]
-
-    @property
-    def n_answers(self) -> int:
-        return self.alice.shape[1]
+        for name in ("sigma", "alice", "bob_left"):
+            value = np.ascontiguousarray(getattr(self, name), complex)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -207,21 +198,19 @@ def correlation(s: TracialStrategy) -> Correlation:
 
     tau(L B) = sum_ij (L^T)_ij B_ij / n, so the table is stacked_correlation
     of the left factors (sigma* A sigma)^T = sigma^T A^T conj(sigma) with
-    Bob's elements.  At a diagonal state d (every stage after symmetrize,
-    which works in Alice's frame, where sigma+ is diagonal) that left factor is
-    d_i A^T_ij conj(d_j), an O(n^2) scaling instead of two products.
+    Bob's elements.  The rounding stages, which hold a spectrum, call
+    _diagonal_correlation instead.
     """
     sig = s.sigma
-    d = np.diagonal(sig)
-    if np.array_equal(sig, np.diag(d)):
-        return _diagonal_correlation(d, s.alice, s.bob_left)
     left = sig.T @ np.ascontiguousarray(s.alice.swapaxes(-1, -2)) @ sig.conj()
     return stacked_correlation(left, s.bob_left)
 
 
 def _diagonal_correlation(d, alice: np.ndarray, bob: np.ndarray) -> Correlation:
     """correlation() at the state diag(d) of the (nq, na, n, n) stacks of
-    Alice's and Bob's (left) elements, building no strategy."""
+    Alice's and Bob's (left) elements, building no strategy: the left
+    factor is d_i A^T_ij conj(d_j), an O(n^2) scaling instead of two
+    products."""
     d = np.asarray(d, dtype=complex)
     left = np.multiply(alice.swapaxes(-1, -2), np.outer(d, d.conj()), order="C")
     return stacked_correlation(left, bob)

@@ -72,17 +72,10 @@ def padded_factors(factors, n):
 
 def factor_stack(elements):
     """Rank factors of an (nq, na, n, n) element stack as the zero-padded
-    (nq, na, n, k) stack slice_strategies reads from TracialStrategy.factors;
-    for PVMs the factors are orthonormal."""
+    (nq, na, n, k) stack slice_strategies takes; for PVMs the factors are
+    orthonormal."""
     rows = [[rank_factor(e) for e in row] for row in elements]
     return padded_factors(rows, np.shape(elements)[-1])
-
-
-def projective(sigma, pvms):
-    """The symmetric strategy (sigma, {P}, {P}) of an (nq, na, n, n) PVM
-    stack, carrying the factors slice_strategies needs."""
-    pvms = np.asarray(pvms, dtype=complex)
-    return TracialStrategy(pvms.shape[-1], sigma, pvms, pvms, factor_stack(pvms))
 
 
 def is_projective(elements, tol=1e-9):

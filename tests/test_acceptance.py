@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from reference import expand_corner, is_projective, padded_targets, projective
+from reference import expand_corner, factor_stack, is_projective, padded_targets
 from syncround import linalg
 from syncround.cli import main as cli_main
 from syncround.games import edge_game, k3_game
@@ -77,8 +77,8 @@ def test_identity_suite():
         # slice_strategies cuts sigma in its eigenbasis V; P_r = V_r V_r*
         polar = linalg.polar_decompose(sigma)
         v = polar.eigenbasis
-        s = projective(np.diag(polar.singular_values), _diagonal_pvms(n))
-        slices = slice_strategies(s, game).slices
+        factors = factor_stack(_diagonal_pvms(n))
+        slices = slice_strategies(polar.singular_values, factors, game).slices
         total = sum(
             sl.measure * v[:, : sl.sub_dim] @ v[:, : sl.sub_dim].conj().T
             for sl in slices

@@ -67,24 +67,6 @@ def test_alphabet_mismatch_exits_3(capsys):
     assert "AlphabetMismatch" in err
 
 
-def test_pvm_columns_that_miss_their_elements_exit_3(capsys, monkeypatch):
-    # projectivize keeps the factor stack the rounding kernel returns; swap
-    # two outcomes' columns in every question of the stacked call
-    real = rounding._round_povm
-
-    def swapped(elements, weight, factors=None):
-        pvm, cols, masses = real(elements, weight, factors)
-        if cols is not None:
-            cols = cols[:, [1, 0, *range(2, cols.shape[1])]]
-        return pvm, cols, masses
-
-    monkeypatch.setattr(rounding, "_round_povm", swapped)
-    code, _, err = run(capsys, "round", "--game", "k3", "--strategy", "k3-entangled")
-    assert code == 3
-    assert "factors" in err
-    assert "Traceback" not in err
-
-
 def non_synchronous_game_file(tmp_path) -> str:
     g = k3_game()
     win = g.win.copy()
@@ -387,12 +369,12 @@ def fail_in_stages(monkeypatch):
 def fail_in_slices(monkeypatch):
     """The slicing core raises on any block holding the third task."""
     third = perturb_strategy(entangled_coloring_strategy(3), *THIRD_TASK)
-    sigma = rounding.rounding_stages(k3_game(), third).projective.sigma
+    factors = rounding.rounding_stages(k3_game(), third).factors
     blocks = []
 
     def failing(projectives, game, on_slice=None):
         blocks.append(len(projectives))
-        if any(np.array_equal(s.sigma, sigma) for s in projectives):
+        if any(np.array_equal(f, factors) for _, f in projectives):
             raise MathContractError("injected failure")
         return real(projectives, game, on_slice)
 
@@ -635,6 +617,8 @@ BAD_INPUTS = {
     "config-seed-boolean": (SWEEP, _sweep_text(seed=False), 2),
     "config-etas-boolean": (SWEEP, _sweep_text(etas=[True]), 2),
     "config-etas-strings": (SWEEP, _sweep_text(etas=["0.1"]), 2),
+    "config-misspelt-trials": (SWEEP, _sweep_text(etas=[0.01], trails=3), 2),
+    "config-eta-for-etas": (SWEEP, json.dumps({"schema": "syncround.sweep/1", "eta": [0.1]}), 2),
     "mu-strings": (EVALUATE, _game_text(mu=[[repr(v) for v in row] for row in _MU]), 2),
     "mu-booleans": (EVALUATE, _game_text(mu=[[i == j == 0 for j in range(3)] for i in range(3)]), 2),
     "mu-booleans-among-numbers": (

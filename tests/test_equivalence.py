@@ -9,8 +9,6 @@ eigenbasis rotation, one overlap prefix sum and one matrix product; the
 two must agree to 1e-10.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -26,6 +24,7 @@ from reference import (
 )
 from syncround import linalg, rounding
 from syncround.errors import (
+    AlphabetMismatch,
     BoundViolated,
     NotNormalized,
     NotPositive,
@@ -47,6 +46,7 @@ from syncround.strategies import (
     Povm,
     TensorStrategy,
     TracialStrategy,
+    _diagonal_correlation,
     correlation,
     embed_tracial,
     entangled_coloring_strategy,
@@ -64,7 +64,7 @@ TOL = 1e-10
 
 def reference_correlation(s):
     """One trace per entry: C[x, y, a, b] = Re tau(sigma* A sigma B)."""
-    nq, na = s.n_questions, s.n_answers
+    nq, na = s.alice.shape[:2]
     table = np.zeros((nq, nq, na, na))
     sig = s.sigma
     for x in range(nq):
@@ -144,28 +144,19 @@ def reference_orthogonalize(povm, sigma):
     return pvm, error
 
 
-def sigma_frame(sigma):
-    """sigma's eigenvalues and eigenvectors, nonincreasing.  A diagonal
-    sigma, as symmetrize returns it, keeps the coordinate frame: eigh would
-    reverse the order inside a degenerate cluster (for sigma = I it returns
-    the reversal permutation)."""
-    if np.array_equal(sigma, np.diag(np.diagonal(sigma))):
-        return np.diagonal(sigma).real, np.eye(len(sigma), dtype=complex)
-    dec = linalg.eig_hermitian(linalg.hermitize(sigma))
-    return dec.eigenvalues, dec.eigenvectors
-
-
-def reference_slices(s, game):
-    """Per slice: an n x n projector, compress, round, expand, residual."""
-    eigenvalues, eigenvectors = sigma_frame(s.sigma)
-    n = s.dim
+def reference_slices(spectrum, alice, game):
+    """Per slice: an n x n projector, compress, round, expand, residual.
+    The state is the spectrum, so its eigenvectors are the coordinate
+    frame."""
+    n = len(spectrum)
+    eigenvectors = np.eye(n, dtype=complex)
     pieces = []
     residual = 0.0
-    for measure, used in spectral_pieces(np.clip(eigenvalues, 0.0, None)):
+    for measure, used in spectral_pieces(np.clip(spectrum, 0.0, None)):
         basis = eigenvectors[:, :used].copy()
         projector = basis @ basis.conj().T
         pvms = []
-        for elements in s.alice:
+        for elements in alice:
             compressed = Povm(
                 np.array(
                     [
@@ -175,12 +166,9 @@ def reference_slices(s, game):
                 )
             )
             pvms.append(reference_orthogonalize(compressed, np.eye(used))[0])
-        for x in range(s.n_questions):
-            for a in range(s.n_answers):
-                d = s.alice[x, a] - expand_corner(pvms[x][a], basis)
-                residual += (
-                    game.mu_x[x] * measure * linalg.tau_norm(d @ projector) ** 2
-                )
+        for x, a in np.ndindex(alice.shape[:2]):
+            d = alice[x, a] - expand_corner(pvms[x][a], basis)
+            residual += game.mu_x[x] * measure * linalg.tau_norm(d @ projector) ** 2
         pieces.append((measure * used / n, measure, used, pvms))
     return pieces, residual
 
@@ -217,8 +205,8 @@ def tensor_cases():
 TENSOR_CASES = tensor_cases()
 
 
-def projective_symmetric(s):
-    return rounding_stages(k3_game(), s).projective
+def stages_of(s):
+    return rounding_stages(k3_game(), s)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +223,20 @@ def complex_diagonal_state(s):
 
 @pytest.mark.parametrize("name", sorted(TENSOR_CASES))
 def test_correlation_matches_entrywise(name):
+    # correlation() at the embedding's state and at two diagonal ones, the
+    # symmetric projective stage's spectrum and a complex diagonal; the
+    # stages' _diagonal_correlation at the diagonal ones
     embedded = embed_tracial(TENSOR_CASES[name])
-    symmetric = projective_symmetric(TENSOR_CASES[name])
+    st = stages_of(TENSOR_CASES[name])
+    symmetric = TracialStrategy(
+        embedded.dim, np.diag(st.polar.singular_values), st.pvms, st.pvms
+    )
     for s in (embedded, symmetric, complex_diagonal_state(embedded)):
-        np.testing.assert_allclose(
-            correlation(s).table, reference_correlation(s), rtol=0, atol=TOL
-        )
+        want = reference_correlation(s)
+        np.testing.assert_allclose(correlation(s).table, want, rtol=0, atol=TOL)
+        if s is not embedded:
+            got = _diagonal_correlation(np.diagonal(s.sigma), s.alice, s.bob_left)
+            np.testing.assert_allclose(got.table, want, rtol=0, atol=TOL)
 
 
 # Larger corners for the slice test.  In the rank-deficient one the corners
@@ -255,12 +251,13 @@ SLICE_CASES = {
 @pytest.mark.parametrize("name", sorted(SLICE_CASES))
 def test_slices_match_compress_expand(name):
     game = k3_game()
-    s = projective_symmetric(SLICE_CASES[name])
+    st = stages_of(SLICE_CASES[name])
+    spectrum, nq, na = st.polar.singular_values, *st.pvms.shape[:2]
     corners = []
     dec = slice_strategies(
-        s, game, lambda m, rank, stack: corners.append((m, rank, stack))
+        spectrum, st.factors, game, lambda m, rank, stack: corners.append((m, rank, stack))
     )
-    pieces, residual = reference_slices(s, game)
+    pieces, residual = reference_slices(spectrum, st.pvms, game)
     assert len(dec.slices) == len(pieces) == len(corners)
     for sl, c_sub, (m, r, stack), (weight, measure, rank, pvms) in zip(
         dec.slices, dec.correlations, corners, pieces
@@ -270,7 +267,7 @@ def test_slices_match_compress_expand(name):
         assert abs(sl.measure - measure) <= TOL
         assert m == sl.measure
         # the hook sees each slice's corner PVMs as one stacked array
-        assert stack.shape == (s.n_questions, s.n_answers, rank, rank)
+        assert stack.shape == (nq, na, rank, rank)
         for got, want in zip(stack, pvms):
             np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
         corner = TracialStrategy(rank, np.eye(rank), stack, stack)
@@ -601,13 +598,12 @@ def test_one_stacked_eigendecomposition_per_threshold_step(monkeypatch):
 
     monkeypatch.setattr(linalg, "eig_hermitian", recording)
     stages = rounding_stages(game, s)
-    sym, proj = stages.symmetric, stages.projective
     # projectivize makes na - 1 calls for all three questions; the second is
     # padded to the largest complement, never to n
     assert [shape[:-1] for shape in shapes] == [(3, 12), (3, shapes[1][-1])]
-    w = np.diagonal(sym.sigma).real ** 2
-    first = np.argmax(np.diagonal(sym.alice, axis1=2, axis2=3).real @ w, axis=1)
-    widths = [12 - round(np.trace(proj.alice[x, a]).real) for x, a in enumerate(first)]
+    w = stages.polar.singular_values**2
+    first = np.argmax(np.diagonal(stages.alice_l, axis1=2, axis2=3).real @ w, axis=1)
+    widths = [12 - round(np.trace(stages.pvms[x, a]).real) for x, a in enumerate(first)]
     assert shapes[1][-1] == max(widths) < 12
     shapes.clear()
     lemma_report(game, stages)  # reads projectivize's PVMs, rounds nothing
@@ -641,7 +637,7 @@ ORACLE_CASES = {
 def test_rounding_matches_the_dense_weight_oracle(name):
     game = k3_game()
     stages = rounding_stages(game, ORACLE_CASES[name])
-    s = stages.embedded
+    s = embed_tracial(ORACLE_CASES[name])
     for elements in s.alice:
         got, err = checked_orthogonalize(Povm(elements), s.sigma)
         want, want_err = dense_orthogonalize(Povm(elements), s.sigma)
@@ -651,10 +647,10 @@ def test_rounding_matches_the_dense_weight_oracle(name):
     for lemma, want in want_report.items():
         for side in ("lhs", "rhs", "slack"):
             assert abs(got_report[lemma][side] - want[side]) <= TOL
-    sym, proj = stages.symmetric, stages.projective
+    sigma_plus = np.diag(stages.polar.singular_values)  # in Alice's frame L
     gamma = 0.0
-    for x, (elements, pvm) in enumerate(zip(sym.alice, proj.alice)):
-        want, want_err = dense_orthogonalize(Povm(elements), sym.sigma)
+    for x, (elements, pvm) in enumerate(zip(stages.alice_l, stages.pvms)):
+        want, want_err = dense_orthogonalize(Povm(elements), sigma_plus)
         np.testing.assert_allclose(pvm, want.elements, rtol=0, atol=TOL)
         gamma += game.mu_x[x] * want_err
     assert abs(stages.report["proj_gamma"] - gamma) <= TOL
@@ -664,45 +660,14 @@ def test_rounding_matches_the_dense_weight_oracle(name):
 def test_projectivize_factors_reproduce_its_pvms(name):
     # F F* = P for every element, zero columns past each rank, and each
     # question's columns an orthonormal basis
-    proj = projective_symmetric(ORACLE_CASES[name])
-    np.testing.assert_array_equal(proj.alice, proj.bob_left)
-    assert_factors_reproduce(proj.alice, proj.factors)
-
-
-def corner_perturbed(s, scale):
-    """s with an anti-Hermitian scale * [[0, 1], [-1, 0]] added to the
-    leading 2 x 2 block of one of Alice's elements in sigma's eigenbasis;
-    scale = 1 puts that block's asymmetry at 1e-7 (1 + ||block||_F)."""
-    _, v = sigma_frame(s.sigma)
-    alice = s.alice.copy()
-    block = (v.conj().T @ alice[1, 2] @ v)[:2, :2]
-    k = np.zeros((s.dim, s.dim), dtype=complex)
-    k[0, 1], k[1, 0] = 1.0, -1.0
-    t = scale * 1e-7 * (1.0 + np.linalg.norm(block)) / (2.0 * np.sqrt(2.0))
-    alice[1, 2] += t * (v @ k @ v.conj().T)
-    return replace(s, alice=alice)
-
-
-def test_slicing_reads_alice_only_through_her_factors():
-    # an element within the factor tolerance of F F*, Hermitian or not, is
-    # rounded exactly as F F* is: every corner, mass and off-corner sum is
-    # cut from F F*, which is Hermitian by construction
-    game = k3_game()
-    s = projective_symmetric(random_strategy((24, 24), (3, 3), 0))
-    want = slice_strategies(s, game)
-    for scale in (0.3, 3.0):
-        got = slice_strategies(corner_perturbed(s, scale), game)
-        assert got.slices == want.slices  # weights, measures, corner dims
-        for c_got, c_want in zip(got.correlations, want.correlations, strict=True):
-            np.testing.assert_array_equal(c_got.table, c_want.table)
-        np.testing.assert_array_equal(got.mixed.table, want.mixed.table)
-        assert got.diagnostics == want.diagnostics
+    st = stages_of(ORACLE_CASES[name])
+    assert_factors_reproduce(st.pvms, st.factors)
 
 
 def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
     game = k3_game()
-    s = projective_symmetric(random_strategy((24, 24), (3, 3), 0))
-    n, nq, na = s.dim, s.n_questions, s.n_answers
+    st = stages_of(random_strategy((24, 24), (3, 3), 0))
+    nq, na, n = st.pvms.shape[:3]
     real = linalg.eig_hermitian
     sizes = []
 
@@ -713,10 +678,10 @@ def test_slice_eigendecompositions_stay_at_factor_rank(monkeypatch):
         return real(h)
 
     monkeypatch.setattr(linalg, "eig_hermitian", recording)
-    dec = slice_strategies(s, game)
-    ranks = set(np.rint(np.trace(s.alice, axis1=2, axis2=3).real).astype(int).flat)
+    dec = slice_strategies(st.polar.singular_values, st.factors, game)
+    ranks = set(np.rint(np.trace(st.pvms, axis1=2, axis2=3).real).astype(int).flat)
     (k,) = ranks  # every element has the same factor width
-    assert k < n and s.factors.shape[-1] == k
+    assert k < n and st.factors.shape[-1] == k
     # the PVMs' columns are the rank factors and sigma is read off its
     # diagonal, so nothing n x n is decomposed
     assert sizes.count(n) == 0
@@ -755,54 +720,48 @@ def test_round_correlation_slices_without_n_by_n_eigendecompositions(monkeypatch
     assert sizes and max(sizes) < 24
 
 
-def bad_factors(s):
-    """Factor stacks, all but the last changed in question 1 or in shape,
-    that slicing must refuse."""
-    f = s.factors
+def bad_factors(f):
+    """(name, factors, error, match) for factor stacks, all but the last
+    changed in question 1 or in shape, that slicing must refuse."""
     k = f.shape[-1]
-    swapped, not_finite, rotated = f.copy(), f.copy(), f.copy()
-    swapped[1] = f[1, [1, 0, 2]]
-    not_finite[1, 0] *= np.nan
+    nan, inf, rotated = f.copy(), f.copy(), f.copy()
+    nan[1, 0] *= np.nan
+    inf[1, 2, 0, 0] = np.inf
     # a unitary change of columns within an outcome leaves F F* alone
     rotated[1, 0] = f[1, 0] @ np.diag(np.exp(1j * np.arange(k)))
-    extra = np.concatenate((f, np.zeros(f.shape[:3] + (1,))), axis=3)
-    extra[1, 0, 0, k] = 1e-3  # F F* moves by 1e-6, past 1e-7 (1 + ||A||_F) = 3e-7
-    yield "missing", None
-    yield "too few answers", f[:, :-1]
-    yield "too few questions", f[:-1]
-    yield "not a stack", f[..., 0]
-    yield "wrong height", f[:, :, :-1]
-    yield "swapped", swapped
-    yield "not finite", not_finite
-    yield "extra column", extra
-    yield None, rotated
+    yield "too few answers", f[:, :-1], AlphabetMismatch, "strategy is 3x2"
+    yield "too few questions", f[:-1], AlphabetMismatch, "strategy is 2x3"
+    yield "not a stack", f[..., 0], ValidationError, "factors"
+    yield "wrong height", f[:, :, :-1], ValidationError, "factors"
+    yield "nan", nan, ValidationError, "finite factors"
+    yield "inf", inf, ValidationError, "finite factors"
+    yield None, rotated, None, None
 
 
-def test_slice_strategies_checks_the_columns():
-    # the factors are the orthonormal columns projectivize built its PVMs from
+def test_slice_strategies_checks_the_columns(monkeypatch):
+    # the factors are the orthonormal columns projectivize built its PVMs
+    # from; a fault is refused before any eigendecomposition
     game = k3_game()
-    s = projective_symmetric(random_strategy((12, 12), (3, 3), 0))
-    want = slice_strategies(s, game)
-    for name, factors in bad_factors(s):
-        t = replace(s, factors=factors)
+    st = stages_of(random_strategy((12, 12), (3, 3), 0))
+    spectrum = st.polar.singular_values
+    want = slice_strategies(spectrum, st.factors, game)
+    real = linalg.eig_hermitian
+    sizes = []
+
+    def recording(h):
+        sizes.append(h.shape)
+        return real(h)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", recording)
+    for name, factors, error, match in bad_factors(st.factors):
         if name is None:
-            got = slice_strategies(t, game)
+            got = slice_strategies(spectrum, factors, game)
             assert got.diagnostics == pytest.approx(want.diagnostics, abs=TOL)
             continue
-        with pytest.raises(ValidationError, match="factors"):
-            slice_strategies(t, game)
+        with pytest.raises(error, match=match):
+            slice_strategies(spectrum, factors, game)
             pytest.fail(f"slicing accepted {name} factors")
-    # the factors are checked against every element of Alice's, so an
-    # element that is not finite, or moved past CORNER_TOL, is refused too
-    not_finite = s.alice.copy()
-    not_finite[1, 2, 0, 1] = np.nan
-    for name, t in (
-        ("not finite", replace(s, alice=not_finite)),
-        ("perturbed", corner_perturbed(s, 30.0)),
-    ):
-        with pytest.raises(ValidationError, match="factors"):
-            slice_strategies(t, game)
-            pytest.fail(f"slicing accepted a {name} element")
+        assert sizes == [], name
 
 
 def positive_with_spectrum(rng, spectrum):
@@ -891,16 +850,15 @@ def drawn_spectrum(st, data, n):
     return np.array(vals)
 
 
-def block_pvm_strategy(spectrum):
-    """A symmetric projective 3x3 strategy at the diagonal state spectrum:
-    coordinate-block PVMs, each element keeping its coordinate columns."""
-    n = len(spectrum)
+def block_pvm_factors(n):
+    """The rank factors of a symmetric projective 3x3 strategy on C^n,
+    diagonal in the state's eigenbasis: coordinate-block PVMs, each element
+    keeping its coordinate columns."""
     factors = np.zeros((3, 3, n, -(-n // 3)), dtype=complex)
     for x in range(3):
         for a, block in enumerate(np.array_split(np.roll(np.arange(n), x), 3)):
             factors[x, a, block, np.arange(len(block))] = 1.0
-    pvms = factors @ factors.swapaxes(-1, -2)
-    return TracialStrategy(n, np.diag(spectrum), pvms, pvms, factors)
+    return factors
 
 
 def assert_pieces_cover(measures, ranks, spectra):
@@ -935,7 +893,7 @@ def test_one_spectrum_pieces_match_the_chained_loop():
         )
         assert abs(np.dot(measures, ranks[0]) / n - np.mean(vals**2)) <= slack
         normalized = vals / np.sqrt(np.mean(vals**2))
-        dec = slice_strategies(block_pvm_strategy(normalized), k3_game())
+        dec = slice_strategies(normalized, block_pvm_factors(n), k3_game())
         assert abs(sum(sl.weight for sl in dec.slices) - 1.0) <= 1e-12
         want = [rank for _, rank in spectral_pieces(normalized)]
         assert [sl.sub_dim for sl in dec.slices] == want

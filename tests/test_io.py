@@ -82,6 +82,14 @@ def test_missing_field_named():
     assert "mu" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["trails", "eta", "Seed"])
+def test_sweep_config_refuses_an_unknown_field(field):
+    known = {"schema": io.SWEEP_SCHEMA, "etas": [0.01], "trials": None, "csv": None}
+    assert io.sweep_from_dict(known) == {"schema": io.SWEEP_SCHEMA, "etas": [0.01]}
+    with pytest.raises(ParseError, match=f"unknown field '{field}'"):
+        io.sweep_from_dict({**known, field: 3})
+
+
 def test_schema_mismatch():
     g = io.game_to_dict(k3_game())
     g["schema"] = "syncround.game/2"

@@ -1,11 +1,12 @@
 """Unit tests for the rounding pipeline."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reference import is_projective, projective, projector_slices
+from reference import factor_stack, is_projective, projector_slices
 from syncround import cli, games, io, linalg, rounding, soundness, strategies
 from syncround.errors import NotNormalized, NotSynchronousGame, ValidationError
 from syncround.games import Game, k3_game
@@ -159,20 +160,20 @@ def test_connes_inequality_random():
 # spectral slices
 
 
-def diagonal_strategy(spectrum):
-    """A symmetric projective strategy for the triangle game at a diagonal
-    state: answer a to question x on the coordinates i = a - x mod 3."""
-    n = len(spectrum)
+def triangle_factors(n):
+    """The rank factors of a symmetric projective strategy for the triangle
+    game on C^n, diagonal in the state's eigenbasis: answer a to question x
+    on the coordinates i = a - x mod 3."""
     pvms = np.zeros((3, 3, n, n), dtype=complex)
     for x in range(3):
         for i in range(n):
             pvms[x, (i + x) % 3, i, i] = 1.0
-    return projective(np.diag(spectrum), pvms)
+    return factor_stack(pvms)
 
 
 def slice_pieces(spectrum):
     """(measure, rank) of each slice slice_strategies cuts."""
-    dec = slice_strategies(diagonal_strategy(spectrum), k3_game())
+    dec = slice_strategies(spectrum, triangle_factors(len(spectrum)), k3_game())
     return [(sl.measure, sl.sub_dim) for sl in dec.slices]
 
 
@@ -220,37 +221,19 @@ def test_slices_reconstruct_sigma_squared():
 
 
 @pytest.mark.parametrize(
-    "sigma",
+    "spectrum",
     [
-        np.array([[1.0, 0.1], [0.1, 1.0]]) / np.sqrt(1.01),  # not diagonal
-        np.diag([0.5, np.sqrt(1.75)]),  # increasing
-        np.diag([1j, 1.0]),  # not real
-        np.diag([np.sqrt(2.0 - 1e-6), -1e-3]),  # negative
+        pytest.param(np.array([0.5, np.sqrt(1.75)]), id="increasing"),
+        pytest.param(np.array([np.sqrt(2.0 - 1e-6), -1e-3]), id="negative"),
+        pytest.param(np.array([np.sqrt(2.0), np.nan]), id="not-finite"),
+        pytest.param(np.array([1j, 1.0]), id="not-real"),
     ],
 )
-def test_slice_strategies_refuses_sigma_outside_its_eigenbasis(sigma):
-    # every sigma here has tau(sigma* sigma) = 1; the strategy keeps its
-    # factors, so only the sigma checks can refuse it
-    s = diagonal_strategy(np.ones(2))
-    t = TracialStrategy(2, sigma, s.alice, s.alice, s.factors)
-    with pytest.raises(
-        ValidationError, match="real diagonal sigma|nonnegative nonincreasing sigma"
-    ):
-        slice_strategies(t, k3_game())
-
-
-@pytest.mark.parametrize(
-    "sigma",
-    [
-        np.array([[1.0, 0.1], [0.1, 1.0]]) / np.sqrt(1.01),  # not diagonal
-        np.diag([1j, 1.0]),  # not real
-    ],
-)
-def test_projectivize_refuses_sigma_outside_its_eigenbasis(sigma):
-    s = diagonal_strategy(np.ones(2))
-    t = TracialStrategy(2, sigma, s.alice, s.alice)
-    with pytest.raises(ValidationError, match="projectivize needs"):
-        projectivize(t, k3_game(), correlation(t))
+def test_slice_strategies_refuses_bad_spectra(spectrum):
+    # tau(s^2) = 1 wherever it is finite, and the factors fit, so only the
+    # type, order and sign checks can refuse the spectrum
+    with pytest.raises(ValidationError, match="nonnegative nonincreasing spectrum"):
+        slice_strategies(spectrum, triangle_factors(2), k3_game())
 
 
 def test_slice_strategies_refuses_unnormalized_sigma():
@@ -271,11 +254,12 @@ def test_rank_deficient_state_gives_no_kernel_slice(dims):
 
 def test_symmetrize_fixed_point():
     s = embed_tracial(entangled_coloring_strategy(3))
-    out, _, _, report = symmetrize(s, k3_game(), linalg.polar_decompose(s.sigma))
+    polar = linalg.polar_decompose(s.sigma)
+    _, _, _, _, report = symmetrize(s, k3_game(), polar)
     assert report["distance"] <= 1e-10
     assert report["delta_out"] <= 1e-10
-    # sigma = I, so the eigenbasis frame leaves the state unchanged
-    np.testing.assert_allclose(out.sigma, s.sigma, atol=1e-10)
+    # sigma = I, so the symmetric state, its spectrum, is sigma itself
+    np.testing.assert_allclose(np.diag(polar.singular_values), s.sigma, atol=1e-10)
 
 
 def test_symmetrize_bound_on_perturbed_family():
@@ -283,9 +267,13 @@ def test_symmetrize_bound_on_perturbed_family():
     base = entangled_coloring_strategy(3)
     for eta in (1e-3, 1e-2, 1e-1):
         s = embed_tracial(perturb_strategy(base, eta, 5))
-        out, c_in, _, report = symmetrize(s, g, linalg.polar_decompose(s.sigma))
+        polar = linalg.polar_decompose(s.sigma)
+        alice, bob, c_in, _, report = symmetrize(s, g, polar)
         np.testing.assert_allclose(c_in.table, correlation(s).table, atol=1e-12)
-        np.testing.assert_array_equal(out.alice, out.bob_left)
+        # Alice in her frame L, Bob in V
+        left, right = polar.left_basis, polar.eigenbasis
+        np.testing.assert_array_equal(alice, left.conj().T @ s.alice @ left)
+        np.testing.assert_array_equal(bob, right.conj().T @ s.bob_left @ right)
         assert report["delta_out"] <= 2 * report["delta_in"] + 1e-8
         # distance envelope ~ sqrt(delta)
         assert report["distance"] <= 20 * np.sqrt(report["delta_in"]) + 1e-8
@@ -295,7 +283,7 @@ def test_projectivize_projective_fixed_point():
     stages = rounding_stages(k3_game(), entangled_coloring_strategy(3))
     assert stages.report["proj_distance"] <= 1e-10
     assert stages.report["proj_gamma"] <= 1e-10
-    assert is_projective(stages.projective.alice)
+    assert is_projective(stages.pvms)
 
 
 def test_projectivize_noised_input():
@@ -303,9 +291,9 @@ def test_projectivize_noised_input():
     s = embed_tracial(entangled_coloring_strategy(3))
     noised = 0.99 * s.alice + 0.01 * np.eye(3) / 3
     noisy = TracialStrategy(3, s.sigma, noised, noised)
-    out, _, report = projectivize(noisy, g, correlation(noisy))
-    assert is_projective(out.alice, 1e-8)
-    assert povm_violations(out.alice) == [[]] * 3
+    pvms, _, _, report = projectivize(np.ones(3), noised, g, correlation(noisy))
+    assert is_projective(pvms, 1e-8)
+    assert povm_violations(pvms) == [[]] * 3
     assert np.isfinite(report["delta_out"])
     assert report["distance"] <= 1.0
 
@@ -315,7 +303,7 @@ def test_slice_strategies_flat_spectrum():
     s = embed_tracial(entangled_coloring_strategy(3))
     corners = []
     dec = slice_strategies(
-        projective(s.sigma, s.alice), g, lambda m, rank, stack: corners.append(stack)
+        np.ones(3), factor_stack(s.alice), g, lambda m, rank, stack: corners.append(stack)
     )
     assert len(dec.slices) == len(corners) == 1
     sl = dec.slices[0]
@@ -331,9 +319,9 @@ def test_slice_strategies_two_level_spectrum():
     # symmetric projective strategy with a two-level sigma spectrum:
     # diagonal PVMs commute with any diagonal sigma
     s = embed_tracial(entangled_coloring_strategy(3))
-    sigma = np.diag([1.0, 1.0, 0.5])
-    sigma = sigma / linalg.tau_norm(sigma)
-    dec = slice_strategies(projective(sigma, s.alice), g)
+    spectrum = np.array([1.0, 1.0, 0.5])
+    spectrum = spectrum / np.sqrt(np.mean(spectrum**2))
+    dec = slice_strategies(spectrum, factor_stack(s.alice), g)
     assert len(dec.slices) == 2
     weights = [sl.weight for sl in dec.slices]
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
@@ -346,7 +334,7 @@ def test_slice_correlations_synchronous_on_perturbed():
     base = entangled_coloring_strategy(3)
     for seed in range(10):
         stages = rounding_stages(g, perturb_strategy(base, 1e-2, seed))
-        dec = slice_strategies(stages.projective, g)
+        dec = slice_strategies(stages.polar.singular_values, stages.factors, g)
         for c in dec.correlations:
             assert synchronicity(g, c) <= 1e-8
         assert dec.diagnostics["weight_sum"] == pytest.approx(1.0, abs=1e-9)
@@ -406,6 +394,28 @@ def test_lemma_report_random_strategies():
         rep = lemma_report(g, rounding_stages(g, s))
         for entry in rep.values():
             assert entry["slack"] >= -1e-8
+
+
+def test_lemma_report_reads_the_stored_bob(monkeypatch):
+    # unbalanced, so Alice's frame L and Bob's frame V differ
+    g = k3_game()
+    s = random_strategy((24, 48), (3, 3), 1)
+    stages = rounding_stages(g, s)
+    right = stages.polar.eigenbasis
+    assert not np.allclose(stages.polar.left_basis, right)
+    calls = spy(monkeypatch, rounding, "_diagonal_correlation")
+    rep = lemma_report(g, stages)
+    # delta_A, delta_B, then the substitution
+    (_, alice_l, _), (_, bob_1, bob_2), (_, pvms, bob_3) = [args for args, _ in calls]
+    assert alice_l is stages.alice_l and pvms is stages.pvms
+    assert bob_1 is bob_2 is bob_3 is stages.bob_v
+    # the same report as from a copy of Bob rotated into V afresh
+    fresh = right.conj().T @ embed_tracial(s).bob_left @ right
+    monkeypatch.undo()
+    want = lemma_report(g, replace(stages, bob_v=fresh))
+    for lemma, entry in want.items():
+        for side, value in entry.items():
+            assert abs(rep[lemma][side] - value) <= 1e-12
 
 
 def test_measurement_substitution_trivial_case():
@@ -530,12 +540,12 @@ def test_every_public_entry_checks_the_game():
     bad = non_synchronous(g)
     s = perturb_strategy(entangled_coloring_strategy(3), 1e-2, 5)
     stages = rounding_stages(g, s)
-    sym = stages.symmetric
+    spectrum = stages.polar.singular_values
     entries = {
         "synchronicity": lambda: synchronicity(bad, stages.c_in),
-        "symmetrize": lambda: symmetrize(stages.embedded, bad, stages.polar),
-        "projectivize": lambda: projectivize(sym, bad, correlation(sym)),
-        "slice_strategies": lambda: slice_strategies(stages.projective, bad),
+        "symmetrize": lambda: symmetrize(embed_tracial(s), bad, stages.polar),
+        "projectivize": lambda: projectivize(spectrum, stages.alice_l, bad, stages.c_in),
+        "slice_strategies": lambda: slice_strategies(spectrum, stages.factors, bad),
         "lemma_report": lambda: lemma_report(bad, stages),
         "rounding_stages": lambda: rounding_stages(bad, s),
         "round_correlation": lambda: round_correlation(bad, s),
@@ -548,7 +558,7 @@ def test_every_public_entry_checks_the_game():
 
 
 def test_round_correlation_correlates_the_embedding_once(monkeypatch):
-    # c_in is taken once, at the diagonal state of the one SVD, so no dense
+    # c_in is taken once, at the spectrum of the one SVD, so no dense
     # correlation of the embedding is formed
     embeds = spy(monkeypatch, strategies, "embed_tracial")
     correlations = spy(monkeypatch, strategies, "correlation")
@@ -557,7 +567,7 @@ def test_round_correlation_correlates_the_embedding_once(monkeypatch):
     dec = round_correlation(k3_game(), s)
     ((_, embedded),) = embeds
     ((_, polar),) = polars
-    assert dec.stages.embedded is embedded and dec.stages.polar is polar
+    assert dec.stages.embedded_alice is embedded.alice and dec.stages.polar is polar
     assert correlations == []
     want = strategies.tensor_correlation(s).table
     np.testing.assert_allclose(dec.stages.c_in.table, want, rtol=0, atol=1e-12)
@@ -584,8 +594,9 @@ def test_round_correlation_on_a_loaded_strategy_builds_no_povm(monkeypatch, tmp_
 
 def test_round_correlation_retains_no_corners():
     # At d=48 the corner PVMs add up to sum_r 9 r^2 complex entries, about
-    # 5.4 MB; the embedded, symmetric and projective stages and the slice
-    # tables the decomposition does keep are about 1.8 MB.
+    # 5.4 MB; the record's stacks (the embedded Alice, Alice in L, Bob in V,
+    # the PVMs and their factors) and the slice tables the decomposition
+    # does keep are about 1.7 MB.
     g = k3_game()
     s = random_strategy((48, 48), (3, 3), 0)
     round_correlation(g, random_strategy((3, 3), (3, 3), 0))  # warm caches

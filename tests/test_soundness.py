@@ -282,7 +282,8 @@ def host_frame_transferred(game, inst, s):
         game, s, on_slice=lambda m, rank, stack: corners.append((m, rank, stack))
     )
     assert [rank for _, rank, _ in corners] == [sl.sub_dim for sl in dec.slices]
-    polar = linalg.polar_decompose(dec.stages.embedded.sigma)
+    embedded = embed_tracial(s)
+    polar = linalg.polar_decompose(embedded.sigma)
     u, frame = polar.isometry_part, polar.left_basis
     sigma_plus = u @ polar.positive_part @ u.conj().T
     slices = [
@@ -299,7 +300,7 @@ def host_frame_transferred(game, inst, s):
                 if rho[x, y] == 0.0 or not block:
                     continue
                 h = sum(families[y].elements[b] for b in block)
-                left = sigma_plus @ dec.stages.embedded.alice[x, a] @ sigma_plus
+                left = sigma_plus @ embedded.alice[x, a] @ sigma_plus
                 total += rho[x, y] * linalg.tau(left @ h).real
     return total
 
