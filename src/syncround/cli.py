@@ -155,17 +155,10 @@ def _sweep_row(game, eta, task_seed, dec, seconds, timing):
     }
 
 
-def _sweep_task(game, base, eta, task_seed, timing):
-    """One task's row on its own, the reference a block is re-run with."""
-    start = time.perf_counter()
-    dec = round_correlation(game, perturb_strategy(base, eta, task_seed))
-    return _sweep_row(game, eta, task_seed, dec, time.perf_counter() - start, timing)
-
-
 def _sweep_block(game, base, tasks, timing):
-    """The rows of a block of (eta, seed) tasks, sliced together.  A task's
-    time is its own stages and lemma report plus an equal share of the
-    block's slicing."""
+    """The rows of a block of (eta, seed) tasks, sliced together, the
+    sweep's one rounding path.  A task's time is its own stages and lemma
+    report plus an equal share of the block's slicing."""
     stages, seconds = [], []
     for eta, task_seed in tasks:
         start = time.perf_counter()
@@ -242,10 +235,10 @@ def cmd_sweep(args) -> int:
             try:
                 rows.extend(_sweep_block(game, base, block, args.timing))
             except Exception:
-                # Re-run the block task by task: rows up to the first failing
-                # task are written and its own error is raised.
-                for eta, task_seed in block:
-                    rows.append(_sweep_task(game, base, eta, task_seed, args.timing))
+                # Re-run the block as blocks of one task: rows up to the first
+                # failing task are written and its own error is raised.
+                for task in block:
+                    rows.extend(_sweep_block(game, base, [task], args.timing))
     finally:
         # Partial results are still flushed if a task or interrupt aborts us.
         lines = [CSV_HEADER]

@@ -9,12 +9,13 @@ bounds.  Both lambda-integrals, the slicing of sigma+^2 and the
 joint-distribution integral, are cut into the pieces of one rule,
 _spectral_pieces, on which the integrands are constant.
 
-round_correlation is the one pipeline, and round_correlations runs it on a
-block of strategies, slicing them together.  The prefix, rounding_stages,
-polar-decomposes the embedded state once and keeps every stage before the
-slices, so the CLI, the lemma report and the soundness demo continue from
-it instead of embedding, correlating or polar-decomposing a second time,
-and the lemmas bound the stages the pipeline produced.  Every stage reads
+round_correlation is the one pipeline, and round_correlations slices a
+block of prefixes together.  The prefix, rounding_stages, polar-decomposes
+the embedded state once and returns one RoundingStages record, each stage
+residual under the one name the diagnostics carry.  The record is the only
+hand-off after the prefix: the slices, the lemma report and the soundness
+demo read it instead of embedding, correlating or polar-decomposing again,
+so the lemmas bound the stages the pipeline produced.  Every stage reads
 and writes (nq, na, n, n) element stacks.  Every stage after symmetrize
 works in Alice's frame L, the left singular vectors of the one SVD sigma =
 L S V*, and passes on the spectrum S, which is sigma+ = |sigma*| = L S L*
@@ -106,7 +107,7 @@ SliceHook = Callable[[float, int, np.ndarray], None]
 
 def _normalized(weight: np.ndarray) -> np.ndarray:
     """The diagonal of sigma sigma*, refused unless tau(sigma sigma*) = 1."""
-    norm = float(weight.sum()) / len(weight)
+    norm = float(weight.sum()) / max(len(weight), 1)
     if abs(norm - 1.0) > NORM_TOL:
         raise NotNormalized(f"tau(sigma sigma*) = {norm!r}")
     return weight
@@ -232,6 +233,8 @@ def orthogonalize_povm(povm: Povm, sigma) -> tuple[Povm, float]:
     and its weighted error tau(sum_a (A_a - P_a)^2 w), at most 9 epsilon
     (BoundViolated otherwise).
     """
+    if np.shape(sigma) != (povm.dim,) * 2:
+        raise ValidationError(f"sigma {np.shape(sigma)} does not act on dim {povm.dim}")
     polar = linalg.polar_decompose(sigma)
     u = polar.left_basis
     rotated = u.conj().T @ povm.elements @ u
@@ -263,6 +266,8 @@ def verify_connes(rho, sigma) -> tuple[float, float]:
     """
     r = linalg.hermitize(rho)
     s = linalg.hermitize(sigma)
+    if r.shape != s.shape or not r.size:
+        raise ValidationError(f"operands {r.shape} and {s.shape} are not one nonempty shape")
     dec_r = _checked_eig("rho", r)
     dec_s = _checked_eig("sigma", s)
     n = r.shape[0]
@@ -312,17 +317,17 @@ class Slice:
 @dataclass(frozen=True)
 class RoundingStages:
     """The pipeline before slicing, from one polar decomposition sigma = L S
-    V* of the embedded state, each stage once, as stacks.
+    V* of the embedded state, each stage once, as stacks: the one hand-off
+    from the prefix to the slices, the lemma report and the soundness demo.
 
-    embedded_alice is the embedded strategy's Alice, c_in its correlation
-    and polar.singular_values the spectrum S of sigma+ = |sigma*| the slices
-    cut.  alice_l = L* A L is the symmetric stage's Alice, bob_v = V* B V
-    the Bob c_in was taken with, pvms the PVMs projectivize rounded alice_l
-    to and factors their (nq, na, n, k) columns F, P = F F*.  report holds
-    delta_in, sym_delta, sym_distance, proj_delta, proj_distance and
-    proj_gamma, the names round_correlation's diagnostics carry."""
+    c_in is the embedded strategy's correlation and polar.singular_values
+    the spectrum S of sigma+ = |sigma*| the slices cut.  alice_l = L* A L is
+    the symmetric stage's Alice, bob_v = V* B V the Bob c_in was taken with,
+    pvms the PVMs projectivize rounded alice_l to and factors their (nq, na,
+    n, k) columns F, P = F F*.  report merges symmetrize's and projectivize's
+    reports, delta_in, sym_delta, sym_distance, proj_delta, proj_distance
+    and proj_gamma, under the names round_correlation's diagnostics carry."""
 
-    embedded_alice: np.ndarray
     c_in: Correlation
     polar: linalg.PolarParts
     alice_l: np.ndarray
@@ -353,9 +358,9 @@ def symmetrize(s: TracialStrategy, game: Game, polar: linalg.PolarParts):
     polar.singular_values and her elements are L* A L.  The input
     correlation c_in is taken at the same spectrum, tau(sigma* A sigma B) =
     tau(S L*AL S V*BV).  Returns Alice in L, Bob in V (V* B V), c_in, the
-    symmetric correlation and a report with their synchronicities and the
-    mu-weighted correlation distance; the factor-2 synchronicity bound is
-    enforced.
+    symmetric correlation and a report of their synchronicities delta_in
+    and sym_delta and their mu-weighted correlation distance sym_distance;
+    the factor-2 synchronicity bound sym_delta <= 2 delta_in is enforced.
     """
     check_synchronous(game, "symmetrize")
     left, right = polar.left_basis, polar.eigenbasis
@@ -365,16 +370,16 @@ def symmetrize(s: TracialStrategy, game: Game, polar: linalg.PolarParts):
     c_in = _diagonal_correlation(singular, alice, bob)
     delta_in = _synchronicity(game, c_in)
     c_out = _diagonal_correlation(singular, alice, alice)
-    delta_out = _synchronicity(game, c_out)
-    if delta_out > 2.0 * delta_in + CONTRACT_SLACK:
+    sym_delta = _synchronicity(game, c_out)
+    if sym_delta > 2.0 * delta_in + CONTRACT_SLACK:
         raise MathContractError(
-            f"symmetrized synchronicity {delta_out:.3e} exceeds "
+            f"symmetrized synchronicity {sym_delta:.3e} exceeds "
             f"2*{delta_in:.3e} + {CONTRACT_SLACK:.0e}"
         )
     report = {
         "delta_in": delta_in,
-        "delta_out": delta_out,
-        "distance": correlation_distance(game, c_in, c_out),
+        "sym_delta": sym_delta,
+        "sym_distance": correlation_distance(game, c_in, c_out),
     }
     return alice, bob, c_in, c_out, report
 
@@ -386,19 +391,19 @@ def projectivize(spectrum: np.ndarray, alice: np.ndarray, game: Game, c_in: Corr
     its state and Alice's (nq, na, n, n) elements in the state's eigenbasis,
     with its correlation c_in.  The weight sigma sigma* is s^2 there, which
     goes straight to _round_povm.  Returns the PVMs, their orthonormal
-    columns F (P = F F*, an (nq, na, n, k) stack), the symmetric projective
-    correlation and a report of its synchronicity delta_out, the mu-weighted
-    correlation distance to c_in and the weighted rounding error gamma.
+    columns F (P = F F*, an (nq, na, n, k) stack) and a report: proj_delta,
+    the symmetric projective correlation's synchronicity, proj_distance, its
+    mu-weighted distance to c_in, and the weighted rounding error proj_gamma.
     """
     check_synchronous(game, "projectivize")
     pvms, factors, masses = _round_povm(alice, spectrum**2)
     c_out = _diagonal_correlation(spectrum, pvms, pvms)
     report = {
-        "delta_out": _synchronicity(game, c_out),
-        "distance": correlation_distance(game, c_in, c_out),
-        "gamma": float(game.mu_x @ masses) / len(spectrum),
+        "proj_delta": _synchronicity(game, c_out),
+        "proj_distance": correlation_distance(game, c_in, c_out),
+        "proj_gamma": float(game.mu_x @ masses) / len(spectrum),
     }
-    return pvms, factors, c_out, report
+    return pvms, factors, report
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
@@ -547,17 +552,9 @@ def rounding_stages(game: Game, s: TensorStrategy) -> RoundingStages:
     check_synchronous(game, "rounding")
     embedded = embed_tracial(s)
     polar = linalg.polar_decompose(embedded.sigma)
-    alice, bob, c_in, c_sym, sym_report = symmetrize(embedded, game, polar)
-    pvms, factors, _, proj_report = projectivize(polar.singular_values, alice, game, c_sym)
-    report = {
-        "delta_in": sym_report["delta_in"],
-        "sym_delta": sym_report["delta_out"],
-        "sym_distance": sym_report["distance"],
-        "proj_delta": proj_report["delta_out"],
-        "proj_distance": proj_report["distance"],
-        "proj_gamma": proj_report["gamma"],
-    }
-    return RoundingStages(embedded.alice, c_in, polar, alice, bob, pvms, factors, report)
+    alice, bob, c_in, c_sym, sym = symmetrize(embedded, game, polar)
+    pvms, factors, proj = projectivize(polar.singular_values, alice, game, c_sym)
+    return RoundingStages(c_in, polar, alice, bob, pvms, factors, {**sym, **proj})
 
 
 def round_correlation(
@@ -577,18 +574,13 @@ def round_correlation(
 
 
 def round_correlations(
-    game: Game, strategies: list[TensorStrategy | RoundingStages]
+    game: Game, stages: list[RoundingStages]
 ) -> list[RoundingDecomposition]:
-    """round_correlation for each of a block of strategies, with their
-    diagnostics, slicing them together: one kernel call, correlation product
-    and synchronicity check per corner dimension in the block, not per slice
-    per strategy.  An entry may be given as its rounding_stages, which a
-    caller that times the stages runs itself.  The block's element stacks
-    are held at once, so a caller bounds its size."""
-    stages = [
-        s if isinstance(s, RoundingStages) else rounding_stages(game, s)
-        for s in strategies
-    ]
+    """round_correlation for each of a block of strategies, given as their
+    rounding_stages, with their diagnostics, slicing them together: one
+    kernel call, correlation product and synchronicity check per corner
+    dimension in the block, not per slice per strategy.  The block's
+    element stacks are held at once, so a caller bounds its size."""
     decs = _slice_corners([(st.polar.singular_values, st.factors) for st in stages], game)
     return [_finished(game, dec, st) for dec, st in zip(decs, stages)]
 
@@ -613,14 +605,16 @@ def lemma_report(game: Game, stages: RoundingStages) -> dict:
     sigma = L S V* of the embedded state gives the frames: the stages hold
     Alice's elements in L, the eigenbasis of sigma sigma*, and Bob's in V,
     the eigenbasis of |sigma|, and here Alice's are rotated once into V as
-    well.  Every correlation below is then one at the spectrum S,
-    tau(sigma* A sigma B) = tau(S L*AL S V*BV), the one c_in was taken at.
+    well, V*AV = W* L*AL W with W = L* V.  Every correlation below is then
+    one at the spectrum S, tau(sigma* A sigma B) = tau(S L*AL S V*BV), the
+    one c_in was taken at.
     Returns {lemma: {lhs, rhs, slack}} with slack = rhs - lhs; every slack
     should be >= -CONTRACT_SLACK when the lemmas hold.
     """
     check_synchronous(game, "the lemma report")
-    right, alice_l, bob_r = stages.polar.eigenbasis, stages.alice_l, stages.bob_v
-    alice_r = right.conj().T @ stages.embedded_alice @ right
+    alice_l, bob_r = stages.alice_l, stages.bob_v
+    w = stages.polar.left_basis.conj().T @ stages.polar.eigenbasis
+    alice_r = w.conj().T @ alice_l @ w
     at_singular_values = partial(_diagonal_correlation, stages.polar.singular_values)
     report = stages.report
 

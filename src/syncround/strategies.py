@@ -196,14 +196,14 @@ def embed_tracial(s: TensorStrategy) -> TracialStrategy:
 def correlation(s: TracialStrategy) -> Correlation:
     """C(x,y,a,b) = Re tau(sigma* A_a^x sigma B_b^y) with B stored left.
 
-    tau(L B) = sum_ij (L^T)_ij B_ij / n, so the table is stacked_correlation
-    of the left factors (sigma* A sigma)^T = sigma^T A^T conj(sigma) with
+    tau(L B) = sum_ij (L^T)_ij B_ij / n, so the table is _stacked_tables of
+    the left factors (sigma* A sigma)^T = sigma^T A^T conj(sigma) with
     Bob's elements.  The rounding stages, which hold a spectrum, call
     _diagonal_correlation instead.
     """
     sig = s.sigma
     left = sig.T @ np.ascontiguousarray(s.alice.swapaxes(-1, -2)) @ sig.conj()
-    return stacked_correlation(left, s.bob_left)
+    return Correlation(_stacked_tables(left, s.bob_left))
 
 
 def _diagonal_correlation(d, alice: np.ndarray, bob: np.ndarray) -> Correlation:
@@ -213,24 +213,19 @@ def _diagonal_correlation(d, alice: np.ndarray, bob: np.ndarray) -> Correlation:
     products."""
     d = np.asarray(d, dtype=complex)
     left = np.multiply(alice.swapaxes(-1, -2), np.outer(d, d.conj()), order="C")
-    return stacked_correlation(left, bob)
-
-
-def stacked_correlation(left: np.ndarray, right: np.ndarray) -> Correlation:
-    """C[x, y, a, b] = Re sum_ij left[x, a]_ij right[y, b]_ij / n.
-
-    left stacks the transposed sigma* A^x_a sigma and right Bob's elements,
-    both (nq, na, n, n), so the whole table is one product.  A slice corner,
-    whose state is the identity, passes its stacked PVMs and their
-    transpose.  Imaginary residue above CORR_IMAG_TOL is refused.
-    """
-    return Correlation(_stacked_tables(left, right))
+    return Correlation(_stacked_tables(left, bob))
 
 
 def _stacked_tables(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """stacked_correlation's table for each pair of a batch (..., nq, na, n,
-    n) of left and right stacks, as one (..., nq, nq, na, na) array from one
-    batched product."""
+    """C[..., x, y, a, b] = Re sum_ij left[..., x, a]_ij right[..., y, b]_ij /
+    n for each pair of a batch (..., nq, na, n, n) of left and right stacks,
+    as one (..., nq, nq, na, na) array from one batched product.
+
+    left stacks the transposed sigma* A^x_a sigma and right Bob's elements,
+    so a whole table is one product.  A slice corner, whose state is the
+    identity, passes its stacked PVMs and their transpose.  Imaginary
+    residue above CORR_IMAG_TOL is refused.
+    """
     *batch, nq, na, n = left.shape[:-1]
     rows = (*batch, nq * na, n * n)
     vals = left.reshape(rows) @ right.reshape(rows).swapaxes(-1, -2)

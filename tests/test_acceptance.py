@@ -11,7 +11,7 @@ import numpy as np
 from reference import expand_corner, factor_stack, is_projective, padded_targets
 from syncround import linalg
 from syncround.cli import main as cli_main
-from syncround.games import edge_game, k3_game
+from syncround.games import coloring_game, edge_game, k3_game, with_sync_test
 from syncround.linalg import CONTRACT_SLACK, NORM_TOL
 from syncround.rounding import (
     lemma_report,
@@ -299,6 +299,60 @@ def test_robustness_suite():
         f"{worst_oracle:.3e} (tol 1e-10), min lemma slack {worst_slack:.3e} "
         f"(tol -1e-8), min 2 delta - delta^2 - sym_delta {worst_vienna:.3e} "
         f"(tol -{CONTRACT_SLACK:.0e}), {elapsed:.1f}s (< 60s)",
+    )
+
+
+def coloring_cases(count=96):
+    """A seeded sample of coloring games on random graphs (1-5 vertices, 1-4
+    colours, each edge present with probability 1/2), every other one with
+    the sync test mixed in, each paired with a random PVM or generic POVM
+    strategy of dims 1-6 on its alphabets."""
+    rng = np.random.default_rng(2304)
+    for i in range(count):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        upper = np.triu(rng.random((n, n)) < 0.5, 1)
+        game = coloring_game(upper | upper.T, k)
+        if i % 2:
+            game = with_sync_test(game, float(rng.uniform(0.1, 1.0)))
+        dims = tuple(int(d) for d in rng.integers(1, 7, size=2))
+        if i % 4 < 2:
+            yield game, random_strategy(dims, (n, k), i)
+        else:
+            yield game, random_povm_strategy(dims, (n, k), i, float(rng.random()))
+
+
+def test_coloring_game_suite():
+    """Coloring games other than the triangle, with and without the sync
+    test, round with every guarantee met: slice weights summing to 1,
+    synchronous slices, both lemma slacks and an input correlation that the
+    direct tensor correlation reproduces."""
+    start = time.perf_counter()
+    rounded = 0
+    worst_weight = worst_sync = worst_oracle = 0.0
+    worst_slack = np.inf
+    for game, s in coloring_cases():
+        dec = round_correlation(game, s)
+        rounded += 1
+        worst_weight = max(worst_weight, abs(sum(sl.weight for sl in dec.slices) - 1.0))
+        for c in dec.correlations:
+            worst_sync = max(worst_sync, synchronicity(game, c))
+        rep = lemma_report(game, dec.stages)
+        worst_slack = min(worst_slack, *(e["slack"] for e in rep.values()))
+        gap = np.abs(tensor_correlation(s).table - dec.stages.c_in.table)
+        worst_oracle = max(worst_oracle, float(gap.max()))
+    elapsed = time.perf_counter() - start
+    report(
+        "coloring-game-suite",
+        rounded == 96
+        and worst_weight <= NORM_TOL
+        and worst_sync <= CONTRACT_SLACK
+        and worst_slack >= -1e-8
+        and worst_oracle <= 1e-10
+        and elapsed < 3,
+        f"{rounded} rounded; weight-sum error {worst_weight:.3e} (tol "
+        f"{NORM_TOL:.0e}), max slice sync {worst_sync:.3e} (tol "
+        f"{CONTRACT_SLACK:.0e}), min lemma slack {worst_slack:.3e} (tol -1e-8), "
+        f"embedding mismatch {worst_oracle:.3e} (tol 1e-10), {elapsed:.2f}s (< 3s)",
     )
 
 

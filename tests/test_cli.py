@@ -14,6 +14,7 @@ from syncround import cli, io, rounding
 from syncround.cli import CSV_HEADER, main
 from syncround.errors import MathContractError
 from syncround.games import Game, k3_game
+from syncround.rounding import lemma_report, round_correlation
 from syncround.strategies import (
     entangled_coloring_strategy,
     perturb_strategy,
@@ -463,10 +464,14 @@ def test_sweep_block_rows_match_per_task_rows(case, capsys, tmp_path, monkeypatc
     assert len(blocks) == n_blocks and sum(blocks) == 2 * trials
     for line in lines[1:]:
         got = line.split(",")
-        want = cli._sweep_task(k3_game(), base, float(got[0]), int(got[1]), False)
-        assert got[4] == str(want["slices"]) and got[6] == "0"
-        for i, key in ((2, "delta"), (3, "distance"), (5, "slack_min")):
-            assert abs(float(got[i]) - want[key]) <= 1e-12, (key, line, want)
+        # the reference rounds the task on its own, by the one-strategy path
+        task = perturb_strategy(base, float(got[0]), int(got[1]))
+        dec = round_correlation(k3_game(), task)
+        slack = min(e["slack"] for e in lemma_report(k3_game(), dec.stages).values())
+        assert got[4] == str(len(dec.slices)) and got[6] == "0"
+        want = {2: dec.diagnostics["delta_in"], 3: dec.diagnostics["distance"], 5: slack}
+        for i, value in want.items():
+            assert abs(float(got[i]) - value) <= 1e-12, (i, line, value)
     assert {int(line.split(",")[4]) for line in lines[1:]} == slice_counts
 
 

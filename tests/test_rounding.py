@@ -1,7 +1,7 @@
 """Unit tests for the rounding pipeline."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -256,8 +256,8 @@ def test_symmetrize_fixed_point():
     s = embed_tracial(entangled_coloring_strategy(3))
     polar = linalg.polar_decompose(s.sigma)
     _, _, _, _, report = symmetrize(s, k3_game(), polar)
-    assert report["distance"] <= 1e-10
-    assert report["delta_out"] <= 1e-10
+    assert report["sym_distance"] <= 1e-10
+    assert report["sym_delta"] <= 1e-10
     # sigma = I, so the symmetric state, its spectrum, is sigma itself
     np.testing.assert_allclose(np.diag(polar.singular_values), s.sigma, atol=1e-10)
 
@@ -274,9 +274,9 @@ def test_symmetrize_bound_on_perturbed_family():
         left, right = polar.left_basis, polar.eigenbasis
         np.testing.assert_array_equal(alice, left.conj().T @ s.alice @ left)
         np.testing.assert_array_equal(bob, right.conj().T @ s.bob_left @ right)
-        assert report["delta_out"] <= 2 * report["delta_in"] + 1e-8
+        assert report["sym_delta"] <= 2 * report["delta_in"] + 1e-8
         # distance envelope ~ sqrt(delta)
-        assert report["distance"] <= 20 * np.sqrt(report["delta_in"]) + 1e-8
+        assert report["sym_distance"] <= 20 * np.sqrt(report["delta_in"]) + 1e-8
 
 
 def test_projectivize_projective_fixed_point():
@@ -291,11 +291,11 @@ def test_projectivize_noised_input():
     s = embed_tracial(entangled_coloring_strategy(3))
     noised = 0.99 * s.alice + 0.01 * np.eye(3) / 3
     noisy = TracialStrategy(3, s.sigma, noised, noised)
-    pvms, _, _, report = projectivize(np.ones(3), noised, g, correlation(noisy))
+    pvms, _, report = projectivize(np.ones(3), noised, g, correlation(noisy))
     assert is_projective(pvms, 1e-8)
     assert povm_violations(pvms) == [[]] * 3
-    assert np.isfinite(report["delta_out"])
-    assert report["distance"] <= 1.0
+    assert np.isfinite(report["proj_delta"])
+    assert report["proj_distance"] <= 1.0
 
 
 def test_slice_strategies_flat_spectrum():
@@ -418,6 +418,31 @@ def test_lemma_report_reads_the_stored_bob(monkeypatch):
             assert abs(rep[lemma][side] - value) <= 1e-12
 
 
+@pytest.mark.parametrize("dims", [(24, 48), (1, 5)])
+def test_lemma_report_rotates_alice_into_v_from_her_frame(dims, monkeypatch):
+    # unbalanced, so L != V: the report's Alice in V is W* (L*AL) W, W = L*V,
+    # and the record keeps no embedded Alice to rotate instead
+    g = k3_game()
+    s = random_strategy(dims, (3, 3), 1)
+    stages = rounding_stages(g, s)
+    right = stages.polar.eigenbasis
+    assert not np.allclose(stages.polar.left_basis, right)
+    assert "embedded_alice" not in {f.name for f in fields(stages)}
+    rep = lemma_report(g, stages)
+    # the same report with Alice rotated into V straight from the embedding
+    direct = right.conj().T @ embed_tracial(s).alice @ right
+    real = rounding._diagonal_correlation
+
+    def with_direct_alice(d, left, other):
+        return real(d, left, direct if left is stages.alice_l else other)
+
+    monkeypatch.setattr(rounding, "_diagonal_correlation", with_direct_alice)
+    want = lemma_report(g, stages)
+    for lemma, entry in want.items():
+        for side, value in entry.items():
+            assert abs(rep[lemma][side] - value) <= 1e-12
+
+
 def test_measurement_substitution_trivial_case():
     # substituting projective measurements for themselves gives lhs = 0
     g = k3_game()
@@ -466,14 +491,14 @@ def spy(monkeypatch, module, name):
 
 def test_sweep_task_embeds_once(monkeypatch):
     embeds = spy(monkeypatch, strategies, "embed_tracial")
-    cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
+    cli._sweep_block(k3_game(), entangled_coloring_strategy(3), [(1e-2, 5)], False)
     assert len(embeds) == 1
 
 
 def test_sweep_task_polarizes_once(monkeypatch):
-    # lemma_report reads the stages round_correlation computed
+    # lemma_report reads the stages the sweep block computed
     polars = spy(monkeypatch, linalg, "polar_decompose")
-    cli._sweep_task(k3_game(), entangled_coloring_strategy(3), 1e-2, 5, False)
+    cli._sweep_block(k3_game(), entangled_coloring_strategy(3), [(1e-2, 5)], False)
     assert len(polars) == 1
 
 
@@ -490,7 +515,6 @@ def test_sweep_call_budget(monkeypatch, capsys):
         (games, "is_synchronous_game"): 4 * 32 + 1,
         (linalg, "eig_hermitian"): 96 + 64 + 6,
         (rounding, "_round_povm"): 32 + 3,
-        (strategies, "stacked_correlation"): 6 * 32,
         (strategies, "_stacked_tables"): 6 * 32 + 3,
         (strategies, "_synchronicity"): 5 * 32,
         (strategies, "_synchronicities"): 5 * 32 + 3,
@@ -514,9 +538,9 @@ def test_round_correlations_match_one_at_a_time_across_dims():
         random_strategy((6, 4), (3, 3), 3),
         entangled_coloring_strategy(3),
     ]
-    stages = rounding_stages(g, block[3])
-    decs = round_correlations(g, block[:3] + [stages] + block[4:])
-    assert decs[3].stages is stages
+    stages = [rounding_stages(g, s) for s in block]
+    decs = round_correlations(g, stages)
+    assert all(dec.stages is st for dec, st in zip(decs, stages))
     assert round_correlations(g, []) == []
     for s, got in zip(block, decs):
         want = round_correlation(g, s)
@@ -557,6 +581,25 @@ def test_every_public_entry_checks_the_game():
             pytest.fail(f"{name} accepted a non-synchronous game")
 
 
+BAD_LIBRARY_CALLS = {
+    "connes-shapes": lambda: verify_connes(np.eye(2), np.eye(3)),
+    "connes-empty": lambda: verify_connes(np.zeros((0, 0)), np.zeros((0, 0))),
+    "slice-empty": lambda: slice_strategies(np.array([]), np.zeros((3, 3, 0, 1)), k3_game()),
+    "orthogonalize-shapes": lambda: orthogonalize_povm(
+        Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), np.eye(3)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LIBRARY_CALLS))
+def test_bad_library_input_is_refused_before_any_decomposition(case, monkeypatch):
+    eigs = spy(monkeypatch, linalg, "eig_hermitian")
+    polars = spy(monkeypatch, linalg, "polar_decompose")
+    with pytest.raises(ValidationError):
+        BAD_LIBRARY_CALLS[case]()
+    assert eigs == [] and polars == []
+
+
 def test_round_correlation_correlates_the_embedding_once(monkeypatch):
     # c_in is taken once, at the spectrum of the one SVD, so no dense
     # correlation of the embedding is formed
@@ -565,9 +608,9 @@ def test_round_correlation_correlates_the_embedding_once(monkeypatch):
     polars = spy(monkeypatch, linalg, "polar_decompose")
     s = random_strategy((4, 6), (3, 3), 2)
     dec = round_correlation(k3_game(), s)
-    ((_, embedded),) = embeds
+    assert len(embeds) == 1
     ((_, polar),) = polars
-    assert dec.stages.embedded_alice is embedded.alice and dec.stages.polar is polar
+    assert dec.stages.polar is polar
     assert correlations == []
     want = strategies.tensor_correlation(s).table
     np.testing.assert_allclose(dec.stages.c_in.table, want, rtol=0, atol=1e-12)
@@ -594,9 +637,9 @@ def test_round_correlation_on_a_loaded_strategy_builds_no_povm(monkeypatch, tmp_
 
 def test_round_correlation_retains_no_corners():
     # At d=48 the corner PVMs add up to sum_r 9 r^2 complex entries, about
-    # 5.4 MB; the record's stacks (the embedded Alice, Alice in L, Bob in V,
-    # the PVMs and their factors) and the slice tables the decomposition
-    # does keep are about 1.7 MB.
+    # 5.4 MB; the record's stacks (Alice in L, Bob in V, the PVMs and their
+    # factors) and the slice tables the decomposition does keep are about
+    # 1.4 MB.
     g = k3_game()
     s = random_strategy((48, 48), (3, 3), 0)
     round_correlation(g, random_strategy((3, 3), (3, 3), 0))  # warm caches
